@@ -9,6 +9,7 @@ generator labels s_1..s_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import DimensionError, DomainError, ResourceLimitError
 
@@ -139,6 +140,10 @@ def in_class_cdm(a: ZeroOneMatrix) -> bool:
     return is_nondegenerate(a) and is_irreducible(a) and not is_permutation(a)
 
 
+# Tensor-state evaluation asks for the product of the same two factors on
+# every call; the matrices are frozen, so one product can serve them all.
+# A cap violation raises and is not cached.
+@lru_cache(maxsize=64)
 def kronecker_matrix(a: ZeroOneMatrix, b: ZeroOneMatrix,
                      dimension_cap: int = DEFAULT_DIMENSION_CAP) -> ZeroOneMatrix:
     """Kronecker product; block index u = m(i-1)+j for (i, j)."""

@@ -11,7 +11,9 @@ The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
 a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
-no eigenvalue can reach 1 earlier.
+no eigenvalue can reach 1 earlier.  Other frequency vectors take a bisection
+whose sign test runs the Collatz-Wielandt iteration on integers over a
+power-of-two grid, rounded outward.
 """
 
 from __future__ import annotations
@@ -494,21 +496,50 @@ def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
 def _radius_vs_one(matrix: ZeroOneMatrix, omega: FrequencyVector, beta: Fraction,
                    work: Fraction) -> int:
     """Sign of PFE(diag(e^{-beta omega}) A) - 1; 0 when undecided at this
-    working precision."""
-    entries = []
-    for w in omega.entries:
-        wiv = scalars.refine(w, work)
-        entries.append(Enc(exp_interval(-(wiv * beta), work)))
-    mat = scaled_matrix(entries, matrix)
-    coerced = _coerce_matrix(mat)
+    working precision.
+
+    A Collatz-Wielandt iteration on M + I in integers: every entry bound is
+    rounded outward onto the grid 2^-bits, the iterate is a positive integer
+    vector, and the bracket on PFE(M) + 1 is kept in grid units, each
+    quotient rounded outward.  Any positive vector gives a valid bracket, so
+    floor renormalisation costs no soundness.  Bisection only needs the
+    sign, so the loop stops as soon as the bracket excludes 2.
+    """
+    bits = max(96, work.denominator.bit_length() + 48)
+    one = 1 << bits
     n = matrix.n
-    nlo, nhi, nmid = _shifted(*_interval_matrix(coerced, work))
-    bracket, _, _, _ = _cw_iterate(nlo, nhi, nmid, [Q(1, n)] * n,
-                                   work * 4, 4000, 1 << 96)
-    if bracket.lo > 1:
-        return 1
-    if bracket.hi < 1:
-        return -1
+    lo = [[0] * n for _ in range(n)]
+    hi = [[0] * n for _ in range(n)]
+    for i, w in enumerate(omega.entries):
+        a = exp_interval(-(scalars.refine(w, work) * beta), work)
+        a_lo = (a.lo.numerator << bits) // a.lo.denominator
+        a_hi = -((-a.hi.numerator << bits) // a.hi.denominator)
+        for j in range(n):
+            if matrix.rows[i][j]:
+                lo[i][j], hi[i][j] = a_lo, a_hi
+        lo[i][i] += one
+        hi[i][i] += one
+    mid = [[(a + b) >> 1 for a, b in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
+    two = 2 * one
+    target = (4 * work.numerator << bits) // work.denominator  # 4*work in grid units
+    x = [1] * n
+    b_lo, b_hi = 0, math.inf
+    stall = 0
+    for _ in range(4000):
+        c_lo = min(s // v for s, v in zip(_matvec(lo, x), x))
+        c_hi = max(-(-s // v) for s, v in zip(_matvec(hi, x), x))
+        width = b_hi - b_lo
+        b_lo, b_hi = max(b_lo, c_lo), min(b_hi, c_hi)
+        stall = stall + 1 if 100 * (b_hi - b_lo) >= 99 * width else 0
+        if b_lo > two:
+            return 1
+        if b_hi < two:
+            return -1
+        if b_hi - b_lo <= target or stall >= 15:
+            return 0
+        y = _matvec(mid, x)
+        shift = max(sum(y).bit_length() - bits, 0)
+        x = [(v >> shift) or 1 for v in y]
     return 0
 
 

@@ -4,6 +4,7 @@ independent float bisection."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -42,6 +43,18 @@ def bisect_beta(omega, n_terms_fn, lo=1e-9, hi=60.0) -> float:
         else:
             hi = mid
     return lo
+
+
+def np_radius(rows, omega, beta: float) -> float:
+    """Spectral radius of diag(e^{-beta omega}) A via numpy."""
+    weights = np.exp(-beta * np.array(omega, dtype=float))
+    scaled = np.array(rows, dtype=float) * weights[:, None]
+    return float(max(abs(np.linalg.eigvals(scaled))))
+
+
+def bisect_radius_beta(rows, omega) -> float:
+    """The beta where the numpy spectral radius crosses 1, by float bisection."""
+    return bisect_beta(omega, lambda b: np_radius(rows, omega, b))
 
 
 def random_irreducible(rng: random.Random, n: int) -> ZeroOneMatrix:
@@ -202,9 +215,59 @@ class TestSolveBeta:
             radius = max(abs(np.linalg.eigvals(scaled)))
             assert abs(radius - 1) < 1e-9
 
+    def test_float_frequencies_default_precision_fast(self):
+        omega = (1.0, math.sqrt(2), math.sqrt(3))
+        start = time.monotonic()
+        sol = perron.solve_beta(CYCLE3, omega)
+        elapsed = time.monotonic() - start
+        assert sol.mode == "heuristic"
+        assert sol.beta.width <= perron.DEFAULT_PRECISION
+        assert abs(float(sol.beta.mid) - bisect_radius_beta(CYCLE3.rows, omega)) < 1e-9
+        assert elapsed < 2.0, f"solve took {elapsed:.2f}s"
+
     def test_positive_frequencies_required(self):
         with pytest.raises(Exception):
             perron.solve_beta(FULL2, (Q(0), Q(1)))
+
+
+class TestRadiusVsOne:
+    """The bisection's sign test against the numpy spectral radius."""
+
+    WORKS = (Q(1, 64 * 10**6), Q(1, 10**15))
+
+    @staticmethod
+    def beta_grid(rng, rows, omega):
+        root = bisect_radius_beta(rows, omega)
+        near = [root * (1 + s * 10.0**-k) for k in (3, 5, 7, 9, 11) for s in (-1, 1)]
+        spread = [rng.uniform(0.05, 3.0) * root for _ in range(8)]
+        return [Fraction(b) for b in near + spread]
+
+    def test_sign_is_never_wrong_and_decided_away_from_one(self):
+        rng = random.Random(41)
+        decided = 0
+        for m in POOL:
+            for _ in range(3):
+                omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
+                freq = perron.FrequencyVector(omega)
+                for beta in self.beta_grid(rng, m.rows, omega):
+                    gap = np_radius(m.rows, omega, float(beta)) - 1
+                    for work in self.WORKS:
+                        sign = perron._radius_vs_one(m, freq, beta, work)
+                        if abs(gap) > 1e-12:
+                            assert sign in (0, 1 if gap > 0 else -1), (m, omega, beta)
+                        if abs(gap) > 1e-6:
+                            assert sign == (1 if gap > 0 else -1), (m, omega, beta, work)
+                            decided += 1
+        assert decided >= 250  # the grid reaches well past the 1e-6 band
+
+    def test_tiny_entries_round_to_a_zero_lower_bound(self):
+        # e^{-60 * 2} is far below the 2^-96 grid step: its lower bound
+        # rounds to 0, which still bounds the radius from below
+        omega = (1.0, 60.0)
+        assert np_radius(GOLDEN.rows, omega, 2.0) < 1
+        sign = perron._radius_vs_one(GOLDEN, perron.FrequencyVector(omega),
+                                     Fraction(2), Q(1, 10**15))
+        assert sign == -1
 
 
 class TestPowerEquation:
