@@ -23,7 +23,7 @@ from . import scalars
 from .errors import DimensionError, DomainError, ResourceLimitError
 from .intervals import Q
 from .matrix01 import ZeroOneMatrix
-from .scalars import Rat, Scalar
+from .scalars import Rat
 
 TERM_CAP = 10**5
 
@@ -297,13 +297,9 @@ def _contract(matrix: ZeroOneMatrix, combo: dict) -> dict:
     return combo
 
 
-def normalize(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
-              contract: bool = True, term_cap: int = TERM_CAP) -> NormalForm:
+def normalize(matrix: ZeroOneMatrix, word, strategy: str = "leftmost") -> NormalForm:
     """Normal form of a word: rewrite to the monomial span, then contract."""
-    combo = rewrite(matrix, word, strategy, term_cap)
-    if contract:
-        combo = _contract(matrix, combo)
-    return NormalForm.from_dict(combo)
+    return NormalForm.from_dict(_contract(matrix, rewrite(matrix, word, strategy)))
 
 
 def rewrite_trace(matrix: ZeroOneMatrix, word, strategy: str = "leftmost") -> list:
@@ -335,7 +331,7 @@ def as_normal_form(matrix: ZeroOneMatrix, x) -> NormalForm:
     return normalize(matrix, x)
 
 
-def multiply(matrix: ZeroOneMatrix, x, y, term_cap: int = TERM_CAP) -> NormalForm:
+def multiply(matrix: ZeroOneMatrix, x, y) -> NormalForm:
     """Bilinear product of normal forms over the same matrix."""
     xf = as_normal_form(matrix, x)
     yf = as_normal_form(matrix, y)
@@ -343,7 +339,7 @@ def multiply(matrix: ZeroOneMatrix, x, y, term_cap: int = TERM_CAP) -> NormalFor
     for mx, cx in xf.terms:
         for my, cy in yf.terms:
             word = mx.letters() + my.letters()
-            part = rewrite(matrix, word, term_cap=term_cap)
+            part = rewrite(matrix, word)
             if not part:
                 continue
             factor = scalars.mul(cx, cy)
@@ -368,23 +364,6 @@ def multiply(matrix: ZeroOneMatrix, x, y, term_cap: int = TERM_CAP) -> NormalFor
 
 def adjoint(x: NormalForm) -> NormalForm:
     return NormalForm.from_dict({m.adjoint(): c for m, c in x.terms})
-
-
-def scale(x: NormalForm, factor) -> NormalForm:
-    return x.scaled(factor)
-
-
-def add_forms(x: NormalForm, y: NormalForm) -> NormalForm:
-    combo = dict(x.terms)
-    for mono, c in y.terms:
-        prev = combo.get(mono)
-        combo[mono] = c if prev is None else scalars.add(prev, c)
-    out = {}
-    for mono, c in combo.items():
-        if isinstance(c, Rat) and c.value == 0:
-            continue
-        out[mono] = c
-    return NormalForm.from_dict(out)
 
 
 def unit_sum_form(matrix: ZeroOneMatrix) -> NormalForm:

@@ -21,9 +21,10 @@ from fractions import Fraction
 from . import scalars
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .intervals import Q, exp_interval
-from .perron import solve_beta
+from .perron import DEFAULT_PRECISION, solve_beta
 from .scalars import (Alg, BaseDecomposition, Enc, Flt, Power, Product, Rat,
                       Scalar, common_base_rationals, log_ratio_rational)
+from .tensorops import kronecker_vector
 
 DIMENSION_CAP = 4096
 FLOAT_EXPONENT_CAP = 64
@@ -259,7 +260,6 @@ def tensor_type(a, b, denominator_bound: int = 10**6) -> TypeLabel:
         scalars._as_scalar(v) for v in a)
     eb = b.entries() if isinstance(b, PowerForm) else tuple(
         scalars._as_scalar(v) for v in b)
-    from .tensorops import kronecker_vector
     return detect_lambda(kronecker_vector(ea, eb), denominator_bound)
 
 
@@ -283,7 +283,6 @@ def power_type_direct(a, k: int, denominator_bound: int = 10**6,
     if size > dimension_cap:
         raise ResourceLimitError(
             f"Kronecker power size {size} exceeds the cap {dimension_cap}")
-    from .tensorops import kronecker_vector
     acc = entries
     for _ in range(k - 1):
         acc = kronecker_vector(acc, entries)
@@ -342,8 +341,7 @@ class OkaReport:
     gap: Fraction
 
 
-def oka_crosscheck(matrix, omega, precision=Q(1, 10**12),
-                   tolerance=Q(1, 10**9)) -> OkaReport:
+def oka_crosscheck(matrix, omega) -> OkaReport:
     """Cross-check the invariant against the modulus of the subgroup of the
     reals generated by beta times the frequencies.
 
@@ -351,12 +349,12 @@ def oka_crosscheck(matrix, omega, precision=Q(1, 10**12),
     (beta g / L) Z, so the label must equal e^{-beta g / L}; the check
     compares that enclosure with the classified label's enclosure.
     """
-    solution = solve_beta(matrix, omega, precision=precision)
+    solution = solve_beta(matrix, omega)
     if solution.mode != "exact":
         raise PreconditionError("the cross-check needs rational frequencies")
     label = detect_lambda(PowerForm(solution.base, solution.exponents))
     r_iv = solution.beta * (1 / solution.scale)
-    e_minus_r = exp_interval(-r_iv, precision)
-    lam_iv = scalars.refine(label.lam, precision)
+    e_minus_r = exp_interval(-r_iv, DEFAULT_PRECISION)
+    lam_iv = scalars.refine(label.lam, DEFAULT_PRECISION)
     gap = lam_iv.distance_sup(e_minus_r)
-    return OkaReport(gap <= tolerance, label.lam, (r_iv.lo, r_iv.hi), gap)
+    return OkaReport(gap <= Q(1, 10**9), label.lam, (r_iv.lo, r_iv.hi), gap)

@@ -12,7 +12,7 @@ import decimal
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 from . import ckwords, classify, perron, scalars, states, tensorops
@@ -20,7 +20,7 @@ from .ckwords import Monomial
 from .errors import CkkmsError, MembershipRejected
 from .intervals import Interval, Q
 from .matrix01 import ZeroOneMatrix, kronecker_matrix
-from .perron import BetaSolution, FrequencyVector
+from .perron import FrequencyVector
 from .scalars import Rat, fmt15
 
 
@@ -63,10 +63,6 @@ def parse_matrix(text: str) -> ZeroOneMatrix:
     return ZeroOneMatrix(tuple(tuple(int(v) for v in row) for row in obj))
 
 
-def parse_scalar(obj) -> scalars.Scalar:
-    return scalars.scalar_from_json(obj)
-
-
 def parse_vector(text: str, matrix: ZeroOneMatrix | None = None,
                  precision=Q(1, 10**12)):
     """A vector argument: JSON list of scalars, or the keyword `canonical`
@@ -82,7 +78,7 @@ def parse_vector(text: str, matrix: ZeroOneMatrix | None = None,
         raise UsageError(f"cannot parse vector {text!r}: {exc}") from exc
     if not isinstance(obj, list):
         raise UsageError("vectors must be JSON lists")
-    return tuple(parse_scalar(v) for v in obj)
+    return tuple(scalars.scalar_from_json(v) for v in obj)
 
 
 def parse_power_form(text: str) -> classify.PowerForm:
@@ -92,15 +88,15 @@ def parse_power_form(text: str) -> classify.PowerForm:
         raise UsageError(f"cannot parse power form {text!r}: {exc}") from exc
     if not isinstance(obj, dict) or "base" not in obj or "exponents" not in obj:
         raise UsageError('power form JSON needs {"base":…, "exponents":[…]}')
-    return classify.PowerForm(parse_scalar(obj["base"]),
+    return classify.PowerForm(scalars.scalar_from_json(obj["base"]),
                               tuple(int(e) for e in obj["exponents"]))
 
 
-def parse_vector_or_power_form(text: str, matrix=None, precision=Q(1, 10**12)):
+def parse_vector_or_power_form(text: str):
     stripped = text.strip()
     if stripped.startswith("{"):
         return parse_power_form(stripped)
-    return parse_vector(stripped, matrix, precision)
+    return parse_vector(stripped)
 
 
 def parse_omega(text: str) -> FrequencyVector:
@@ -110,7 +106,7 @@ def parse_omega(text: str) -> FrequencyVector:
         raise UsageError(f"cannot parse frequencies {text!r}: {exc}") from exc
     if not isinstance(obj, list):
         raise UsageError("frequencies must be a JSON list")
-    return FrequencyVector(tuple(parse_scalar(v) for v in obj))
+    return FrequencyVector(tuple(scalars.scalar_from_json(v) for v in obj))
 
 
 # ---------------------------------------------------------------------------
@@ -168,10 +164,6 @@ def render_lambda(label: classify.TypeLabel) -> dict:
     return out
 
 
-def render_normal_form(nf: ckwords.NormalForm) -> list:
-    return ckwords.normal_form_to_json(nf)
-
-
 # ---------------------------------------------------------------------------
 # command handlers: each returns (result, mode, residual, warnings, exit_code)
 
@@ -205,7 +197,7 @@ def _parse_scalar_arg(text: str) -> scalars.Scalar:
         obj = json.loads(text)
     except json.JSONDecodeError:
         obj = text  # bare fractions like 1/2 are handled by the scalar schema
-    return parse_scalar(obj)
+    return scalars.scalar_from_json(obj)
 
 
 def _cmd_afd_rule(args, config: RunConfig):
@@ -264,18 +256,22 @@ def _cmd_membership(args, config: RunConfig):
             None, [], 0)
 
 
-def _cmd_state_eval(args, config: RunConfig):
-    matrix = parse_matrix(args.matrix)
-    vec = parse_vector(args.vector, matrix, config.precision)
+def _state_spec_from_args(matrix_text: str, vector_text: str, config: RunConfig):
+    matrix = parse_matrix(matrix_text)
+    vec = parse_vector(vector_text, matrix, config.precision)
     param = perron.in_lambda(matrix, vec, tolerance=config.tolerance)
-    spec = states.state_spec(param, precision=config.precision)
-    nf = ckwords.normalize(matrix, ckwords.parse_word(args.word))
+    return states.state_spec(param, precision=config.precision)
+
+
+def _cmd_state_eval(args, config: RunConfig):
+    spec = _state_spec_from_args(args.matrix, args.vector, config)
+    nf = ckwords.normalize(spec.matrix, ckwords.parse_word(args.word))
     value = states.eval_state(spec, nf)
     iv = scalars.refine(value, config.precision)
     result = {
         "value": render_scalar(value, config.precision),
         "enclosure_width": fmt15(float(iv.width)),
-        "normal_form": render_normal_form(nf),
+        "normal_form": ckwords.normal_form_to_json(nf),
     }
     return result, "exact" if scalars.is_exact(value) else "heuristic", None, [], 0
 
@@ -301,13 +297,6 @@ def _cmd_kms_check(args, config: RunConfig):
         "residual is a certified enclosure bound, not a float estimate"]
     return (result, mode, fmt15(float(check.residual)), warnings,
             0 if check.ok else 1)
-
-
-def _state_spec_from_args(matrix_text: str, vector_text: str, config: RunConfig):
-    matrix = parse_matrix(matrix_text)
-    vec = parse_vector(vector_text, matrix, config.precision)
-    param = perron.in_lambda(matrix, vec, tolerance=config.tolerance)
-    return states.state_spec(param, precision=config.precision)
 
 
 def _cmd_tensor_state(args, config: RunConfig):
@@ -356,7 +345,7 @@ def _cmd_normalize(args, config: RunConfig):
     matrix = parse_matrix(args.matrix)
     word = ckwords.parse_word(args.word)
     nf = ckwords.normalize(matrix, word, strategy=args.strategy)
-    return ({"normal_form": render_normal_form(nf),
+    return ({"normal_form": ckwords.normal_form_to_json(nf),
              "is_zero": nf.is_zero}, "exact", None, [], 0)
 
 
@@ -391,12 +380,12 @@ def _reproduce_checks(config: RunConfig) -> list:
         Monomial((2,), (2,)): scalars.ONE,
     })
     _check(checks, "relation-expansion-full2", nf == expected,
-           normal_form=render_normal_form(nf))
+           normal_form=ckwords.normal_form_to_json(nf))
 
     nf = ckwords.normalize(fib, ckwords.parse_word("s1 s1* s1 s2"))
     expected = ckwords.NormalForm.from_dict({Monomial((1, 2), ()): scalars.ONE})
     _check(checks, "normalize-mixed-word", nf == expected,
-           normal_form=render_normal_form(nf))
+           normal_form=ckwords.normal_form_to_json(nf))
 
     v = states.quasi_free_eval(2, (1, 2), (1, 2))
     _check(checks, "quasi-free-value", isinstance(v, Rat) and v.value == Q(1, 4),
@@ -799,8 +788,8 @@ def main(argv=None) -> int:
 
 
 def _inputs_of(args) -> dict:
-    skip = {"command", "tolerance", "precision", "max_word_len",
-            "dimension_cap", "denominator_bound", "seed", "out", "format"}
+    skip = {"command", "out", "format",
+            *(f.name for f in fields(RunConfig))}
     return {k: v for k, v in sorted(vars(args).items())
             if k not in skip and v is not None}
 

@@ -58,9 +58,6 @@ class Interval:
         x = _to_q(x)
         return self.lo <= x <= self.hi
 
-    def contains_interval(self, other: "Interval") -> bool:
-        return self.lo <= other.lo and other.hi <= self.hi
-
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
@@ -117,9 +114,6 @@ class Interval:
             return Interval(self.hi**k, self.lo**k)
         return Interval(Q(0), max(self.lo**k, self.hi**k))
 
-    def abs_sup(self) -> Fraction:
-        return max(abs(self.lo), abs(self.hi))
-
     def distance_sup(self, other: "Interval") -> Fraction:
         """Largest possible |x - y| with x in self, y in other."""
         return max(abs(self.hi - other.lo), abs(other.hi - self.lo))
@@ -153,15 +147,10 @@ def _exp_series_01(t: Fraction, terms: int) -> Interval:
     return Interval(total, total + 2 * term)
 
 
-_E_CACHE: dict[int, Interval] = {}
-
-
-def _e_enclosure(terms: int = 20) -> Interval:
-    enc = _E_CACHE.get(terms)
-    if enc is None:
-        enc = _exp_series_01(Q(1), terms)
-        _E_CACHE[terms] = enc
-    return enc
+# _exp_point asks for at most 74 term counts (20, 28, ..., 604).
+@lru_cache(maxsize=128)
+def _e_enclosure(terms: int) -> Interval:
+    return _exp_series_01(Q(1), terms)
 
 
 # Arguments produced by iterated root refinement carry denominators with
@@ -212,9 +201,6 @@ def exp_interval(t: Interval, precision: Fraction = Q(1, 10**15)) -> Interval:
     return Interval(lo.lo, hi.hi)
 
 
-_LN2_CACHE: dict[int, Interval] = {}
-
-
 def _atanh_series(u: Fraction, terms: int) -> Interval:
     """Enclosure of atanh(u) = sum u^(2k+1)/(2k+1) for |u| < 1."""
     total = Q(0)
@@ -228,10 +214,10 @@ def _atanh_series(u: Fraction, terms: int) -> Interval:
     return Interval(total - bound, total + bound)
 
 
+# log_interval_point asks for at most 50 term counts (30, 40, ..., 520).
+@lru_cache(maxsize=128)
 def _ln2_enclosure(terms: int) -> Interval:
-    if terms not in _LN2_CACHE:
-        _LN2_CACHE[terms] = _atanh_series(Q(1, 3), terms) * 2
-    return _LN2_CACHE[terms]
+    return _atanh_series(Q(1, 3), terms) * 2
 
 
 def log_interval_point(x: Fraction, precision: Fraction = Q(1, 10**15)) -> Interval:

@@ -203,8 +203,7 @@ def _cw_iterate(nlo, nhi, nmid, x, target: Fraction, cap: int, max_den: int):
 # pf_data
 
 
-def pf_data(matrix, precision=DEFAULT_PRECISION, iteration_cap: int = ITERATION_CAP,
-            compute_vector: bool = True) -> PFData:
+def pf_data(matrix, precision=DEFAULT_PRECISION, compute_vector: bool = True) -> PFData:
     """Certified Perron eigenvalue bracket (width <= precision) and a
     positive eigenvector enclosure normalized to sum 1.
 
@@ -231,13 +230,13 @@ def pf_data(matrix, precision=DEFAULT_PRECISION, iteration_cap: int = ITERATION_
     while True:
         nlo, nhi, nmid = _shifted(*_interval_matrix(entries, entry_width))
         bracket, x, ok, steps = _cw_iterate(
-            nlo, nhi, nmid, x, precision, iteration_cap - total_steps, max_den)
+            nlo, nhi, nmid, x, precision, ITERATION_CAP - total_steps, max_den)
         total_steps += steps
         if ok:
             break
-        if total_steps >= iteration_cap:
+        if total_steps >= ITERATION_CAP:
             raise NumericalFailureError(
-                f"power iteration did not converge within {iteration_cap} steps")
+                f"power iteration did not converge within {ITERATION_CAP} steps")
         if not refinable:
             raise NumericalFailureError(
                 "eigenvalue bracket is limited by fixed-width enclosure entries")
@@ -249,7 +248,7 @@ def pf_data(matrix, precision=DEFAULT_PRECISION, iteration_cap: int = ITERATION_
     if refinable:
         nlo, nhi, nmid = _shifted(*_interval_matrix(entries, vec_width))
     vector = _eigenvector_enclosure(
-        nlo, nhi, nmid, x, precision, iteration_cap, max_den, refinable,
+        nlo, nhi, nmid, x, precision, ITERATION_CAP, max_den, refinable,
         lambda w: _shifted(*_interval_matrix(entries, w)), vec_width, bits + 16)
     return PFData(bracket, vector, total_steps)
 
@@ -331,7 +330,9 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
         y = _matvec(nmid, x)
         total = sum(y)
         x = _round_vector([v / total for v in y], max_den)
-    u = min(u, Q(1))
+    if u > 1:
+        raise NumericalFailureError(
+            f"eigenvector enclosure stalled at projective distance {float(u):.3g} > 1")
     factor = 1 + u + u * u  # >= e^u for u in [0, 1]
     return tuple(Interval(xi / factor, xi * factor) for xi in x)
 
@@ -412,7 +413,7 @@ def canonical_point(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> Param
 # solvers
 
 
-def solve_power_equation(exponents, precision=DEFAULT_PRECISION) -> Scalar:
+def solve_power_equation(exponents) -> Scalar:
     """The unique x in (0,1) with sum_i x^(p_i) = 1, as an exact scalar."""
     exps = [int(p) for p in exponents]
     if len(exps) < 2:
@@ -423,7 +424,7 @@ def solve_power_equation(exponents, precision=DEFAULT_PRECISION) -> Scalar:
     coeffs[0] = -1
     for p in exps:
         coeffs[p] += 1
-    lo, hi = polys.refine_root(coeffs, Q(0), Q(1), Q(precision))
+    lo, hi = polys.refine_root(coeffs, Q(0), Q(1), DEFAULT_PRECISION)
     if lo == hi:
         return Rat(lo)
     return scalars.make_algebraic(coeffs, lo, hi)
@@ -444,8 +445,7 @@ def _det_poly(matrix: ZeroOneMatrix, exps) -> list:
     return polys.polymat_det(mat)
 
 
-def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION,
-               degree_cap: int = SOLVE_BETA_DEGREE_CAP) -> BetaSolution:
+def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> BetaSolution:
     """Solve PFE(diag(e^{-beta omega_i}) A) = 1 for the unique beta > 0.
 
     Rational frequencies take the exact branch (power-form parameters over
@@ -471,7 +471,7 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION,
         for v in m:
             g = gcd(g, v)
         reduced = [v // g for v in m]
-        if sum(reduced) <= degree_cap:
+        if sum(reduced) <= SOLVE_BETA_DEGREE_CAP:
             return _solve_beta_exact(matrix, reduced, Q(scale_l, g), precision)
     return _solve_beta_numeric(matrix, omega, precision)
 

@@ -157,13 +157,12 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
-def count_roots(p: Poly, lo: Fraction, hi: Fraction, chain: list[Poly] | None = None) -> int:
+def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi]."""
     sf = squarefree_part(p)
     if degree(sf) <= 0:
         return 0
-    if chain is None:
-        chain = sturm_chain(sf)
+    chain = sturm_chain(sf)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 

@@ -16,8 +16,9 @@ the defining polynomial collapses to a rational power, empty products unwrap.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
 
 from . import polys
@@ -155,15 +156,24 @@ def make_power(base: Scalar, exp: int) -> Scalar:
 # ---------------------------------------------------------------------------
 # enclosures
 
-_ALG_CACHE: dict[tuple, tuple[Fraction, Fraction]] = {}
+
+@lru_cache(maxsize=1024)
+def _alg_bracket(a: Alg) -> list:
+    """The narrowest isolating bracket [lo, hi] found so far for `a`.
+
+    _alg_interval narrows the returned list in place, so the next request
+    resumes the bisection where the last one stopped.  An evicted entry
+    restarts from the isolating interval, which costs time, not soundness.
+    """
+    return [a.lo, a.hi]
 
 
 def _alg_interval(a: Alg, width: Fraction) -> Interval:
-    key = (a.poly, a.lo, a.hi)
-    lo, hi = _ALG_CACHE.get(key, (a.lo, a.hi))
+    bracket = _alg_bracket(a)
+    lo, hi = bracket
     if hi - lo > width:
         lo, hi = polys.refine_root(list(a.poly), lo, hi, width)
-        _ALG_CACHE[key] = (lo, hi)
+        bracket[:] = lo, hi
     return Interval(lo, hi)
 
 
@@ -184,7 +194,6 @@ def refine(s: Scalar, precision) -> Interval:
     if isinstance(s, Power):
         return _power_interval(s.base, s.exp, precision)
     if isinstance(s, Product):
-        iv = Interval.point(s.rational)
         sub = precision
         while True:
             out = Interval.point(s.rational)
@@ -211,10 +220,6 @@ def _power_interval(base: Alg, exp: int, precision: Fraction) -> Interval:
         sub /= 16
         if sub < Q(1, 10**400):
             return out
-
-
-def interval_of(s: Scalar, precision=Q(1, 10**15)) -> Interval:
-    return refine(s, precision)
 
 
 def to_float(s: Scalar) -> float:
@@ -312,10 +317,6 @@ def inv(s: Scalar) -> Scalar:
     return _build_product(1 / r, {b: -e for b, e in fs})
 
 
-def div(a: Scalar, b: Scalar) -> Scalar:
-    return mul(a, inv(b))
-
-
 def add(*values) -> Scalar:
     scalars = [_as_scalar(v) for v in values]
     nonzero = [s for s in scalars if not (isinstance(s, Rat) and s.value == 0)]
@@ -335,14 +336,10 @@ def add(*values) -> Scalar:
     return Enc(out)
 
 
-def sub_scalar(a, b) -> Scalar:
-    return add(a, mul(Rat(Q(-1)), b))
-
-
 # ---------------------------------------------------------------------------
 # comparisons
 
-def compare_rational(s: Scalar, c: Fraction, max_depth: int = 600) -> int:
+def compare_rational(s: Scalar, c: Fraction) -> int:
     """Sign of s - c; exact for exact scalars, raises if undecidable."""
     c = Q(c)
     if isinstance(s, Rat):
@@ -352,7 +349,7 @@ def compare_rational(s: Scalar, c: Fraction, max_depth: int = 600) -> int:
     if isinstance(s, Alg) and s.lo <= c <= s.hi and polys.eval_at(list(s.poly), c) == 0:
         return 0
     width = Q(1, 16)
-    for _ in range(max_depth):
+    for _ in range(600):
         iv = refine(s, width)
         if iv.lo > c:
             return 1
@@ -369,7 +366,7 @@ def in_open_unit_interval(s: Scalar) -> bool:
         return False
 
 
-def same_value(a: Scalar, b: Scalar, max_depth: int = 60) -> bool:
+def same_value(a: Scalar, b: Scalar) -> bool:
     """Exact value equality where decidable, else a deep-enclosure criterion."""
     a, b = _as_scalar(a), _as_scalar(b)
     if a == b:
@@ -388,7 +385,7 @@ def same_value(a: Scalar, b: Scalar, max_depth: int = 60) -> bool:
         if polys.degree(g) < 1:
             return False
         width = Q(1, 2)
-        for _ in range(max_depth):
+        for _ in range(60):
             ia, ib = refine(a, width), refine(b, width)
             if not ia.intersects(ib):
                 return False
@@ -521,14 +518,13 @@ def _convergents(x: Fraction):
         a = 1 / frac
 
 
-def log_ratio_rational(x, y, denominator_bound: int = 10**6, tolerance=Q(1, 10**9)) -> LogRatioVerdict:
+def log_ratio_rational(x, y, denominator_bound: int = 10**6) -> LogRatioVerdict:
     """Decide whether log(x)/log(y) is rational for x, y in (0,1).
 
     Exact for rational inputs via prime-exponent vectors (a verdict of
     "irrational" only arises there).  Other inputs go through float
     continued-fraction convergents and can only yield "rational" or
     "undecided"."""
-    tolerance = Q(tolerance)
     sx, sy = _as_scalar(x), _as_scalar(y)
     for s in (sx, sy):
         if is_exact(s) and not in_open_unit_interval(s):
@@ -551,7 +547,7 @@ def log_ratio_rational(x, y, denominator_bound: int = 10**6, tolerance=Q(1, 10**
     for conv in _convergents(target):
         if conv.denominator > denominator_bound:
             break
-        if abs(target - conv) <= tolerance:
+        if abs(target - conv) <= Q(1, 10**9):
             return LogRatioVerdict("rational", conv)
     return LogRatioVerdict("undecided")
 
@@ -562,28 +558,6 @@ def log_ratio_rational(x, y, denominator_bound: int = 10**6, tolerance=Q(1, 10**
 
 def fmt15(x: float) -> str:
     return format(x, ".15g")
-
-
-def scalar_decimal(s: Scalar) -> str:
-    return fmt15(to_float(s))
-
-
-def scalar_exact_str(s: Scalar) -> str:
-    if isinstance(s, Rat):
-        return str(s.value)
-    if isinstance(s, Alg):
-        return f"root({list(s.poly)}, ({s.lo}, {s.hi}))"
-    if isinstance(s, Power):
-        return f"{scalar_exact_str(s.base)}^{s.exp}"
-    if isinstance(s, Product):
-        parts = [str(s.rational)] if s.rational != 1 else []
-        parts += [f"{scalar_exact_str(b)}^{e}" if e != 1 else scalar_exact_str(b) for b, e in s.factors]
-        return " * ".join(parts) if parts else "1"
-    if isinstance(s, Flt):
-        return fmt15(s.value)
-    if isinstance(s, Enc):
-        return f"[{s.interval.lo}, {s.interval.hi}]"
-    raise TypeError
 
 
 def scalar_to_json(s: Scalar) -> dict:

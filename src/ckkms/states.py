@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import ckwords, scalars
-from .ckwords import Monomial, NormalForm
+from .ckwords import Monomial
 from .errors import DimensionError, DomainError, PreconditionError
 from .intervals import Interval, Q, exp_interval
 from .matrix01 import ZeroOneMatrix
@@ -80,13 +80,12 @@ def eval_monomial(spec: StateSpec, mono: Monomial) -> Scalar:
     if ckwords.monomial_is_zero(matrix, mono):
         return scalars.ZERO
     J = mono.J
+    last = J[-1] - 1
     if spec.exact_vector is not None:
-        parts = [spec.param.entries[j - 1] for j in J[:-1]]
-        parts.append(spec.exact_vector[J[-1] - 1])
-        return scalars.mul(*parts)
-    parts = [spec.param.entries[j - 1] for j in J[:-1]]
-    parts.append(Enc(spec.eigenvector[J[-1] - 1]))
-    return scalars.mul(*parts)
+        x_last = spec.exact_vector[last]
+    else:
+        x_last = Enc(spec.eigenvector[last])
+    return scalars.mul(*(spec.param.entries[j - 1] for j in J[:-1]), x_last)
 
 
 def eval_state(spec: StateSpec, x) -> Scalar:
@@ -130,8 +129,6 @@ def _beta_interval(beta, precision) -> Interval:
         return beta.beta
     if isinstance(beta, Interval):
         return beta
-    if isinstance(beta, Scalar):
-        return scalars.refine(beta, precision)
     return scalars.refine(scalars._as_scalar(beta), precision)
 
 

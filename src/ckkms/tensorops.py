@@ -21,13 +21,14 @@ from . import ckwords, scalars, states
 from .ckwords import Monomial
 from .errors import DimensionError, DomainError
 from .intervals import Interval, Q
-from .matrix01 import ZeroOneMatrix, kronecker_matrix
+from .matrix01 import kronecker_matrix
 from .perron import (DEFAULT_PRECISION, BetaSolution, FrequencyVector,
                      in_lambda)
 from .scalars import Enc, Rat, Scalar
 from .states import StateSpec, state_spec
 
 ENUMERATION_CAP = 10**5
+OFF_DIAGONAL_SAMPLES = 200
 
 
 @dataclass(frozen=True)
@@ -110,9 +111,7 @@ class TensorReport:
 
 
 def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
-                           tolerance=Q(1, 10**9), cap: int = ENUMERATION_CAP,
-                           off_diagonal_samples: int = 200,
-                           seed: int = 0) -> TensorReport:
+                           tolerance=Q(1, 10**9), seed: int = 0) -> TensorReport:
     """Compare the tensor evaluation with the state of the Kronecker
     parameter over the Kronecker matrix.
 
@@ -130,7 +129,7 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
     spec_ab = state_spec(param, precision=min(spec_a.precision, spec_b.precision,
                                               tolerance / 64),
                          independent_pf=True)
-    words = ckwords.enumerate_admissible(composite, max_len, cap)
+    words = ckwords.enumerate_admissible(composite, max_len, ENUMERATION_CAP)
     work = tolerance / 64
     max_residual = Q(0)
     diagonal = 0
@@ -150,7 +149,7 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
         by_len.setdefault(len(J), []).append(J)
     off_count = 0
     attempts = 0
-    while off_count < off_diagonal_samples and attempts < off_diagonal_samples * 20:
+    while off_count < OFF_DIAGONAL_SAMPLES and attempts < OFF_DIAGONAL_SAMPLES * 20:
         attempts += 1
         length = rng.choice([l for l in by_len if l > 0] or [0])
         if length == 0:
@@ -178,22 +177,21 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
 # gauge actions on tensor products
 
 
-def combined_frequencies(split: IndexSplit, omega1, beta1, omega2, beta2,
-                         precision=DEFAULT_PRECISION) -> FrequencyVector:
+def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
+                         beta2) -> FrequencyVector:
     """Frequencies of the tensor of two rescaled gauge actions:
     Omega_{m(i-1)+j} = beta1 omega_i + beta2 omega_j.  The Kronecker state
     is KMS for this action at inverse temperature 1."""
-    precision = Q(precision)
     if not isinstance(omega1, FrequencyVector):
         omega1 = FrequencyVector(tuple(omega1))
     if not isinstance(omega2, FrequencyVector):
         omega2 = FrequencyVector(tuple(omega2))
     if len(omega1.entries) != split.n or len(omega2.entries) != split.m:
         raise DimensionError("frequency lengths must match the split dimensions")
-    b1 = _beta_scalar(beta1, precision)
-    b2 = _beta_scalar(beta2, precision)
+    b1 = _beta_scalar(beta1)
+    b2 = _beta_scalar(beta2)
     for b in (b1, b2):
-        if scalars.refine(b, precision).lo <= 0:
+        if scalars.refine(b, DEFAULT_PRECISION).lo <= 0:
             raise DomainError("inverse temperatures must be positive")
     entries = []
     for wi in omega1.entries:
@@ -202,13 +200,11 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2, beta2,
     return FrequencyVector(tuple(entries))
 
 
-def _beta_scalar(beta, precision) -> Scalar:
+def _beta_scalar(beta) -> Scalar:
     if isinstance(beta, BetaSolution):
         return Enc(beta.beta)
     if isinstance(beta, Interval):
         return Enc(beta)
-    if isinstance(beta, Scalar):
-        return beta
     return scalars._as_scalar(beta)
 
 

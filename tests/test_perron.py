@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 from ckkms import perron, scalars
-from ckkms.errors import MembershipRejected, PreconditionError
-from ckkms.matrix01 import ZeroOneMatrix
+from ckkms.errors import (MembershipRejected, NumericalFailureError,
+                          PreconditionError)
+from ckkms.matrix01 import ZeroOneMatrix, is_irreducible, is_nondegenerate
 from ckkms.scalars import Q, Rat
 
 from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
@@ -61,14 +62,8 @@ def random_irreducible(rng: random.Random, n: int) -> ZeroOneMatrix:
     while True:
         rows = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
         m = ZeroOneMatrix(rows)
-        try:
-            if perron.is_valid_input(m):
-                return m
-        except AttributeError:
-            from ckkms.matrix01 import is_irreducible, is_nondegenerate
-
-            if is_nondegenerate(m) and is_irreducible(m):
-                return m
+        if is_nondegenerate(m) and is_irreducible(m):
+            return m
 
 
 class TestPfData:
@@ -115,6 +110,22 @@ class TestPfData:
         quotients = [ax[i] / x[i] for i in range(3)]
         lam = float(data.eigenvalue.mid)
         assert min(quotients) - 1e-9 <= lam <= max(quotients) + 1e-9
+
+    def test_eigenvector_enclosure_raises_when_it_stalls_above_one(self):
+        # 1 + u + u^2 bounds e^u only for u <= 1.  This fixed-width interval
+        # matrix stalls far above that: with the factor 3 the enclosure
+        # would be [1/6, 3/2] for both entries, which misses the Perron
+        # vector (0.969, 0.031) of its member [[1, 1], [1/1000, 1]].
+        nlo = [[Q(1), Q(1, 1000)], [Q(1, 1000), Q(1)]]
+        nhi = [[Q(2), Q(1)], [Q(1), Q(2)]]
+        nmid = [[(a + b) / 2 for a, b in zip(rlo, rhi)]
+                for rlo, rhi in zip(nlo, nhi)]
+        _, member_vec = np_perron([[1, 1], [1e-3, 1]])
+        assert member_vec[1] < 1 / 6
+        with pytest.raises(NumericalFailureError):
+            perron._eigenvector_enclosure(
+                nlo, nhi, nmid, [Q(1, 2), Q(1, 2)], Q(1, 10**12),
+                perron.ITERATION_CAP, 2**88, False, None, Q(1, 10**13), 104)
 
 
 class TestMembership:
