@@ -2,7 +2,8 @@
 the library, and emits one deterministic JSON document per run.
 
 Exit codes: 0 success or pass, 1 failed verification or rejected
-membership, 2 usage errors (bad flags, malformed JSON, domain errors).
+membership, 2 usage errors (bad flags, malformed input, domain errors).
+Any other exception is a bug and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import decimal
 import json
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
 
@@ -50,17 +52,33 @@ class UsageError(Exception):
 # input parsing
 
 
+@contextmanager
+def _malformed(what: str, text: str):
+    """Report a ValueError, KeyError or TypeError raised while parsing
+    `text` as a usage error."""
+    try:
+        yield
+    except (ValueError, KeyError, TypeError) as exc:
+        raise UsageError(f"cannot parse {what} {text!r}: {exc}") from exc
+
+
 def parse_matrix(text: str) -> ZeroOneMatrix:
     text = text.strip()
-    if text.upper().startswith("F") and text[1:].isdigit():
-        return ZeroOneMatrix.full(int(text[1:]))
-    try:
+    with _malformed("matrix", text):
+        if text.upper().startswith("F") and text[1:].isdigit():
+            return ZeroOneMatrix.full(int(text[1:]))
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"cannot parse matrix {text!r}: {exc}") from exc
-    if isinstance(obj, dict):
-        return ZeroOneMatrix.from_json(obj)
-    return ZeroOneMatrix(tuple(tuple(int(v) for v in row) for row in obj))
+        if isinstance(obj, dict):
+            return ZeroOneMatrix.from_json(obj)
+        return ZeroOneMatrix(tuple(tuple(int(v) for v in row) for row in obj))
+
+
+def _scalar_list(what: str, text: str) -> tuple:
+    with _malformed(what, text):
+        obj = json.loads(text)
+        if not isinstance(obj, list):
+            raise UsageError(f"{what} must be a JSON list")
+        return tuple(scalars.scalar_from_json(v) for v in obj)
 
 
 def parse_vector(text: str, matrix: ZeroOneMatrix | None = None,
@@ -72,24 +90,16 @@ def parse_vector(text: str, matrix: ZeroOneMatrix | None = None,
         if matrix is None:
             raise UsageError("`canonical` needs a matrix in the same command")
         return perron.canonical_point(matrix, precision).entries
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"cannot parse vector {text!r}: {exc}") from exc
-    if not isinstance(obj, list):
-        raise UsageError("vectors must be JSON lists")
-    return tuple(scalars.scalar_from_json(v) for v in obj)
+    return _scalar_list("vector", text)
 
 
 def parse_power_form(text: str) -> classify.PowerForm:
-    try:
+    with _malformed("power form", text):
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"cannot parse power form {text!r}: {exc}") from exc
-    if not isinstance(obj, dict) or "base" not in obj or "exponents" not in obj:
-        raise UsageError('power form JSON needs {"base":…, "exponents":[…]}')
-    return classify.PowerForm(scalars.scalar_from_json(obj["base"]),
-                              tuple(int(e) for e in obj["exponents"]))
+        if not isinstance(obj, dict) or "base" not in obj or "exponents" not in obj:
+            raise UsageError('power form JSON needs {"base":…, "exponents":[…]}')
+        return classify.PowerForm(scalars.scalar_from_json(obj["base"]),
+                                  tuple(int(e) for e in obj["exponents"]))
 
 
 def parse_vector_or_power_form(text: str):
@@ -100,13 +110,7 @@ def parse_vector_or_power_form(text: str):
 
 
 def parse_omega(text: str) -> FrequencyVector:
-    try:
-        obj = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise UsageError(f"cannot parse frequencies {text!r}: {exc}") from exc
-    if not isinstance(obj, list):
-        raise UsageError("frequencies must be a JSON list")
-    return FrequencyVector(tuple(scalars.scalar_from_json(v) for v in obj))
+    return FrequencyVector(_scalar_list("frequencies", text))
 
 
 # ---------------------------------------------------------------------------
@@ -197,7 +201,8 @@ def _parse_scalar_arg(text: str) -> scalars.Scalar:
         obj = json.loads(text)
     except json.JSONDecodeError:
         obj = text  # bare fractions like 1/2 are handled by the scalar schema
-    return scalars.scalar_from_json(obj)
+    with _malformed("scalar", text):
+        return scalars.scalar_from_json(obj)
 
 
 def _cmd_afd_rule(args, config: RunConfig):
@@ -334,7 +339,8 @@ def _cmd_verify_homomorphism(args, config: RunConfig):
 
 
 def _cmd_coassoc(args, config: RunConfig):
-    dims = [int(d) for d in args.dims.split(",")]
+    with _malformed("--dims", args.dims):
+        dims = [int(d) for d in args.dims.split(",")]
     if len(dims) != 3:
         raise UsageError("--dims needs three comma-separated integers")
     ok = tensorops.check_coassociativity(*dims)
@@ -770,9 +776,6 @@ def main(argv=None) -> int:
         _emit(doc, args)
         return 1
     except CkkmsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     doc = {

@@ -29,8 +29,9 @@ class InvalidScalarError(CkkmsError):
     """A scalar value violates its representation invariants."""
 
 
-class MembershipRejected(CkkmsError):
-    """Parameter vector rejected by a spectral membership test.
+class MembershipRejected(PreconditionError):
+    """Parameter vector rejected by a spectral membership test: it is not
+    on the KMS manifold.
 
     Carries the computed spectral-radius enclosure as evidence.
     """

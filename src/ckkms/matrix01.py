@@ -73,60 +73,24 @@ def is_nondegenerate(a: ZeroOneMatrix) -> bool:
     return all(any(a.rows[i][j] for i in range(a.n)) for j in range(a.n))
 
 
-def _strongly_connected(rows: tuple) -> bool:
-    """Strong connectivity of the digraph i -> j when rows[i][j] = 1.
-
-    Iterative Tarjan; the matrix is strongly connected exactly when the
-    first component found covers every vertex and no vertex is unreachable.
-    """
-    n = len(rows)
-    adj = [[j for j in range(n) if rows[i][j]] for i in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    counter = 0
-    components = 0
-
-    for root in range(n):
-        if index[root] != -1:
-            continue
-        work = [(root, 0)]
-        while work:
-            v, pi = work[-1]
-            if pi == 0:
-                index[v] = low[v] = counter
-                counter += 1
-                stack.append(v)
-                on_stack[v] = True
-            advanced = False
-            for k in range(pi, len(adj[v])):
-                w = adj[v][k]
-                if index[w] == -1:
-                    work[-1] = (v, k + 1)
-                    work.append((w, 0))
-                    advanced = True
-                    break
-                if on_stack[w]:
-                    low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                parent = work[-1][0]
-                low[parent] = min(low[parent], low[v])
-            if low[v] == index[v]:
-                components += 1
-                while True:
-                    w = stack.pop()
-                    on_stack[w] = False
-                    if w == v:
-                        break
-    return components == 1
-
-
 def is_irreducible(a: ZeroOneMatrix) -> bool:
-    return _strongly_connected(a.rows)
+    """Strong connectivity of the digraph i -> j when A[i][j] = 1: every
+    vertex is reachable from vertex 0, and vertex 0 from every vertex."""
+    n = a.n
+
+    def reaches_all(edge) -> bool:
+        seen = {0}
+        stack = [0]
+        while stack:
+            i = stack.pop()
+            for j in range(n):
+                if j not in seen and edge(i, j):
+                    seen.add(j)
+                    stack.append(j)
+        return len(seen) == n
+
+    return (reaches_all(lambda i, j: a.rows[i][j])
+            and reaches_all(lambda i, j: a.rows[j][i]))
 
 
 def is_permutation(a: ZeroOneMatrix) -> bool:

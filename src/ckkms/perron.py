@@ -27,7 +27,7 @@ from . import polys, scalars
 from .errors import (DomainError, MembershipRejected, NumericalFailureError,
                      PreconditionError)
 from .intervals import Interval, Q, exp_interval, log_interval_point, sqrt_upper
-from .matrix01 import ZeroOneMatrix, _strongly_connected, in_class_cdm
+from .matrix01 import ZeroOneMatrix, in_class_cdm, is_irreducible
 from .scalars import Alg, Enc, Flt, Rat, Scalar
 
 DEFAULT_PRECISION = Q(1, 10**12)
@@ -85,60 +85,31 @@ class BetaSolution:
 # matrix plumbing
 
 
-def scaled_matrix(a_entries, matrix: ZeroOneMatrix):
-    """Row-scaled matrix (diag a) A with Scalar entries."""
+def _shifted_enclosure(matrix: ZeroOneMatrix, a, width: Fraction):
+    """Entrywise enclosures (lo, hi, mid) of (diag a) A + I.
+
+    Each a_i is refined once, until its lower endpoint is positive, and
+    copied across the support of row i; zeros of A stay exact zeros.
+    """
     n = matrix.n
-    out = []
-    for i in range(n):
-        ai = scalars._as_scalar(a_entries[i])
-        out.append([ai if matrix.rows[i][j] else scalars.ZERO for j in range(n)])
-    return out
-
-
-def _coerce_matrix(m):
-    if isinstance(m, ZeroOneMatrix):
-        return [[Rat(Q(v)) for v in row] for row in m.rows]
-    return [[scalars._as_scalar(v) for v in row] for row in m]
-
-
-def _is_zero_entry(s: Scalar) -> bool:
-    return isinstance(s, Rat) and s.value == 0
-
-
-def _interval_matrix(entries, width: Fraction):
-    """Per-entry enclosures; positive entries are refined until their lower
-    endpoint is positive, exact zeros stay zero."""
-    n = len(entries)
-    lo = [[Q(0)] * n for _ in range(n)]
-    hi = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s = entries[i][j]
-            if _is_zero_entry(s):
-                continue
-            w = width
+    lo = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
+    hi = [row[:] for row in lo]
+    for i, s in enumerate(a):
+        w = width
+        iv = scalars.refine(s, w)
+        while iv.lo <= 0 and not isinstance(s, Enc) and w > Q(1, 10**300):
+            w /= 16
             iv = scalars.refine(s, w)
-            while iv.lo <= 0 and not isinstance(s, Enc) and w > Q(1, 10**300):
-                w /= 16
-                iv = scalars.refine(s, w)
-            if iv.lo < 0:
-                raise PreconditionError("matrix entries must be nonnegative")
-            if iv.lo <= 0:
-                raise PreconditionError("cannot certify the sign of a matrix entry")
-            lo[i][j], hi[i][j] = iv.lo, iv.hi
-    return lo, hi
-
-
-def _shifted(lo, hi):
-    n = len(lo)
-    nlo = [[lo[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    nhi = [[hi[i][j] + (1 if i == j else 0) for j in range(n)] for i in range(n)]
-    nmid = [[(nlo[i][j] + nhi[i][j]) / 2 for j in range(n)] for i in range(n)]
-    return nlo, nhi, nmid
-
-
-def _pattern(entries):
-    return tuple(tuple(0 if _is_zero_entry(v) else 1 for v in row) for row in entries)
+        if iv.lo < 0:
+            raise PreconditionError("parameter entries must be positive")
+        if iv.lo <= 0:
+            raise PreconditionError("cannot certify the sign of a parameter entry")
+        for j in range(n):
+            if matrix.rows[i][j]:
+                lo[i][j] += iv.lo
+                hi[i][j] += iv.hi
+    mid = [[(l + h) / 2 for l, h in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
+    return lo, hi, mid
 
 
 def _matvec(m, x):
@@ -203,24 +174,25 @@ def _cw_iterate(nlo, nhi, nmid, x, target: Fraction, cap: int, max_den: int):
 # pf_data
 
 
-def pf_data(matrix, precision=DEFAULT_PRECISION, compute_vector: bool = True) -> PFData:
-    """Certified Perron eigenvalue bracket (width <= precision) and a
-    positive eigenvector enclosure normalized to sum 1.
+def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
+            compute_vector: bool = True) -> PFData:
+    """Certified Perron eigenvalue bracket (width <= precision) of
+    (diag a) A and a positive eigenvector enclosure normalized to sum 1.
 
-    `matrix` is a ZeroOneMatrix or a square array of nonnegative Scalars
-    whose zero pattern is irreducible.  `compute_vector=False` skips the
+    `a` holds one positive Scalar per row of the irreducible 0-1 matrix
+    `matrix`, all ones when omitted.  `compute_vector=False` skips the
     eigenvector enclosure (the eigenvector field is then empty).
     """
     precision = Q(precision)
     if precision <= 0:
         raise DomainError("precision must be positive")
-    entries = _coerce_matrix(matrix)
-    n = len(entries)
-    if n < 2:
-        raise DomainError("matrices must be at least 2x2")
-    if not _strongly_connected(_pattern(entries)):
+    n = matrix.n
+    a = (scalars.ONE,) * n if a is None else tuple(scalars._as_scalar(s) for s in a)
+    if len(a) != n:
+        raise DomainError("parameter vector length must match the matrix size")
+    if not is_irreducible(matrix):
         raise PreconditionError("matrix is not irreducible")
-    refinable = not any(isinstance(entries[i][j], Enc) for i in range(n) for j in range(n))
+    refinable = not any(isinstance(s, Enc) for s in a)
 
     bits = max(64, precision.denominator.bit_length() + 48)
     max_den = 1 << bits
@@ -228,7 +200,7 @@ def pf_data(matrix, precision=DEFAULT_PRECISION, compute_vector: bool = True) ->
     x = [Q(1, n)] * n
     total_steps = 0
     while True:
-        nlo, nhi, nmid = _shifted(*_interval_matrix(entries, entry_width))
+        nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
         bracket, x, ok, steps = _cw_iterate(
             nlo, nhi, nmid, x, precision, ITERATION_CAP - total_steps, max_den)
         total_steps += steps
@@ -246,10 +218,10 @@ def pf_data(matrix, precision=DEFAULT_PRECISION, compute_vector: bool = True) ->
         return PFData(bracket, (), total_steps)
     vec_width = entry_width if not refinable else min(entry_width, precision / (64 * n))
     if refinable:
-        nlo, nhi, nmid = _shifted(*_interval_matrix(entries, vec_width))
+        nlo, nhi, nmid = _shifted_enclosure(matrix, a, vec_width)
     vector = _eigenvector_enclosure(
         nlo, nhi, nmid, x, precision, ITERATION_CAP, max_den, refinable,
-        lambda w: _shifted(*_interval_matrix(entries, w)), vec_width, bits + 16)
+        lambda w: _shifted_enclosure(matrix, a, w), vec_width, bits + 16)
     return PFData(bracket, vector, total_steps)
 
 
@@ -341,6 +313,19 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
 # spectral membership and canonical parameters
 
 
+def _pf_on_manifold(matrix: ZeroOneMatrix, a, slack: Fraction, precision,
+                    compute_vector: bool = True) -> PFData:
+    """pf_data of (diag a) A, kept only when its eigenvalue bracket meets
+    [1 - slack, 1 + slack]; otherwise MembershipRejected carries the
+    bracket."""
+    data = pf_data(matrix, a, precision=precision, compute_vector=compute_vector)
+    if data.eigenvalue.intersects(Interval(1 - slack, 1 + slack)):
+        return data
+    raise MembershipRejected(
+        f"spectral radius enclosure [{data.eigenvalue.lo}, {data.eigenvalue.hi}] "
+        "does not meet 1", data.eigenvalue)
+
+
 def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=Q(1, 10**9)) -> ParamVector:
     """Accept a parameter vector when the spectral radius of (diag a) A is 1
     within `tolerance`; rejection raises MembershipRejected carrying the
@@ -360,14 +345,8 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=Q(1, 10**9)) -> ParamV
             return ParamVector(matrix, entries, cert, tolerance)
         raise MembershipRejected(
             f"spectral radius is exactly {total}, not 1", enclosure)
-    data = pf_data(scaled_matrix(entries, matrix), precision=tolerance / 4,
-                   compute_vector=False)
-    band = Interval(1 - tolerance, 1 + tolerance)
-    if data.eigenvalue.intersects(band):
-        return ParamVector(matrix, entries, "verified", tolerance)
-    raise MembershipRejected(
-        f"spectral radius enclosure [{data.eigenvalue.lo}, {data.eigenvalue.hi}] "
-        "does not meet 1", data.eigenvalue)
+    _pf_on_manifold(matrix, entries, tolerance, tolerance / 4, compute_vector=False)
+    return ParamVector(matrix, entries, "verified", tolerance)
 
 
 def pf_eigenvalue_scalar(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> Scalar:
@@ -400,8 +379,6 @@ def reciprocal_scalar(s: Scalar) -> Scalar:
 
 def canonical_point(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> ParamVector:
     """The constant vector (1/c_A, ..., 1/c_A); exact by construction."""
-    if not _strongly_connected(matrix.rows):
-        raise PreconditionError("matrix is not irreducible")
     c = pf_eigenvalue_scalar(matrix, precision)
     if isinstance(c, Rat) and c.value == 1:
         raise DomainError("spectral radius 1 puts the canonical point on the boundary")

@@ -580,7 +580,26 @@ def scalar_to_json(s: Scalar) -> dict:
     raise TypeError(f"not a scalar: {s!r}")
 
 
+def _ratio_from_json(obj) -> Fraction:
+    """The {"num": ..., "den": ...} pair of a rational or a product."""
+    num, den = obj["num"], obj["den"]
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)):
+        raise InvalidScalarError("rational num and den must be integers")
+    if den == 0:
+        raise InvalidScalarError("rational denominator must be nonzero")
+    return Fraction(num, den)
+
+
 def scalar_from_json(obj) -> Scalar:
+    """Parse the JSON form of a scalar; a missing key, a zero denominator or
+    a non-integer num or den raises InvalidScalarError."""
+    try:
+        return _scalar_from_json(obj)
+    except KeyError as exc:
+        raise InvalidScalarError(f"scalar JSON {obj!r} lacks the key {exc}") from exc
+
+
+def _scalar_from_json(obj) -> Scalar:
     if isinstance(obj, bool):
         raise InvalidScalarError("booleans are not scalars")
     if isinstance(obj, int):
@@ -588,12 +607,15 @@ def scalar_from_json(obj) -> Scalar:
     if isinstance(obj, float):
         return Flt(obj)
     if isinstance(obj, str):
-        return Rat(Fraction(obj))
+        try:
+            return Rat(Fraction(obj))
+        except (ValueError, ZeroDivisionError) as exc:
+            raise InvalidScalarError(f"malformed rational {obj!r}") from exc
     if not isinstance(obj, dict) or "type" not in obj:
         raise InvalidScalarError(f"malformed scalar JSON: {obj!r}")
     kind = obj["type"]
     if kind == "rational":
-        return Rat(Fraction(obj["num"], obj["den"]))
+        return Rat(_ratio_from_json(obj))
     if kind == "algebraic":
         lo, hi = obj["interval"]
         return make_algebraic(obj["poly"], Fraction(str(lo)), Fraction(str(hi)))
@@ -603,8 +625,7 @@ def scalar_from_json(obj) -> Scalar:
             raise InvalidScalarError("power exponent must be a positive integer")
         return make_power(scalar_from_json(obj["base"]), exp)
     if kind == "product":
-        rat = Fraction(obj["rational"]["num"], obj["rational"]["den"])
-        out = Rat(rat)
+        out = Rat(_ratio_from_json(obj["rational"]))
         for f in obj["factors"]:
             out = mul(out, make_power(scalar_from_json(f["base"]), abs(f["exp"])) if f["exp"] > 0
                       else inv(make_power(scalar_from_json(f["base"]), -f["exp"])))

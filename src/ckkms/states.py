@@ -19,7 +19,7 @@ from .errors import DimensionError, DomainError, PreconditionError
 from .intervals import Interval, Q, exp_interval
 from .matrix01 import ZeroOneMatrix
 from .perron import (DEFAULT_PRECISION, BetaSolution, FrequencyVector,
-                     ParamVector, pf_data, scaled_matrix)
+                     ParamVector, _pf_on_manifold)
 from .scalars import Enc, Rat, Scalar
 
 
@@ -43,7 +43,9 @@ def state_spec(param: ParamVector, precision=DEFAULT_PRECISION,
     Full matrices admit the exact eigenvector x = a (row i of (diag a) F_n
     applied to a gives a_i * sum(a) = a_i); `independent_pf` forces the
     power-iteration path anyway, which verification oracles use to keep the
-    two sides of an identity independent.
+    two sides of an identity independent.  On that path a bracket that
+    misses 1 by more than the parameter's tolerance raises
+    MembershipRejected.
     """
     precision = Q(precision)
     matrix = param.matrix
@@ -53,13 +55,8 @@ def state_spec(param: ParamVector, precision=DEFAULT_PRECISION,
         total_hi = sum(iv.hi for iv in enclosures)
         return StateSpec(param, Interval(total_lo, total_hi), enclosures,
                          param.entries, precision)
-    data = pf_data(scaled_matrix(param.entries, matrix), precision=precision)
     slack = param.tolerance if param.tolerance is not None else precision * 8
-    band = Interval(1 - slack, 1 + slack)
-    if not data.eigenvalue.intersects(band):
-        raise PreconditionError(
-            "spectral radius enclosure does not contain 1; the parameter is "
-            "not on the KMS manifold")
+    data = _pf_on_manifold(matrix, param.entries, slack, precision)
     return StateSpec(param, data.eigenvalue, data.eigenvector, None, precision)
 
 
@@ -124,12 +121,14 @@ def quasi_free_eval(n: int, J, K) -> Scalar:
 # gauge action
 
 
-def _beta_interval(beta, precision) -> Interval:
+def _beta_scalar(beta) -> Scalar:
+    """An inverse temperature given as a BetaSolution, an Interval or a
+    scalar, as one Scalar."""
     if isinstance(beta, BetaSolution):
-        return beta.beta
+        return Enc(beta.beta)
     if isinstance(beta, Interval):
-        return beta
-    return scalars.refine(scalars._as_scalar(beta), precision)
+        return Enc(beta)
+    return scalars._as_scalar(beta)
 
 
 def _matches_solution(omega: FrequencyVector, solution: BetaSolution) -> bool:
@@ -174,7 +173,7 @@ def gauge_factor(omega, beta, mono: Monomial, precision=DEFAULT_PRECISION) -> Sc
             delta_iv = delta_iv - scalars.refine(omega.entries[k - 1], work)
         if delta_iv.lo == delta_iv.hi == 0:
             return scalars.ONE
-    biv = _beta_interval(beta, precision)
+    biv = scalars.refine(_beta_scalar(beta), precision)
     return Enc(exp_interval(-(biv * delta_iv), precision))
 
 
@@ -217,7 +216,7 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
     exact_match = isinstance(beta, BetaSolution) and _matches_solution(omega, beta) \
         and spec.param.entries == beta.param.entries
     if not exact_match:
-        biv = _beta_interval(beta, precision)
+        biv = scalars.refine(_beta_scalar(beta), precision)
         for a_i, w in zip(spec.param.entries, omega.entries):
             wiv = scalars.refine(w, precision)
             target = exp_interval(-(biv * wiv), precision)

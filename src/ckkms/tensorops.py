@@ -20,11 +20,10 @@ from fractions import Fraction
 from . import ckwords, scalars, states
 from .ckwords import Monomial
 from .errors import DimensionError, DomainError
-from .intervals import Interval, Q
+from .intervals import Q
 from .matrix01 import kronecker_matrix
-from .perron import (DEFAULT_PRECISION, BetaSolution, FrequencyVector,
-                     in_lambda)
-from .scalars import Enc, Rat, Scalar
+from .perron import DEFAULT_PRECISION, FrequencyVector, ParamVector
+from .scalars import Rat, Scalar
 from .states import StateSpec, state_spec
 
 ENUMERATION_CAP = 10**5
@@ -121,13 +120,17 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
     states vanish off the diagonal); a seeded sample of such pairs is pushed
     through both evaluators to confirm the zeros rather than trusting the
     argument.
+
+    The composite state takes one power iteration on the Kronecker matrix;
+    when its eigenvalue bracket misses 1 +- `tolerance` that raises
+    MembershipRejected.
     """
     tolerance = Q(tolerance)
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
     ab = kronecker_vector(spec_a.param.entries, spec_b.param.entries)
-    param = in_lambda(composite, ab, tolerance=tolerance)
-    spec_ab = state_spec(param, precision=min(spec_a.precision, spec_b.precision,
-                                              tolerance / 64),
+    spec_ab = state_spec(ParamVector(composite, ab, "verified", tolerance),
+                         precision=min(spec_a.precision, spec_b.precision,
+                                       tolerance / 64),
                          independent_pf=True)
     words = ckwords.enumerate_admissible(composite, max_len, ENUMERATION_CAP)
     work = tolerance / 64
@@ -188,8 +191,8 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
         omega2 = FrequencyVector(tuple(omega2))
     if len(omega1.entries) != split.n or len(omega2.entries) != split.m:
         raise DimensionError("frequency lengths must match the split dimensions")
-    b1 = _beta_scalar(beta1)
-    b2 = _beta_scalar(beta2)
+    b1 = states._beta_scalar(beta1)
+    b2 = states._beta_scalar(beta2)
     for b in (b1, b2):
         if scalars.refine(b, DEFAULT_PRECISION).lo <= 0:
             raise DomainError("inverse temperatures must be positive")
@@ -198,14 +201,6 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
         for wj in omega2.entries:
             entries.append(scalars.add(scalars.mul(b1, wi), scalars.mul(b2, wj)))
     return FrequencyVector(tuple(entries))
-
-
-def _beta_scalar(beta) -> Scalar:
-    if isinstance(beta, BetaSolution):
-        return Enc(beta.beta)
-    if isinstance(beta, Interval):
-        return Enc(beta)
-    return scalars._as_scalar(beta)
 
 
 # ---------------------------------------------------------------------------

@@ -134,6 +134,21 @@ class TestExitCodes:
         assert code == 1
         assert doc["result"]["rejected"] is True
 
+    def test_rejection_at_state_precision(self):
+        # a = (x, x) on the golden-mean matrix with x*phi = 1 + 1.01e-9:
+        # membership at the default tolerance 1e-9 accepts it, and the
+        # state's finer bracket rejects it
+        x = "14049599696622291542793555728/22732729814505021833868640139"
+        vector = json.dumps([x, x])
+        code, doc = run_json("membership", "--matrix", GOLDEN_MATRIX,
+                             "--vector", vector)
+        assert code == 0 and doc["result"]["member"] is True
+        code, doc = run_json("state-eval", "--matrix", GOLDEN_MATRIX,
+                             "--vector", vector, "--word", "s1 s1*")
+        assert code == 1
+        assert doc["result"]["rejected"] is True
+        assert "does not meet 1" in doc["result"]["reason"]
+
     def test_usage_error_bad_json(self):
         code, out, err = run_cli("classify", "--vector", "[not json")
         assert code == 2
@@ -154,6 +169,32 @@ class TestExitCodes:
         code, _, err = run_cli("coassoc", "--dims", "2,3")
         assert code == 2
         assert "three" in err
+
+    @pytest.mark.parametrize("vector", [
+        '[{"type":"rational","num":1,"den":0},"1/2"]',  # zero denominator
+        '[{"type":"rational","num":1},"1/2"]',  # no "den"
+    ])
+    def test_usage_error_malformed_scalar(self, vector):
+        code, out, err = run_cli("classify", "--vector", vector)
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_usage_error_matrix_rows_not_lists(self):
+        code, out, err = run_cli("pf", "--matrix", "[1,2]")
+        assert code == 2
+        assert not out
+        assert err.startswith("error: cannot parse matrix")
+
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+        from ckkms import cli
+
+        def broken(args, config):
+            raise TypeError("a bug in a handler")
+
+        monkeypatch.setitem(cli._HANDLERS, "classify", broken)
+        with pytest.raises(TypeError, match="a bug in a handler"):
+            cli.main(["classify", "--vector", '["1/2","1/2"]'])
 
 
 class TestStateCommands:

@@ -1,6 +1,7 @@
 """0-1 matrices: validation predicates, irreducibility, the admissible class,
 and the Kronecker product against a numpy oracle."""
 
+import itertools
 import random
 
 import numpy as np
@@ -37,6 +38,18 @@ class TestPredicates:
         assert not is_irreducible(ZeroOneMatrix(((1, 0), (0, 1))))
         assert is_irreducible(FULL3)
         assert is_irreducible(CYCLE3)
+
+    def test_irreducible_iff_shifted_power_positive(self):
+        # A is irreducible iff (I + A)^(n-1) has no zero entry
+        checked = 0
+        for n in (2, 3):
+            for bits in itertools.product((0, 1), repeat=n * n):
+                rows = tuple(tuple(bits[n * i:n * i + n]) for i in range(n))
+                shifted = np.eye(n, dtype=np.int64) + np.array(rows, dtype=np.int64)
+                positive = bool((np.linalg.matrix_power(shifted, n - 1) > 0).all())
+                assert is_irreducible(ZeroOneMatrix(rows)) == positive, rows
+                checked += 1
+        assert checked == 16 + 512
 
     def test_admissible_class(self):
         assert not in_class_cdm(ZeroOneMatrix(((0, 1), (1, 0))))  # permutation

@@ -95,8 +95,7 @@ class TestPfData:
                 assert abs(float(entry.mid) - ref) < 1e-7
 
     def test_weighted_matrix_eigenvalue_one(self):
-        scaled = perron.scaled_matrix((Rat(Q(1, 3)), Rat(Q(2, 3))), FULL2)
-        data = perron.pf_data(scaled)
+        data = perron.pf_data(FULL2, (Rat(Q(1, 3)), Rat(Q(2, 3))))
         assert data.eigenvalue.lo <= 1 <= data.eigenvalue.hi
         for entry, ref in zip(data.eigenvector, (Q(1, 3), Q(2, 3))):
             assert entry.lo <= ref <= entry.hi

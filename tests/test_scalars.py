@@ -174,6 +174,19 @@ class TestJsonRoundtrip:
             if scalars.is_exact(s):
                 assert scalars.same_value(back, s)
 
+    @pytest.mark.parametrize("doc", [
+        {"type": "rational", "num": 1, "den": 0},
+        {"type": "rational", "num": 1},
+        {"type": "rational", "num": 1.5, "den": 2},
+        {"type": "rational", "num": "1", "den": 2},
+        {"type": "product", "rational": {"num": 1, "den": 0}, "factors": []},
+        {"type": "algebraic", "poly": [-1, 1, 1]},
+        "1/0",
+    ])
+    def test_malformed_json_raises_invalid_scalar(self, doc):
+        with pytest.raises(InvalidScalarError):
+            scalars.scalar_from_json(doc)
+
     def test_rational_schema_shape(self):
         doc = scalars.scalar_to_json(Rat(Q(1, 2)))
         assert doc == {"type": "rational", "num": 1, "den": 2}

@@ -10,7 +10,8 @@ import pytest
 
 from ckkms import ckwords, perron, scalars, states
 from ckkms.ckwords import Monomial
-from ckkms.errors import DimensionError, DomainError, PreconditionError
+from ckkms.errors import (DimensionError, DomainError, MembershipRejected,
+                          PreconditionError)
 from ckkms.matrix01 import ZeroOneMatrix
 from ckkms.scalars import Flt, Q, Rat
 
@@ -166,6 +167,20 @@ class TestStateSpecInvariants:
                                    "verified", Q(1, 10**9))
         with pytest.raises(PreconditionError):
             states.state_spec(param)
+
+    def test_off_manifold_rejection_carries_the_bracket(self):
+        # (diag a) A for the golden-mean A and a = (1/3, 1/3) has spectral
+        # radius (1 + sqrt 5)/6, the positive root of 9x^2 - 3x - 1
+        param = perron.ParamVector(GOLDEN, (Rat(Q(1, 3)), Rat(Q(1, 3))),
+                                   "verified", Q(1, 10**9))
+        with pytest.raises(MembershipRejected) as info:
+            states.state_spec(param)
+        assert isinstance(info.value, PreconditionError)
+        bracket = info.value.enclosure
+        assert 9 * bracket.lo**2 - 3 * bracket.lo - 1 <= 0 <= \
+            9 * bracket.hi**2 - 3 * bracket.hi - 1
+        assert 0 < bracket.lo and bracket.hi < 1
+        assert "does not meet 1" in str(info.value)
 
 
 class TestGaugeFactor:

@@ -207,6 +207,20 @@ class TestVerifyTensorIdentity:
         assert report.diagonal_count == 1 + 4 + 16 + 64
         assert report.off_diagonal_count > 0
 
+    def test_one_composite_perron_computation(self, monkeypatch):
+        spec_a, spec_b = spec_for(GOLDEN), spec_for(CYCLE3)
+        sizes = []
+        inner = perron.pf_data
+
+        def counting(matrix, *args, **kwargs):
+            sizes.append(matrix.n)
+            return inner(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(perron, "pf_data", counting)
+        report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=2)
+        assert report.passed
+        assert sizes.count(6) == 1
+
     def test_golden_pair(self):
         spec = spec_for(GOLDEN)
         report = tensorops.verify_tensor_identity(spec, spec, max_len=3)
