@@ -3,7 +3,8 @@
 All endpoints are Fractions, so +, -, * and integer powers are exact; the
 transcendental enclosures use truncated series with explicit remainder
 bounds, rounded outward.  Every function here returns an interval that is
-guaranteed to contain the true value.
+guaranteed to contain the true value, except exp_neg_grid, which returns the
+same guarantee as two integers on a power-of-two grid.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import DomainError
+from .errors import DomainError, NumericalFailureError
 from math import isqrt
 
 Q = Fraction
@@ -170,12 +171,33 @@ def exp_interval_point(t: Fraction, precision: Fraction = Q(1, 10**15)) -> Inter
 # the normalised (t, precision) pair is safe.
 @lru_cache(maxsize=1024)
 def _exp_point(t: Fraction, precision: Fraction) -> Interval:
-    if t < 0:
-        return _exp_point(-t, precision / 4).reciprocal()
+    # e^t for t < 0 is the reciprocal of e^|t| at a quarter of the width.
+    u, inner = (-t, precision / 4) if t < 0 else (t, precision)
+    snaps = (False,)
+    if u.denominator > _EXP_SNAP and inner >= Q(16, _EXP_SNAP):
+        # The snap slack is relative, so it grows with e^u: it alone makes
+        # e^u wider than e^n * 2/SNAP >= 2^(n+1)/SNAP.  When the snapped
+        # series misses the width, the unsnapped fraction is tried.
+        hopeless = t >= 0 and Q(2 << int(u), _EXP_SNAP) > precision
+        snaps = (False,) if hopeless else (True, False)
+    for snap in snaps:
+        enc = _exp_nonneg(u, inner, snap)
+        if t < 0:
+            enc = enc.reciprocal()
+        if enc.width <= precision:
+            return enc
+    raise NumericalFailureError(
+        f"exp enclosure of width {float(precision):.3g} at t = {float(t):.6g} "
+        "needs more than 600 series terms")
+
+
+def _exp_nonneg(t: Fraction, precision: Fraction, snap: bool) -> Interval:
+    """The series enclosure of e^t for t >= 0 after at most 600 terms,
+    possibly wider than `precision`."""
     n = int(t)  # floor for t >= 0
     f = t - n
     slack = Q(0)
-    if f.denominator > _EXP_SNAP and precision >= Q(16, _EXP_SNAP):
+    if snap:
         f = Q((f.numerator * _EXP_SNAP) // f.denominator, _EXP_SNAP)
         slack = Q(2, _EXP_SNAP)
     terms = 12
@@ -190,15 +212,57 @@ def _exp_point(t: Fraction, precision: Fraction) -> Interval:
             return enc
         terms += 8
         if terms > 600:
-            # width is limited by the magnitude of e^t itself; return best
             return enc
 
 
 def exp_interval(t: Interval, precision: Fraction = Q(1, 10**15)) -> Interval:
     """Enclosure of {e^x : x in t}; exp is monotone so endpoints suffice."""
     lo = exp_interval_point(t.lo, precision)
-    hi = exp_interval_point(t.hi, precision)
+    hi = lo if t.hi == t.lo else exp_interval_point(t.hi, precision)
     return Interval(lo.lo, hi.hi)
+
+
+# Halving the argument below 2^-8 first shortens the series more than the
+# eight extra squarings cost (about 2x at 110 bits).
+_EXP_GRID_HALVINGS = 8
+
+
+def exp_neg_grid(t: Fraction, bits: int) -> tuple[int, int]:
+    """Integers lo <= e^-t * 2^bits <= hi, with hi - lo <= 2, for rational
+    t >= 0, in integer arithmetic only.
+
+    t is halved k times into [0, 2^-8) and rounded outward onto the grid
+    2^-p, p = bits + k + 16.  e^(t/2^k) is bracketed by its Taylor series with
+    every term floored for the lower and ceiled for the upper bound; for an
+    argument <= 1 the tail after term K is at most 2 * term_K.  The bracket
+    is squared k times (each squaring doubles its relative width, which the
+    k guard bits absorb) and inverted onto the grid 2^-bits, every step
+    rounded outward (Brent and Zimmermann, Modern Computer Arithmetic,
+    ch. 4).
+    """
+    t = _to_q(t)
+    if t < 0:
+        raise DomainError("exp_neg_grid needs t >= 0")
+    if t >= bits:  # e^-t * 2^bits <= (2/e)^bits < 1
+        return 0, 1
+    k = int(t).bit_length() + _EXP_GRID_HALVINGS
+    p = bits + k + 16
+    x_lo, rem = divmod(t.numerator << (p - k), t.denominator)
+    x_hi = x_lo + (rem != 0)
+    lo = hi = term_lo = term_hi = 1 << p
+    i = 0
+    while term_hi > 1:
+        i += 1
+        term_lo = term_lo * x_lo // (i << p)
+        term_hi = -(-term_hi * x_hi // (i << p))
+        lo += term_lo
+        hi += term_hi
+    hi += 2 * term_hi
+    for _ in range(k):
+        lo = (lo * lo) >> p
+        hi = -((-hi * hi) >> p)
+    scale = 1 << (bits + p)
+    return scale // hi, -(-scale // lo)
 
 
 def _atanh_series(u: Fraction, terms: int) -> Interval:

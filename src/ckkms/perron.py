@@ -26,7 +26,7 @@ from math import gcd, lcm
 from . import polys, scalars
 from .errors import (DomainError, MembershipRejected, NumericalFailureError,
                      PreconditionError)
-from .intervals import Interval, Q, exp_interval, log_interval_point, sqrt_upper
+from .intervals import Interval, Q, exp_neg_grid, log_interval_point, sqrt_upper
 from .matrix01 import ZeroOneMatrix, in_class_cdm, is_irreducible
 from .scalars import Alg, Enc, Flt, Rat, Scalar
 
@@ -475,8 +475,9 @@ def _radius_vs_one(matrix: ZeroOneMatrix, omega: FrequencyVector, beta: Fraction
     """Sign of PFE(diag(e^{-beta omega}) A) - 1; 0 when undecided at this
     working precision.
 
-    A Collatz-Wielandt iteration on M + I in integers: every entry bound is
-    rounded outward onto the grid 2^-bits, the iterate is a positive integer
+    A Collatz-Wielandt iteration on M + I in integers: every entry bound
+    comes from exp_neg_grid, rounded outward onto the grid 2^-bits (one call
+    per row when beta * omega_i is a point), the iterate is a positive integer
     vector, and the bracket on PFE(M) + 1 is kept in grid units, each
     quotient rounded outward.  Any positive vector gives a valid bracket, so
     floor renormalisation costs no soundness.  Bisection only needs the
@@ -488,9 +489,11 @@ def _radius_vs_one(matrix: ZeroOneMatrix, omega: FrequencyVector, beta: Fraction
     lo = [[0] * n for _ in range(n)]
     hi = [[0] * n for _ in range(n)]
     for i, w in enumerate(omega.entries):
-        a = exp_interval(-(scalars.refine(w, work) * beta), work)
-        a_lo = (a.lo.numerator << bits) // a.lo.denominator
-        a_hi = -((-a.hi.numerator << bits) // a.hi.denominator)
+        t = scalars.refine(w, work) * beta
+        if t.lo == t.hi:
+            a_lo, a_hi = exp_neg_grid(t.lo, bits)
+        else:
+            a_lo, a_hi = exp_neg_grid(t.hi, bits)[0], exp_neg_grid(t.lo, bits)[1]
         for j in range(n):
             if matrix.rows[i][j]:
                 lo[i][j], hi[i][j] = a_lo, a_hi

@@ -170,6 +170,26 @@ class TestCanonicalPoint:
             assert abs(scalars.to_float(entry) - expected) < 1e-10
 
 
+# beta brackets of seeded float-frequency solves, recorded while the sign
+# test took its e^{-beta omega} bounds from Fraction series.  A decided sign
+# is the true sign whichever enclosure decides it, so the bisection path and
+# these endpoints must not depend on how the bounds are computed.
+PINNED_FLOAT_BETA = (
+    ("GOLDEN", 6, 0, "25455/131072", "203641/1048576"),
+    ("GOLDEN", 6, 1, "223553/1048576", "111777/524288"),
+    ("GOLDEN", 12, 0, "191461860729/549755813888", "382923721459/1099511627776"),
+    ("GOLDEN", 12, 1, "114908538269/549755813888", "229817076539/1099511627776"),
+    ("FULL2", 6, 0, "495273/1048576", "247637/524288"),
+    ("FULL2", 6, 1, "160363/262144", "641453/1048576"),
+    ("FULL2", 12, 0, "366294082233/1099511627776", "183147041117/549755813888"),
+    ("FULL2", 12, 1, "69862267979/137438953472", "558898143833/1099511627776"),
+    ("CYCLE3", 6, 0, "549967/1048576", "34373/65536"),
+    ("CYCLE3", 6, 1, "178367/524288", "356735/1048576"),
+    ("CYCLE3", 12, 0, "477557283763/1099511627776", "119389320941/274877906944"),
+    ("CYCLE3", 12, 1, "402678791409/1099511627776", "201339395705/549755813888"),
+)
+
+
 class TestSolveBeta:
     def test_full2_unit_frequencies(self):
         sol = perron.solve_beta(FULL2, (Q(1), Q(1)))
@@ -239,6 +259,14 @@ class TestSolveBeta:
         with pytest.raises(Exception):
             perron.solve_beta(FULL2, (Q(0), Q(1)))
 
+    @pytest.mark.parametrize("name, digits, seed, lo, hi", PINNED_FLOAT_BETA)
+    def test_float_frequency_brackets_pinned(self, name, digits, seed, lo, hi):
+        rows = {"GOLDEN": GOLDEN, "FULL2": FULL2, "CYCLE3": CYCLE3}[name]
+        rng = random.Random(f"pin/{name}/{digits}/{seed}")
+        omega = tuple(rng.uniform(0.3, 3.0) for _ in range(rows.n))
+        sol = perron.solve_beta(rows, omega, precision=Fraction(1, 10**digits))
+        assert (sol.beta.lo, sol.beta.hi) == (Fraction(lo), Fraction(hi))
+
 
 class TestRadiusVsOne:
     """The bisection's sign test against the numpy spectral radius."""
@@ -278,6 +306,14 @@ class TestRadiusVsOne:
         sign = perron._radius_vs_one(GOLDEN, perron.FrequencyVector(omega),
                                      Fraction(2), Q(1, 10**15))
         assert sign == -1
+
+    def test_radius_exactly_one_is_undecided(self):
+        # at beta = 0 the swap matrix has radius exactly 1: the bracket
+        # collapses onto 2 and the sign test must not pick a side
+        swap = ZeroOneMatrix(((0, 1), (1, 0)))
+        sign = perron._radius_vs_one(swap, perron.FrequencyVector((1.0, 2.5)),
+                                     Fraction(0), Q(1, 10**15))
+        assert sign == 0
 
 
 class TestPowerEquation:
