@@ -22,8 +22,8 @@ from . import scalars
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .intervals import Q, exp_interval
 from .perron import DEFAULT_PRECISION, solve_beta
-from .scalars import (Alg, BaseDecomposition, Enc, Flt, Power, Product, Rat,
-                      Scalar, common_base_rationals, log_ratio_rational)
+from .scalars import (Alg, BaseDecomposition, Enc, Flt, Rat, Scalar,
+                      log_ratio_rational)
 from .tensorops import kronecker_vector
 
 DIMENSION_CAP = 4096
@@ -82,34 +82,20 @@ def _is_unit_alg(base: Alg) -> bool:
     return abs(base.poly[0]) == 1 and abs(base.poly[-1]) == 1
 
 
-def _split_entry(s: Scalar):
-    """(rational part, algebraic factor map Alg -> exponent) or None."""
-    if isinstance(s, Rat):
-        return s.value, {}
-    if isinstance(s, Alg):
-        return Q(1), {s: 1}
-    if isinstance(s, Power):
-        return Q(1), {s.base: s.exp}
-    if isinstance(s, Product):
-        return s.rational, dict(s.factors)
-    return None
-
-
 def _lattice_vectors(entries):
     """Exponent vectors over (primes..., algebraic base) or None when the
     entries do not share a single certified-unit base."""
     splits = []
     bases = set()
     for s in entries:
-        sp = _split_entry(s)
-        if sp is None:
+        if not scalars.is_exact(s):
             return None
-        rational, factors = sp
+        rational, factors = scalars._factors_of(s)
         if rational <= 0:
             return None
-        for b in factors:
-            bases.add(b)
-        splits.append(sp)
+        factors = dict(factors)
+        bases.update(factors)
+        splits.append((rational, factors))
     if len(bases) > 1:
         return None
     base = next(iter(bases)) if bases else None
@@ -127,17 +113,12 @@ def _lattice_vectors(entries):
 
 
 def _base_from_vector(primes, base, vec) -> Scalar:
-    parts = []
     rational = Q(1)
-    for p, e in zip(primes, vec[: len(primes)]):
+    for p, e in zip(primes, vec):
         rational *= Q(p) ** e
-    if rational != 1:
-        parts.append(Rat(rational))
-    if base is not None and vec[len(primes)]:
-        parts.append(scalars.make_power(base, vec[len(primes)]))
-    if not parts:
-        return scalars.ONE
-    return scalars.mul(*parts)
+    if base is None or not vec[-1]:
+        return Rat(rational)
+    return scalars.mul(Rat(rational), scalars.make_power(base, vec[-1]))
 
 
 def _classify_lattice(entries) -> TypeLabel | None:
@@ -153,18 +134,16 @@ def _classify_lattice(entries) -> TypeLabel | None:
     primitive, multipliers = solved
     lam = _base_from_vector(primes, base, primitive)
     if not scalars.in_open_unit_interval(lam):
-        primitive = tuple(-v for v in primitive)
-        multipliers = tuple(-m for m in multipliers)
+        primitive = [-v for v in primitive]
+        multipliers = [-m for m in multipliers]
         lam = _base_from_vector(primes, base, primitive)
     if any(m < 1 for m in multipliers):
         return LABEL_ONE
-    g = 0
-    for m in multipliers:
-        g = math.gcd(g, m)
+    g = math.gcd(*multipliers)
     if g > 1:
         lam = scalars.make_power(lam, g)
-        multipliers = tuple(m // g for m in multipliers)
-    return TypeLabel(lam, "exact", BaseDecomposition(lam, multipliers))
+    return TypeLabel(lam, "exact",
+                     BaseDecomposition(lam, tuple(m // g for m in multipliers)))
 
 
 # ---------------------------------------------------------------------------
@@ -223,11 +202,6 @@ def detect_lambda(a, denominator_bound: int = 10**6) -> TypeLabel:
     if not entries:
         raise DomainError("empty vector")
     _validate_open_unit(entries)
-    if all(isinstance(s, Rat) for s in entries):
-        solved = common_base_rationals([s.value for s in entries])
-        if solved is None:
-            return LABEL_ONE
-        return TypeLabel(solved.base, "exact", solved)
     if any(isinstance(s, (Flt, Enc)) for s in entries):
         values = [scalars.to_float(s) for s in entries]
         return _classify_floats(values, denominator_bound)

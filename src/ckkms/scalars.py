@@ -1,16 +1,18 @@
 """Exact scalar values: rationals, algebraic numbers, their powers and products.
 
-The tower has six shapes.  Rat wraps a Fraction.  Alg is a real algebraic
+The tower has five shapes.  Rat wraps a Fraction.  Alg is a real algebraic
 number given by an integer polynomial (constant-first) together with an
 isolating interval containing exactly one root, across which the squarefree
-part changes sign.  Power and Product are exact multiplicative combinations
-(Product carries a rational coefficient and algebraic factors with nonzero
-integer exponents).  Flt is a float, always treated as heuristic.  Enc is a
-value known only through a rigorous rational-endpoint enclosure.
+part changes sign.  Product is an exact multiplicative combination: a
+rational coefficient times algebraic factors with nonzero integer exponents;
+a single-base power x^k is Product(1, ((x, k),)).  Flt is a float, always
+treated as heuristic.  Enc is a value known only through a rigorous
+rational-endpoint enclosure.
 
 Construction goes through make_algebraic / make_power / mul, which normalize:
 rational roots collapse to Rat, x^k that is congruent to a constant modulo
-the defining polynomial collapses to a rational power, empty products unwrap.
+the defining polynomial collapses to a rational power, empty products unwrap
+and x^1 unwraps to x.
 """
 
 from __future__ import annotations
@@ -50,12 +52,6 @@ class Alg(Scalar):
 
 
 @dataclass(frozen=True, slots=True)
-class Power(Scalar):
-    base: Alg
-    exp: int  # >= 1
-
-
-@dataclass(frozen=True, slots=True)
 class Product(Scalar):
     rational: Fraction
     factors: tuple  # tuple[(Alg, int)], exponents nonzero, bases distinct
@@ -80,7 +76,7 @@ ZERO = Rat(Fraction(0))
 
 
 def is_exact(s: Scalar) -> bool:
-    return isinstance(s, (Rat, Alg, Power, Product))
+    return isinstance(s, (Rat, Alg, Product))
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +132,15 @@ def make_power(base: Scalar, exp: int) -> Scalar:
         return Rat(base.value**exp)
     if isinstance(base, Flt):
         return Flt(base.value**exp)
-    if isinstance(base, Power):
-        return make_power(base.base, base.exp * exp)
-    if isinstance(base, Product):
-        return mul(Rat(base.rational**exp), *(make_power(b, e * exp) for b, e in base.factors))
     if isinstance(base, Enc):
         return Enc(base.interval**exp)
+    if isinstance(base, Product):
+        return _build_product(base.rational**exp, {b: e * exp for b, e in base.factors})
     assert isinstance(base, Alg)
     c = _alg_power_collapse(base, abs(exp))
     if c is not None:
-        return Rat(c**1 if exp > 0 else 1 / c)
-    if exp == 1:
-        return base
-    if exp > 1:
-        return Power(base, exp)
-    return Product(Q(1), ((base, exp),))
+        return Rat(c if exp > 0 else 1 / c)
+    return base if exp == 1 else Product(Q(1), ((base, exp),))
 
 
 # ---------------------------------------------------------------------------
@@ -191,9 +181,9 @@ def refine(s: Scalar, precision) -> Interval:
         return s.interval
     if isinstance(s, Alg):
         return _alg_interval(s, precision)
-    if isinstance(s, Power):
-        return _power_interval(s.base, s.exp, precision)
     if isinstance(s, Product):
+        if s.rational == 1 and len(s.factors) == 1:
+            return _power_interval(*s.factors[0], precision)
         sub = precision
         while True:
             out = Interval.point(s.rational)
@@ -202,8 +192,6 @@ def refine(s: Scalar, precision) -> Interval:
             if out.width <= precision:
                 return out
             sub /= 16
-            if sub < Q(1, 10**400):
-                return out
     raise TypeError(f"not a scalar: {s!r}")
 
 
@@ -218,8 +206,6 @@ def _power_interval(base: Alg, exp: int, precision: Fraction) -> Interval:
         if out.width <= precision:
             return out
         sub /= 16
-        if sub < Q(1, 10**400):
-            return out
 
 
 def to_float(s: Scalar) -> float:
@@ -255,8 +241,6 @@ def _factors_of(s: Scalar) -> tuple[Fraction, tuple]:
         return s.value, ()
     if isinstance(s, Alg):
         return Q(1), ((s, 1),)
-    if isinstance(s, Power):
-        return Q(1), ((s.base, s.exp),)
     if isinstance(s, Product):
         return s.rational, s.factors
     raise TypeError
@@ -275,9 +259,8 @@ def _build_product(rational: Fraction, factors: dict) -> Scalar:
     if not live:
         return Rat(rational)
     items = tuple(sorted(live.items(), key=lambda it: (it[0].poly, it[0].lo, it[0].hi)))
-    if rational == 1 and len(items) == 1 and items[0][1] >= 1:
-        b, e = items[0]
-        return b if e == 1 else Power(b, e)
+    if rational == 1 and len(items) == 1 and items[0][1] == 1:
+        return items[0][0]
     return Product(rational, items)
 
 
@@ -411,7 +394,7 @@ def values_close(a: Scalar, b: Scalar, tol) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# prime-exponent lattices and common bases
+# prime-exponent lattices
 
 
 @dataclass(frozen=True)
@@ -465,35 +448,6 @@ def _parallel_lattice(rows: list[list[int]]) -> tuple[list[int], list[int]] | No
     return prim, mults
 
 
-def common_base_rationals(values) -> BaseDecomposition | None:
-    """Write rationals in (0,1) as base^k_i with one base in (0,1) and
-    positive exponents of gcd 1, when such a base exists."""
-    fracs = []
-    for v in values:
-        f = v.value if isinstance(v, Rat) else Q(v)
-        if not (0 < f < 1):
-            raise DomainError(f"common-base detection needs values in (0,1), got {f}")
-        fracs.append(f)
-    vecs = [_exp_vector(f) for f in fracs]
-    primes = sorted(set().union(*[set(v) for v in vecs]))
-    rows = [[v.get(p, 0) for p in primes] for v in vecs]
-    hit = _parallel_lattice(rows)
-    if hit is None:
-        return None
-    prim, mults = hit
-    base = Q(1)
-    for p, e in zip(primes, prim):
-        base *= Q(p) ** e
-    if base > 1:
-        base = 1 / base
-        mults = [-k for k in mults]
-    assert all(k >= 1 for k in mults)
-    g = 0
-    for k in mults:
-        g = gcd(g, k)
-    return BaseDecomposition(Rat(base**g), tuple(k // g for k in mults))
-
-
 # ---------------------------------------------------------------------------
 # logarithm ratio detection
 
@@ -532,13 +486,11 @@ def log_ratio_rational(x, y, denominator_bound: int = 10**6) -> LogRatioVerdict:
     if isinstance(sx, Rat) and isinstance(sy, Rat):
         ex, ey = _exp_vector(sx.value), _exp_vector(sy.value)
         primes = sorted(set(ex) | set(ey))
-        vx = [ex.get(p, 0) for p in primes]
-        vy = [ey.get(p, 0) for p in primes]
-        j0 = next(j for j, e in enumerate(vy) if e)
-        t = Fraction(vx[j0], vy[j0])
-        if all(Fraction(vx[j]) == t * vy[j] for j in range(len(primes))):
-            return LogRatioVerdict("rational", t)
-        return LogRatioVerdict("irrational")
+        hit = _parallel_lattice([[v.get(p, 0) for p in primes] for v in (ex, ey)])
+        if hit is None:
+            return LogRatioVerdict("irrational")
+        kx, ky = hit[1]
+        return LogRatioVerdict("rational", Fraction(kx, ky))
     fx, fy = to_float(sx), to_float(sy)
     if not (0.0 < fx < 1.0 and 0.0 < fy < 1.0):
         raise DomainError("log-ratio detection needs values in (0,1)")
@@ -565,9 +517,10 @@ def scalar_to_json(s: Scalar) -> dict:
         return {"type": "rational", "num": s.value.numerator, "den": s.value.denominator}
     if isinstance(s, Alg):
         return {"type": "algebraic", "poly": list(s.poly), "interval": [str(s.lo), str(s.hi)]}
-    if isinstance(s, Power):
-        return {"type": "power", "base": scalar_to_json(s.base), "exp": s.exp}
     if isinstance(s, Product):
+        if s.rational == 1 and len(s.factors) == 1 and s.factors[0][1] > 0:
+            b, e = s.factors[0]
+            return {"type": "power", "base": scalar_to_json(b), "exp": e}
         return {
             "type": "product",
             "rational": {"num": s.rational.numerator, "den": s.rational.denominator},

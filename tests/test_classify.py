@@ -6,6 +6,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckkms import classify, perron, scalars, tensorops
 from ckkms.classify import PowerForm, TypeLabel
@@ -105,6 +107,49 @@ class TestDetectLambda:
             b = classify.detect_lambda(tuple(perm))
             assert a.mode == b.mode == "exact"
             assert scalars.same_value(a.lam, b.lam)
+
+    def test_common_base_pairs(self):
+        label = classify.detect_lambda((Rat(Q(1, 2)), Rat(Q(1, 2))))
+        assert label.decomposition is not None
+        assert label.decomposition.base.value == Q(1, 2)
+        assert label.decomposition.exponents == (1, 1)
+
+        assert classify.detect_lambda((Rat(Q(1, 3)), Rat(Q(2, 3)))).decomposition is None
+
+        label = classify.detect_lambda((Rat(Q(1, 4)), Rat(Q(1, 2))))
+        assert label.decomposition is not None
+        assert label.decomposition.base.value == Q(1, 2)
+        assert label.decomposition.exponents == (2, 1)
+
+    @given(st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12),
+                        max_denominator=12),
+           st.integers(1, 4), st.integers(1, 4))
+    @settings(max_examples=40, deadline=None)
+    def test_powers_of_one_base_recovered(self, base, p, q):
+        if base == 1 or math.gcd(p, q) != 1:
+            return
+        hit = classify.detect_lambda((Rat(base**p), Rat(base**q))).decomposition
+        assert hit is not None
+        # recovered base generates both entries with coprime exponents
+        e1, e2 = hit.exponents
+        assert hit.base.value**e1 == base**p and hit.base.value**e2 == base**q
+        assert math.gcd(e1, e2) == 1
+
+    def test_domain_check(self):
+        with pytest.raises(DomainError):
+            classify.detect_lambda((Rat(Q(3, 2)), Rat(Q(1, 2))))
+
+    @pytest.mark.parametrize("entries", [
+        lambda g: (Q(1, 4), Q(1, 8)),
+        lambda g: (g, scalars.make_power(g, 2)),
+        lambda g: (scalars.mul(Rat(Q(1, 2)), g),
+                   scalars.mul(Rat(Q(1, 4)), scalars.make_power(g, 2))),
+    ], ids=["rational", "power", "mixed"])
+    def test_labels_are_hashable(self, entries):
+        label = classify.detect_lambda(entries(golden_base()))
+        assert label.mode == "exact" and label.decomposition is not None
+        assert isinstance(label.decomposition.exponents, tuple)
+        assert hash(label) == hash(classify.detect_lambda(entries(golden_base())))
 
 
 class TestTensorType:

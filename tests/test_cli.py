@@ -28,7 +28,8 @@ PHI = (1 + math.sqrt(5)) / 2
 
 SOURCE_ROOT = Path(ckkms.__file__).resolve().parents[1]
 PYPROJECT = SOURCE_ROOT.parent / "pyproject.toml"
-REPRODUCE_ENVELOPE = Path(__file__).parent / "data" / "reproduce_paper.json"
+DATA = Path(__file__).parent / "data"
+REPRODUCE_ENVELOPE = DATA / "reproduce_paper.json"
 
 
 def cli_env():
@@ -238,6 +239,18 @@ class TestStateCommands:
                              "--tolerance", "1/" + "1" + "0" * 40)
         assert code == 1
         assert doc["result"]["ok"] is False
+
+    @pytest.mark.parametrize("matrix, omega, envelope", [
+        (GOLDEN_MATRIX, '["1","2"]', "solve_beta_golden_mean_omega_1_2.json"),
+        ("F3", '["2","1","1"]', "solve_beta_f3_omega_2_1_1.json"),
+    ])
+    def test_solve_beta_power_form_pinned(self, matrix, omega, envelope):
+        # one parameter is the square of the solved base, printed in the
+        # {"type": "power"} form; the envelope is pinned byte for byte
+        code, out, err = run_cli("solve-beta", "--matrix", matrix, "--omega", omega)
+        assert code == 0, err
+        assert '"type": "power"' in out
+        assert out == (DATA / envelope).read_text(encoding="utf-8")
 
     def test_solve_beta_golden_frequencies(self):
         code, doc = run_json("solve-beta", "--matrix", "F2",

@@ -1,5 +1,5 @@
 """Exact scalar tower: algebraic constructors, arithmetic folding, refinement,
-base decomposition, log-ratio verdicts, and JSON round-trips."""
+log-ratio verdicts, and JSON round-trips."""
 
 import math
 from fractions import Fraction
@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from ckkms import scalars
 from ckkms.errors import DomainError, InvalidScalarError
-from ckkms.scalars import Alg, Enc, Flt, Power, Product, Q, Rat
+from ckkms.scalars import Alg, Enc, Flt, Product, Q, Rat
 
 GOLDEN_FLOAT = (math.sqrt(5) - 1) / 2
 
@@ -30,6 +30,21 @@ class TestConstruction:
         assert iv.width <= Q(1, 10**6)
         iv = scalars.refine(cubic_root(), Q(1, 10**6))
         assert float(iv.lo) <= 0.6823278038280193 <= float(iv.hi)
+
+    @pytest.mark.parametrize("rational, power, width", [
+        (Q(1, 3), -7, Q(1, 10**450)),
+        (1, -7, Q(1, 10**500)),
+        (1, 3, Q(1, 10**500)),
+        (1, 3, Q(1, 10**2000)),
+    ])
+    def test_refine_meets_widths_below_1e_400(self, rational, power, width):
+        # oracles from x^2 = 1 - x: x^3 = 2x - 1 and x^-7 = 13x + 21
+        g = golden()
+        s = scalars.mul(Rat(rational), scalars.make_power(g, power))
+        iv = scalars.refine(s, width)
+        assert iv.width <= width
+        a, b = {3: (2, -1), -7: (13, 21)}[power]
+        assert iv.intersects((scalars.refine(g, width) * a + b) * rational)
 
     def test_rational_refine_is_exact(self):
         iv = scalars.refine(Rat(Q(1, 2)), Q(1, 10**6))
@@ -55,7 +70,8 @@ class TestArithmetic:
     def test_power_folding(self):
         g = golden()
         p = scalars.mul(scalars.make_power(g, 2), scalars.make_power(g, 3))
-        assert isinstance(p, Power) and p.exp == 5
+        assert isinstance(p, Product) and p.rational == 1
+        assert p.factors == ((g, 5),)
         assert scalars.same_value(p, scalars.make_power(g, 5))
 
     def test_rational_arithmetic_stays_exact(self):
@@ -97,37 +113,6 @@ class TestArithmetic:
         assert scalars.compare_rational(g, Q(1, 2)) == 1
         assert scalars.compare_rational(g, Q(2, 3)) == -1
         assert scalars.compare_rational(Rat(Q(1, 2)), Q(1, 2)) == 0
-
-
-class TestDecomposition:
-    def test_common_base_pairs(self):
-        hit = scalars.common_base_rationals([Rat(Q(1, 2)), Rat(Q(1, 2))])
-        assert hit is not None
-        assert hit.base.value == Q(1, 2) and tuple(hit.exponents) == (1, 1)
-
-        assert scalars.common_base_rationals([Rat(Q(1, 3)), Rat(Q(2, 3))]) is None
-
-        hit = scalars.common_base_rationals([Rat(Q(1, 4)), Rat(Q(1, 2))])
-        assert hit is not None
-        assert hit.base.value == Q(1, 2) and tuple(hit.exponents) == (2, 1)
-
-    @given(st.fractions(min_value=Fraction(1, 12), max_value=Fraction(11, 12),
-                        max_denominator=12),
-           st.integers(1, 4), st.integers(1, 4))
-    @settings(max_examples=40, deadline=None)
-    def test_powers_of_one_base_recovered(self, base, p, q):
-        if base == 1 or math.gcd(p, q) != 1:
-            return
-        hit = scalars.common_base_rationals([Rat(base**p), Rat(base**q)])
-        assert hit is not None
-        # recovered base generates both entries with coprime exponents
-        e1, e2 = hit.exponents
-        assert hit.base.value**e1 == base**p and hit.base.value**e2 == base**q
-        assert math.gcd(e1, e2) == 1
-
-    def test_domain_check(self):
-        with pytest.raises(DomainError):
-            scalars.common_base_rationals([Rat(Q(3, 2)), Rat(Q(1, 2))])
 
 
 class TestLogRatio:
