@@ -2,8 +2,9 @@
 the library, and emits one deterministic JSON document per run.
 
 Exit codes: 0 success or pass, 1 failed verification or rejected
-membership, 2 usage errors (bad flags, malformed input, domain errors).
-Any other exception is a bug and propagates with its traceback.
+membership, 2 usage errors (bad flags, malformed input, domain errors),
+70 an internal error: any other exception a command raises is a bug, and its
+traceback goes to stderr.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import decimal
 import json
 import math
 import sys
+import traceback
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -778,6 +780,9 @@ def main(argv=None) -> int:
     except CkkmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception:
+        traceback.print_exc()
+        return 70  # EX_SOFTWARE in sysexits.h
     doc = {
         "command": args.command,
         "inputs": _inputs_of(args),

@@ -83,6 +83,8 @@ class Interval:
 
     def __mul__(self, other) -> "Interval":
         other = other if isinstance(other, Interval) else Interval.point(other)
+        if self.lo >= 0 and other.lo >= 0:
+            return Interval(self.lo * other.lo, self.hi * other.hi)
         products = (
             self.lo * other.lo,
             self.lo * other.hi,

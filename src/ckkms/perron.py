@@ -135,7 +135,7 @@ def _ceil_bits(x: Fraction, bits: int) -> Fraction:
     return Q(-((-scaled.numerator) // scaled.denominator), 1 << bits)
 
 
-def _cw_iterate(nlo, nhi, nmid, x, target: Fraction, cap: int, max_den: int):
+def _cw_iterate(nlo, nhi, x, target: Fraction, cap: int, max_den: int):
     """Collatz-Wielandt bracket refinement for the shifted matrix.
 
     Returns (bracket_for_unshifted, x, converged, steps).  Every bracket
@@ -164,7 +164,8 @@ def _cw_iterate(nlo, nhi, nmid, x, target: Fraction, cap: int, max_den: int):
             return best, x, True, steps
         if stall >= 15:
             return best, x, False, steps
-        y = _matvec(nmid, x)
+        # the midpoint matrix times x, exactly, by linearity
+        y = [(a + b) / 2 for a, b in zip(ylo, yhi)]
         total = sum(y)
         x = _round_vector([v / total for v in y], max_den)
     return best, x, False, steps
@@ -202,7 +203,7 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
     while True:
         nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
         bracket, x, ok, steps = _cw_iterate(
-            nlo, nhi, nmid, x, precision, ITERATION_CAP - total_steps, max_den)
+            nlo, nhi, x, precision, ITERATION_CAP - total_steps, max_den)
         total_steps += steps
         if ok:
             break
@@ -470,10 +471,11 @@ def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
                         exponents=tuple(reduced), scale=scale)
 
 
-def _radius_vs_one(matrix: ZeroOneMatrix, omega: FrequencyVector, beta: Fraction,
+def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
                    work: Fraction) -> int:
     """Sign of PFE(diag(e^{-beta omega}) A) - 1; 0 when undecided at this
-    working precision.
+    working precision.  `freqs` holds the enclosures of the omega_i refined
+    to width `work`.
 
     A Collatz-Wielandt iteration on M + I in integers: every entry bound
     comes from exp_neg_grid, rounded outward onto the grid 2^-bits (one call
@@ -488,8 +490,8 @@ def _radius_vs_one(matrix: ZeroOneMatrix, omega: FrequencyVector, beta: Fraction
     n = matrix.n
     lo = [[0] * n for _ in range(n)]
     hi = [[0] * n for _ in range(n)]
-    for i, w in enumerate(omega.entries):
-        t = scalars.refine(w, work) * beta
+    for i, w in enumerate(freqs):
+        t = w * beta
         if t.lo == t.hi:
             a_lo, a_hi = exp_neg_grid(t.lo, bits)
         else:
@@ -526,9 +528,10 @@ def _radius_vs_one(matrix: ZeroOneMatrix, omega: FrequencyVector, beta: Fraction
 def _solve_beta_numeric(matrix: ZeroOneMatrix, omega: FrequencyVector,
                         precision: Fraction) -> BetaSolution:
     work = max(precision / 64, Q(1, 10**15))
+    freqs = [scalars.refine(w, work) for w in omega.entries]
     hi = Q(1)
     doublings = 0
-    while _radius_vs_one(matrix, omega, hi, work) >= 0:
+    while _radius_vs_one(matrix, freqs, hi, work) >= 0:
         hi *= 2
         doublings += 1
         if doublings > 80:
@@ -536,11 +539,12 @@ def _solve_beta_numeric(matrix: ZeroOneMatrix, omega: FrequencyVector,
     lo = Q(0)
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        sign = _radius_vs_one(matrix, omega, mid, work)
+        sign = _radius_vs_one(matrix, freqs, mid, work)
         if sign == 0:
             work /= 16
             if work < Q(1, 10**60):
                 break
+            freqs = [scalars.refine(w, work) for w in omega.entries]
             continue
         if sign > 0:
             lo = mid

@@ -135,7 +135,8 @@ def make_power(base: Scalar, exp: int) -> Scalar:
     if isinstance(base, Enc):
         return Enc(base.interval**exp)
     if isinstance(base, Product):
-        return _build_product(base.rational**exp, {b: e * exp for b, e in base.factors})
+        return _build_product(base.rational**exp,
+                              ((b, e * exp, True) for b, e in base.factors))
     assert isinstance(base, Alg)
     c = _alg_power_collapse(base, abs(exp))
     if c is not None:
@@ -246,19 +247,29 @@ def _factors_of(s: Scalar) -> tuple[Fraction, tuple]:
     raise TypeError
 
 
-def _build_product(rational: Fraction, factors: dict) -> Scalar:
-    live = {b: e for b, e in factors.items() if e != 0}
+def _build_product(rational: Fraction, factors) -> Scalar:
+    """Normalise rational * prod b^e over `factors`, triples (b, e, retest)
+    with distinct bases.
+
+    Only a base marked `retest` gets the collapse test: any other keeps an
+    exponent (up to sign) that already failed it when its operand was
+    built, and collapse depends only on |e|.
+    """
     if rational == 0:
         return ZERO
-    # collapse any factor whose power is congruent to a constant
-    for b in list(live):
-        c = _alg_power_collapse(b, abs(live[b]))
-        if c is not None:
-            rational *= c if live[b] > 0 else 1 / c
-            del live[b]
+    live = []
+    for b, e, retest in factors:
+        if e == 0:
+            continue
+        if retest:
+            c = _alg_power_collapse(b, abs(e))
+            if c is not None:
+                rational *= c if e > 0 else 1 / c
+                continue
+        live.append((b, e))
     if not live:
         return Rat(rational)
-    items = tuple(sorted(live.items(), key=lambda it: (it[0].poly, it[0].lo, it[0].hi)))
+    items = tuple(sorted(live, key=lambda it: (it[0].poly, it[0].lo, it[0].hi)))
     if rational == 1 and len(items) == 1 and items[0][1] == 1:
         return items[0][0]
     return Product(rational, items)
@@ -277,13 +288,18 @@ def mul(*values) -> Scalar:
             out *= to_float(s)
         return Flt(out)
     rational = Q(1)
-    factors: dict = {}
+    factors: dict = {}  # base -> [exponent, found in two or more operands]
     for s in scalars:
         r, fs = _factors_of(s)
         rational *= r
         for b, e in fs:
-            factors[b] = factors.get(b, 0) + e
-    return _build_product(rational, factors)
+            entry = factors.get(b)
+            if entry is None:
+                factors[b] = [e, False]
+            else:
+                entry[0] += e
+                entry[1] = True
+    return _build_product(rational, ((b, e, again) for b, (e, again) in factors.items()))
 
 
 def inv(s: Scalar) -> Scalar:
@@ -297,7 +313,7 @@ def inv(s: Scalar) -> Scalar:
     if isinstance(s, Enc):
         return Enc(s.interval.reciprocal())
     r, fs = _factors_of(s)
-    return _build_product(1 / r, {b: -e for b, e in fs})
+    return _build_product(1 / r, ((b, -e, False) for b, e in fs))
 
 
 def add(*values) -> Scalar:
@@ -380,7 +396,12 @@ def same_value(a: Scalar, b: Scalar) -> bool:
                 return True
             width /= 16
         return False
-    # powers/products: compare by deep refinement
+    if is_exact(a) and is_exact(b):
+        # when every base cancels, the ratio is an exact rational
+        q = mul(a, inv(b))
+        if isinstance(q, Rat):
+            return q.value == 1
+    # other powers/products: compare by deep refinement
     width = Q(1, 10**40)
     ia, ib = refine(a, width), refine(b, width)
     return ia.intersects(ib) and max(ia.width, ib.width) <= width

@@ -132,16 +132,28 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
                          precision=min(spec_a.precision, spec_b.precision,
                                        tolerance / 64),
                          independent_pf=True)
+    split = IndexSplit(spec_a.matrix.n, spec_b.matrix.n)
     words = ckwords.enumerate_admissible(composite, max_len, ENUMERATION_CAP)
     work = tolerance / 64
     max_residual = Q(0)
     diagonal = 0
+    # a factor word recurs under many composite words; evaluate it once
+    values_a, values_b = {}, {}
     for J in words:
         mono = Monomial(J, J)
         if J and not ckwords.followers(composite, J, J):
             continue
-        lhs = tensor_state_eval(spec_a, spec_b, mono)
-        rhs = states.eval_state(spec_ab, mono)
+        # what tensor_state_eval and eval_state give for this one monomial
+        first, second = embed_monomial(split, mono)
+        va = values_a.get(first.J)
+        if va is None:
+            va = values_a[first.J] = states.eval_monomial(spec_a, first)
+        vb = values_b.get(second.J)
+        if vb is None:
+            vb = values_b[second.J] = states.eval_monomial(spec_b, second)
+        zero = any(isinstance(v, Rat) and v.value == 0 for v in (va, vb))
+        lhs = scalars.ZERO if zero else scalars.mul(va, vb)
+        rhs = states.eval_monomial(spec_ab, mono)
         gap = states.residual_bound(lhs, rhs, work)
         diagonal += 1
         if gap > max_residual:

@@ -187,15 +187,18 @@ class TestExitCodes:
         assert not out
         assert err.startswith("error: cannot parse matrix")
 
-    def test_internal_error_is_not_a_usage_error(self, monkeypatch):
+    def test_internal_error_is_not_a_usage_error(self, monkeypatch, capsys):
+        # exit 70, neither 1 (a failed check) nor 2 (a usage error)
         from ckkms import cli
 
         def broken(args, config):
-            raise TypeError("a bug in a handler")
+            raise RuntimeError("a bug in a handler")
 
         monkeypatch.setitem(cli._HANDLERS, "classify", broken)
-        with pytest.raises(TypeError, match="a bug in a handler"):
-            cli.main(["classify", "--vector", '["1/2","1/2"]'])
+        assert cli.main(["classify", "--vector", '["1/2","1/2"]']) == 70
+        out, err = capsys.readouterr()
+        assert not out
+        assert "Traceback" in err and "RuntimeError: a bug in a handler" in err
 
 
 class TestStateCommands:

@@ -20,6 +20,7 @@ from ckkms.intervals import (
 )
 
 fractions_small = st.fractions(min_value=-50, max_value=50, max_denominator=40)
+nonnegative_fractions = st.fractions(min_value=0, max_value=50, max_denominator=40)
 positive_fractions = st.fractions(
     min_value=Fraction(1, 40), max_value=50, max_denominator=40
 )
@@ -72,6 +73,16 @@ class TestArithmeticContainment:
         assert d.lo <= xa - xb <= d.hi
         p = ia * ib
         assert p.lo <= xa * xb <= p.hi
+
+    @given(st.one_of(intervals(), intervals(nonnegative_fractions)),
+           st.one_of(intervals(), intervals(nonnegative_fractions)))
+    @settings(max_examples=120, deadline=None)
+    def test_mul_is_the_four_product_hull(self, a, b):
+        # the nonnegative shortcut must give the same endpoints as the
+        # general signed formula
+        products = (a.lo * b.lo, a.lo * b.hi, a.hi * b.lo, a.hi * b.hi)
+        p = a * b
+        assert (p.lo, p.hi) == (min(products), max(products))
 
     @given(interval_with_point(),
            interval_with_point(elements=positive_fractions))

@@ -274,6 +274,11 @@ class TestRadiusVsOne:
     WORKS = (Q(1, 64 * 10**6), Q(1, 10**15))
 
     @staticmethod
+    def points(omega):
+        """The exact enclosures of float frequencies."""
+        return [scalars.refine(scalars.Flt(w), 1) for w in omega]
+
+    @staticmethod
     def beta_grid(rng, rows, omega):
         root = bisect_radius_beta(rows, omega)
         near = [root * (1 + s * 10.0**-k) for k in (3, 5, 7, 9, 11) for s in (-1, 1)]
@@ -286,11 +291,11 @@ class TestRadiusVsOne:
         for m in POOL:
             for _ in range(3):
                 omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
-                freq = perron.FrequencyVector(omega)
+                freqs = self.points(omega)
                 for beta in self.beta_grid(rng, m.rows, omega):
                     gap = np_radius(m.rows, omega, float(beta)) - 1
                     for work in self.WORKS:
-                        sign = perron._radius_vs_one(m, freq, beta, work)
+                        sign = perron._radius_vs_one(m, freqs, beta, work)
                         if abs(gap) > 1e-12:
                             assert sign in (0, 1 if gap > 0 else -1), (m, omega, beta)
                         if abs(gap) > 1e-6:
@@ -303,7 +308,7 @@ class TestRadiusVsOne:
         # rounds to 0, which still bounds the radius from below
         omega = (1.0, 60.0)
         assert np_radius(GOLDEN.rows, omega, 2.0) < 1
-        sign = perron._radius_vs_one(GOLDEN, perron.FrequencyVector(omega),
+        sign = perron._radius_vs_one(GOLDEN, self.points(omega),
                                      Fraction(2), Q(1, 10**15))
         assert sign == -1
 
@@ -311,7 +316,7 @@ class TestRadiusVsOne:
         # at beta = 0 the swap matrix has radius exactly 1: the bracket
         # collapses onto 2 and the sign test must not pick a side
         swap = ZeroOneMatrix(((0, 1), (1, 0)))
-        sign = perron._radius_vs_one(swap, perron.FrequencyVector((1.0, 2.5)),
+        sign = perron._radius_vs_one(swap, self.points((1.0, 2.5)),
                                      Fraction(0), Q(1, 10**15))
         assert sign == 0
 

@@ -115,6 +115,52 @@ class TestArithmetic:
         assert scalars.compare_rational(Rat(Q(1, 2)), Q(1, 2)) == 0
 
 
+def inv_sqrt2() -> Alg:
+    return scalars.make_algebraic([-1, 0, 2], Q(1, 2), Q(1))  # 2x^2 - 1
+
+
+class TestCollapse:
+    """A power that is rational modulo the defining polynomial collapses
+    whenever exponents combine: in mul, in make_power of a Product, in inv."""
+
+    def test_mul_collapses_combined_exponents(self):
+        r = inv_sqrt2()
+        assert scalars.mul(r, r) == Rat(Q(1, 2))
+        assert scalars.mul(scalars.make_power(r, 3), r) == Rat(Q(1, 4))
+        assert scalars.mul(Rat(3), r, r, r, scalars.inv(r)) == Rat(Q(3, 2))
+
+    def test_make_power_and_inv_collapse(self):
+        r = inv_sqrt2()
+        assert scalars.inv(scalars.make_power(r, 2)) == Rat(2)
+        assert scalars.make_power(scalars.mul(Rat(3), r), 2) == Rat(Q(9, 2))
+        assert scalars.make_power(scalars.mul(Rat(3), r), -4) == Rat(Q(4, 81))
+
+    def test_two_bases_keep_both_factors(self):
+        r, g = inv_sqrt2(), golden()
+        p = scalars.mul(scalars.make_power(r, 3), g, g)
+        assert isinstance(p, Product) and p.rational == 1
+        assert dict(p.factors) == {r: 3, g: 2}
+        q = scalars.mul(p, r)
+        assert isinstance(q, Product) and q.rational == Q(1, 4)
+        assert q.factors == ((g, 2),)
+        assert scalars.inv(p).factors == tuple((b, -e) for b, e in p.factors)
+
+
+class TestSameValue:
+    def test_products_a_hair_apart_differ(self):
+        g3 = scalars.make_power(golden(), 3)
+        near = scalars.mul(Rat(1 + Q(1, 10**45)), g3)
+        assert not scalars.same_value(g3, near)
+        assert not scalars.same_value(near, g3)
+        assert scalars.same_value(near, scalars.mul(Rat(1 + Q(1, 10**45)), g3))
+
+    def test_products_over_two_bases(self):
+        r, g = inv_sqrt2(), golden()
+        p = scalars.mul(r, g)
+        assert scalars.same_value(p, scalars.mul(g, r))
+        assert not scalars.same_value(p, scalars.mul(Rat(1 + Q(1, 10**45)), p))
+
+
 class TestLogRatio:
     def test_rational_pair(self):
         v = scalars.log_ratio_rational(Q(1, 4), Q(1, 2))

@@ -195,7 +195,61 @@ class TestTensorStateEval:
             assert scalars.to_fraction(lhs) == scalars.to_fraction(rhs)
 
 
+def reference_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9), seed=0):
+    """verify_tensor_identity as a plain loop that sends every monomial
+    through the two public evaluators, tensor_state_eval and eval_state."""
+    composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
+    ab = tensorops.kronecker_vector(spec_a.param.entries, spec_b.param.entries)
+    spec_ab = states.state_spec(
+        perron.ParamVector(composite, ab, "verified", tolerance),
+        precision=min(spec_a.precision, spec_b.precision, tolerance / 64),
+        independent_pf=True)
+    words = ckwords.enumerate_admissible(composite, max_len)
+    work = tolerance / 64
+
+    def residual(mono):
+        return states.residual_bound(
+            tensorops.tensor_state_eval(spec_a, spec_b, mono),
+            states.eval_state(spec_ab, mono), work)
+
+    diagonal = [residual(Monomial(J, J)) for J in words
+                if not J or ckwords.followers(composite, J, J)]
+    rng = random.Random(seed)
+    by_len = {}
+    for J in words:
+        by_len.setdefault(len(J), []).append(J)
+    lengths = [length for length in by_len if length > 0]
+    off = []
+    attempts = 0
+    while lengths and len(off) < tensorops.OFF_DIAGONAL_SAMPLES \
+            and attempts < tensorops.OFF_DIAGONAL_SAMPLES * 20:
+        attempts += 1
+        length = rng.choice(lengths)
+        J, K = rng.choice(by_len[length]), rng.choice(by_len[length])
+        if J != K and not ckwords.monomial_is_zero(composite, Monomial(J, K)):
+            off.append(residual(Monomial(J, K)))
+    return max(diagonal + off), len(diagonal), len(off)
+
+
 class TestVerifyTensorIdentity:
+    @pytest.mark.parametrize("a, omega_a, b, omega_b", [
+        (GOLDEN, (1, 2), CYCLE3, (1, 1, 2)),
+        (FULL2, (2, 1), GOLDEN, (1, 2)),
+        (FULL3, (1, 2, 1), FULL2, (1, 2)),
+    ])
+    def test_matches_reference_loop(self, a, omega_a, b, omega_b):
+        # both runs start from the same enclosure history, so the
+        # certified residuals must agree exactly, not just within tolerance
+        spec_a = states.state_spec(perron.solve_beta(a, omega_a).param)
+        spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
+        scalars._alg_bracket.cache_clear()
+        report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=2)
+        scalars._alg_bracket.cache_clear()
+        expected = reference_report(spec_a, spec_b, max_len=2)
+        assert (report.max_residual, report.diagonal_count,
+                report.off_diagonal_count) == expected
+        assert report.passed
+
     def test_full2_pair(self):
         pa = perron.in_lambda(FULL2, rat_vector(Q(1, 3), Q(2, 3)))
         pb = perron.in_lambda(FULL2, rat_vector(Q(1, 2), Q(1, 2)))
