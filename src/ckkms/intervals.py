@@ -14,7 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import DomainError, NumericalFailureError
-from math import isqrt
 
 Q = Fraction
 
@@ -123,19 +122,6 @@ class Interval:
 
     def __repr__(self) -> str:
         return f"Interval({self.lo}, {self.hi})"
-
-
-def sqrt_upper(x: Fraction) -> Fraction:
-    """A rational upper bound on sqrt(x) for x >= 0."""
-    x = _to_q(x)
-    if x < 0:
-        raise DomainError("sqrt of a negative rational")
-    if x == 0:
-        return Q(0)
-    # sqrt(p/q) = sqrt(p*q)/q <= (isqrt(p*q)+1)/q
-    p, q = x.numerator, x.denominator
-    return Q(isqrt(p * q) + 1, q)
-
 
 
 def _exp_series_01(t: Fraction, terms: int) -> Interval:

@@ -1,11 +1,16 @@
 """Perron-Frobenius data with rigorous two-sided error bounds.
 
 Power iteration runs on the shifted matrix M + I (primitive whenever M is
-irreducible, which kills the oscillation of periodic matrices) in exact
-rational arithmetic.  Collatz-Wielandt quotients evaluated on the interval
-matrix give a certified eigenvalue bracket at every step; the eigenvector
-enclosure comes from a Birkhoff projective-metric contraction bound, with
-all inequalities rounded outward in rational arithmetic.
+irreducible, which kills the oscillation of periodic matrices).  It starts
+from a float Perron vector of the midpoint matrix, made exact: any positive
+start vector keeps the certificates valid, so the floats only save exact
+steps.  Collatz-Wielandt quotients evaluated on the interval matrix give a
+certified eigenvalue bracket at every step, in rational arithmetic.  The
+eigenvector enclosure comes from a Birkhoff projective-metric contraction
+bound on the integer power (M + I)^(n-1), its bounds kept on a power-of-two
+grid and rounded outward; the enclosure is of the eigenvector of sum 1
+whatever the sum of the iterate, with endpoints rounded outward onto a
+power-of-two grid.
 
 The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
@@ -26,7 +31,7 @@ from math import gcd, lcm
 from . import polys, scalars
 from .errors import (DomainError, MembershipRejected, NumericalFailureError,
                      PreconditionError)
-from .intervals import Interval, Q, exp_neg_grid, log_interval_point, sqrt_upper
+from .intervals import Interval, Q, exp_neg_grid, log_interval_point
 from .matrix01 import ZeroOneMatrix, in_class_cdm, is_irreducible
 from .scalars import Alg, Enc, Flt, Rat, Scalar
 
@@ -135,6 +140,36 @@ def _ceil_bits(x: Fraction, bits: int) -> Fraction:
     return Q(-((-scaled.numerator) // scaled.denominator), 1 << bits)
 
 
+def _float_start(nmid):
+    """A positive start vector for both loops: float power iteration on the
+    midpoint matrix, stopped at relative change 1e-15 or after 2000 steps.
+    Each entry becomes the simplest fraction of denominator at most 2^20
+    within 2^-48 of it, relative, or else the float's exact value, so an
+    eigenvector with small denominators (the uniform vector of a matrix
+    with equal weighted row sums) is hit exactly.  Any positive vector
+    keeps the Collatz-Wielandt bracket and the Birkhoff bound valid, so the
+    float arithmetic only decides how many exact steps follow."""
+    n = len(nmid)
+    rows = [[(j, float(v)) for j, v in enumerate(row) if v] for row in nmid]
+    x = [1.0 / n] * n
+    for _ in range(2000):
+        y = [sum(v * x[j] for j, v in row) for row in rows]
+        total = sum(y)
+        y = [v / total for v in y]
+        settled = all(abs(b - c) <= 1e-15 * b for b, c in zip(y, x))
+        x = y
+        if settled:
+            break
+    start = []
+    for v in x:
+        if not v > 0:
+            start.append(Q(1, n))
+            continue
+        simple = Q(v).limit_denominator(1 << 20)
+        start.append(simple if abs(simple - v) <= v * 2.0**-48 else Q(v))
+    return start
+
+
 def _cw_iterate(nlo, nhi, x, target: Fraction, cap: int, max_den: int):
     """Collatz-Wielandt bracket refinement for the shifted matrix.
 
@@ -183,6 +218,14 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
     `a` holds one positive Scalar per row of the irreducible 0-1 matrix
     `matrix`, all ones when omitted.  `compute_vector=False` skips the
     eigenvector enclosure (the eigenvector field is then empty).
+
+    Both exact loops start from the float Perron vector of the midpoint
+    matrix, so at the default precision the Collatz-Wielandt bracket
+    usually meets its width in one step.  The Birkhoff bound runs on
+    integer bounds of (M + I)^(n-1) on a power-of-two grid.  Each
+    eigenvector entry is x_i/S scaled by the Birkhoff factor F^-1 and F,
+    S = sum(x), rounded outward onto a power-of-two grid; an exact
+    eigenvector gives exact points.
     """
     precision = Q(precision)
     if precision <= 0:
@@ -198,10 +241,10 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
     bits = max(64, precision.denominator.bit_length() + 48)
     max_den = 1 << bits
     entry_width = precision / (8 * n)
-    x = [Q(1, n)] * n
+    nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
+    x = _float_start(nmid)
     total_steps = 0
     while True:
-        nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
         bracket, x, ok, steps = _cw_iterate(
             nlo, nhi, x, precision, ITERATION_CAP - total_steps, max_den)
         total_steps += steps
@@ -214,6 +257,7 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
             raise NumericalFailureError(
                 "eigenvalue bracket is limited by fixed-width enclosure entries")
         entry_width /= 64
+        nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
 
     if not compute_vector:
         return PFData(bracket, (), total_steps)
@@ -226,50 +270,42 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
     return PFData(bracket, vector, total_steps)
 
 
-def _mat_mul_iv(alo, ahi, blo, bhi, bits: int):
-    # products are rounded outward to a fixed denominator grid so that
-    # repeated powers do not blow up the rational arithmetic
-    n = len(alo)
-    clo = [[Q(0)] * n for _ in range(n)]
-    chi = [[Q(0)] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            s_lo = Q(0)
-            s_hi = Q(0)
-            for k in range(n):
-                s_lo += alo[i][k] * blo[k][j]
-                s_hi += ahi[i][k] * bhi[k][j]
-            clo[i][j], chi[i][j] = _floor_bits(s_lo, bits), _ceil_bits(s_hi, bits)
-    return clo, chi
+def _positive_power(nlo, nhi, bits: int):
+    """Integer matrices blo <= 2^bits (M+I)^(n-1) <= bhi, entrywise.
+
+    nlo and nhi are rounded outward onto the grid 2^-bits once; each
+    integer product is shifted back onto it, floor for the lower bound and
+    ceil for the upper.
+    """
+    n = len(nlo)
+    one = 1 << bits
+    lo = [[math.floor(v * one) for v in row] for row in nlo]
+    hi = [[math.ceil(v * one) for v in row] for row in nhi]
+    blo, bhi = lo, hi
+    for _ in range(n - 2):
+        blo = [[sum(p * q for p, q in zip(row, col)) >> bits for col in zip(*lo)]
+               for row in blo]
+        bhi = [[-(-sum(p * q for p, q in zip(row, col)) >> bits) for col in zip(*hi)]
+               for row in bhi]
+    if any(v <= 0 for row in blo for v in row):
+        raise NumericalFailureError("(M+I)^(n-1) has no positive lower bound on the grid")
+    return blo, bhi
 
 
 def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
                            refinable, rebuild, width, bits):
     """Birkhoff bound: with B = (M+I)^(n-1) entrywise positive and upper
-    contraction ratio kappa, the projective distance from the iterate x to
-    the true eigenvector is at most d(x, Bx)/(1-kappa); normalization to
-    sum 1 turns that into the componentwise enclosure [x_i/F, x_i F]."""
-    n = len(x)
-
-    def positive_power():
-        blo, bhi = nlo, nhi
-        for _ in range(n - 2):
-            blo, bhi = _mat_mul_iv(blo, bhi, nlo, nhi, bits)
-        guard = 0
-        while any(blo[i][j] <= 0 for i in range(n) for j in range(n)):
-            blo, bhi = _mat_mul_iv(blo, bhi, nlo, nhi, bits)
-            guard += 1
-            if guard > 2 * n:
-                raise NumericalFailureError("failed to reach a positive matrix power")
-        return blo, bhi
-
-    blo, bhi = positive_power()
-    # cheap upper bound on the cross-ratio sup (B_ik B_jl)/(B_jk B_il); a
+    contraction ratio kappa, the projective distance u from the iterate x
+    to the true eigenvector v is at most d(x, Bx)/(1-kappa).  With
+    S = sum(x) and sum(v) = 1 the ratios v_i/x_i straddle 1/S and lie within
+    a factor e^u of each other, so v_i is in [x_i/(S F), x_i F/S] for
+    F = 1 + u + u^2 >= e^u; the endpoints are rounded outward onto a grid
+    2^-bits or finer, fine enough that every lower endpoint stays positive.
+    When u = 0, x is an exact eigenvector and the entries are exact points."""
+    blo, bhi = _positive_power(nlo, nhi, bits)
+    # the cross-ratio sup (B_ik B_jl)/(B_jk B_il) is at most (top/bot)^2; a
     # loose kappa only costs extra iterations, never correctness
-    top = max(v for row in bhi for v in row)
-    bot = min(v for row in blo for v in row)
-    phi = (top * top) / (bot * bot)
-    root = sqrt_upper(phi)
+    root = Q(max(v for row in bhi for v in row), min(v for row in blo for v in row))
     kappa = (root - 1) / (root + 1)
     denom = 1 - kappa
     best_u = None
@@ -279,10 +315,9 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
         steps += 1
         if steps > cap:
             break
-        wlo = _matvec(blo, x)
-        whi = _matvec(bhi, x)
-        ratio = max((x[i] * whi[j]) / (x[j] * wlo[i])
-                    for i in range(n) for j in range(n))
+        # max over i, j of (x_i (Bx)hi_j) / (x_j (Bx)lo_i)
+        ratio = (max(w / xi for w, xi in zip(_matvec(bhi, x), x))
+                 / min(w / xi for w, xi in zip(_matvec(blo, x), x)))
         u = (ratio - 1) / denom
         if u <= precision and u <= 1:
             break
@@ -294,10 +329,13 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
         if stall >= 10:
             if not refinable:
                 break
+            if width < Q(1, 1 << bits):
+                # entries narrower than the grid of B cannot lower u
+                raise NumericalFailureError(
+                    f"eigenvector enclosure stalled at projective distance {float(u):.3g}")
             width /= 64
-            nlo2, nhi2, nmid2 = rebuild(width)
-            nlo, nhi, nmid = nlo2, nhi2, nmid2
-            blo, bhi = positive_power()
+            nlo, nhi, nmid = rebuild(width)
+            blo, bhi = _positive_power(nlo, nhi, bits)
             stall = 0
             continue
         y = _matvec(nmid, x)
@@ -306,8 +344,13 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
     if u > 1:
         raise NumericalFailureError(
             f"eigenvector enclosure stalled at projective distance {float(u):.3g} > 1")
+    total = sum(x)
+    if u == 0:  # x is an exact eigenvector
+        return tuple(Interval.point(xi / total) for xi in x)
     factor = 1 + u + u * u  # >= e^u for u in [0, 1]
-    return tuple(Interval(xi / factor, xi * factor) for xi in x)
+    bits += math.floor(total / min(x)).bit_length()
+    return tuple(Interval(_floor_bits(xi / (total * factor), bits),
+                          _ceil_bits(xi * factor / total, bits)) for xi in x)
 
 
 # ---------------------------------------------------------------------------

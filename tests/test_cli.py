@@ -136,19 +136,32 @@ class TestExitCodes:
         assert doc["result"]["rejected"] is True
 
     def test_rejection_at_state_precision(self):
-        # a = (x, x) on the golden-mean matrix with x*phi = 1 + 1.01e-9:
-        # membership at the default tolerance 1e-9 accepts it, and the
-        # state's finer bracket rejects it
+        # a = (x, x) on the golden-mean matrix with x*phi = 1 + 1.01e-9 lies
+        # outside the default tolerance band 1e-9: membership and the state
+        # both reject it
         x = "14049599696622291542793555728/22732729814505021833868640139"
+        vector = json.dumps([x, x])
+        code, doc = run_json("membership", "--matrix", GOLDEN_MATRIX,
+                             "--vector", vector)
+        assert code == 1 and doc["result"]["member"] is False
+        assert "does not meet 1" in doc["result"]["reason"]
+        code, doc = run_json("state-eval", "--matrix", GOLDEN_MATRIX,
+                             "--vector", vector, "--word", "s1 s1*")
+        assert code == 1
+        assert doc["result"]["rejected"] is True
+        assert "does not meet 1" in doc["result"]["reason"]
+
+    def test_acceptance_just_inside_the_tolerance_band(self):
+        # x*phi = 1 + 0.99e-9, inside the band: both commands accept
+        x = "31657507358967470152371911737/51222922855198591341755188260"
         vector = json.dumps([x, x])
         code, doc = run_json("membership", "--matrix", GOLDEN_MATRIX,
                              "--vector", vector)
         assert code == 0 and doc["result"]["member"] is True
         code, doc = run_json("state-eval", "--matrix", GOLDEN_MATRIX,
                              "--vector", vector, "--word", "s1 s1*")
-        assert code == 1
-        assert doc["result"]["rejected"] is True
-        assert "does not meet 1" in doc["result"]["reason"]
+        assert code == 0
+        assert abs(float(doc["result"]["value"]["float"]) - 1 / PHI) < 1e-8
 
     def test_usage_error_bad_json(self):
         code, out, err = run_cli("classify", "--vector", "[not json")
@@ -390,3 +403,20 @@ class TestReproduceSuite:
         # the whole envelope is pinned byte for byte: a refactor that keeps
         # the verdicts but moves a printed bound or digit still fails here
         assert out == REPRODUCE_ENVELOPE.read_text(encoding="utf-8")
+
+    def test_regenerated_bounds_lie_inside_the_first_pinned_ones(self):
+        # the bounds these three checks printed when the envelope was first
+        # pinned; a regenerated envelope may narrow them, never leave them
+        from fractions import Fraction
+        checks = {c["id"]: c for c in json.loads(
+            REPRODUCE_ENVELOPE.read_text(encoding="utf-8"))["result"]["checks"]}
+        assert Fraction(checks["kms-golden-check"]["residual"]) <= \
+            Fraction("5.53359779399416e-13")
+        lo, hi = checks["state-eval-golden"]["value"]["enclosure"]
+        assert Fraction("0.23606797749974196942") <= Fraction(lo) <= \
+            Fraction(hi) <= Fraction("0.23606797749992597138")
+        for key, old_lo, old_hi in (("composite", "4356618/1346269", "7049156/2178309"),
+                                    ("product", "1664080/514229", "1346269/416020")):
+            new = checks["pfe-multiplicative"][key]
+            assert Fraction(old_lo) <= Fraction(new["lo"]) <= \
+                Fraction(new["hi"]) <= Fraction(old_hi)

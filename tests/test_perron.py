@@ -9,16 +9,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckkms import perron, scalars
 from ckkms.errors import (MembershipRejected, NumericalFailureError,
                           PreconditionError)
-from ckkms.matrix01 import ZeroOneMatrix, is_irreducible, is_nondegenerate
+from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
+                            kronecker_matrix)
 from ckkms.scalars import Q, Rat
 
 from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
 
 PHI = (1 + math.sqrt(5)) / 2
+POOL_AND_PRODUCTS = POOL + tuple(kronecker_matrix(a, b) for a in POOL for b in POOL)
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -125,6 +129,56 @@ class TestPfData:
             perron._eigenvector_enclosure(
                 nlo, nhi, nmid, [Q(1, 2), Q(1, 2)], Q(1, 10**12),
                 perron.ITERATION_CAP, 2**88, False, None, Q(1, 10**13), 104)
+
+    def test_hopeless_enclosure_raises_promptly(self):
+        # a 1e-30 entry makes (M+I)^2 so ill-conditioned that no iterate
+        # certifies the eigenvector, and the entries are exact, so narrowing
+        # them cannot help: this raises instead of running to ITERATION_CAP
+        a = (Rat(Q(1, 2)), Rat(Q(1, 10**30)), Rat(Q(1, 3)))
+        start = time.monotonic()
+        with pytest.raises(NumericalFailureError):
+            perron.pf_data(CYCLE3, a)
+        elapsed = time.monotonic() - start
+        assert elapsed < 10.0, f"pf_data took {elapsed:.2f}s to fail"
+
+    @pytest.mark.parametrize("matrix, a, x, perron_vector", [
+        # the exact Perron direction of F3, summing to 3/4
+        (FULL3, (1, 1, 1), [Q(1, 4)] * 3, [Q(1, 3)] * 3),
+        # near the Perron direction (1/3, 2/3) of diag(1/3, 2/3) F2, sum ~3/4
+        (FULL2, (Q(1, 3), Q(2, 3)), [Q(1, 4), Q(1, 2) + Q(1, 10**20)],
+         [Q(1, 3), Q(2, 3)]),
+    ])
+    def test_eigenvector_enclosure_normalises_the_iterate(self, matrix, a, x,
+                                                          perron_vector):
+        width = Q(1, 24 * 10**12)
+        nlo, nhi, nmid = perron._shifted_enclosure(
+            matrix, tuple(Rat(Q(v)) for v in a), width)
+        vector = perron._eigenvector_enclosure(
+            nlo, nhi, nmid, x, Q(1, 10**12), perron.ITERATION_CAP,
+            2**88, True, None, width, 104)
+        for entry, ref in zip(vector, perron_vector):
+            assert entry.lo <= ref <= entry.hi
+            assert entry.width <= Q(1, 10**11)
+
+    @given(st.sampled_from(POOL_AND_PRODUCTS),
+           st.lists(st.fractions(min_value=Fraction(1, 20), max_value=2,
+                                 max_denominator=40), min_size=9, max_size=9),
+           st.sampled_from([Q(1, 10**6), Q(1, 10**9), Q(1, 10**12)]))
+    @settings(max_examples=30, deadline=None)
+    def test_certificates_contain_numpy_and_sit_on_a_dyadic_grid(
+            self, matrix, weights, precision):
+        a = weights[:matrix.n]
+        data = perron.pf_data(matrix, tuple(Rat(w) for w in a), precision)
+        scaled = np.array(matrix.rows, dtype=float) * np.array(a, dtype=float)[:, None]
+        oracle_val, oracle_vec = np_perron(scaled)
+        assert data.eigenvalue.width <= precision
+        # slack for numpy's own rounding error, not for the certificate
+        assert data.eigenvalue.lo - 1e-12 <= oracle_val <= data.eigenvalue.hi + 1e-12
+        for entry, ref in zip(data.eigenvector, oracle_vec):
+            assert float(entry.lo) - 1e-10 <= ref <= float(entry.hi) + 1e-10
+            if entry.lo != entry.hi:  # exact points keep their own denominators
+                for end in (entry.lo, entry.hi):
+                    assert end.denominator & (end.denominator - 1) == 0
 
 
 class TestMembership:
