@@ -157,11 +157,10 @@ def _validate_open_unit(entries):
 
 
 def _classify_floats(values, denominator_bound: int) -> TypeLabel:
-    logs = [math.log(v) for v in values]
     warnings = []
     ratios = [Q(1)]
-    for v in logs[1:]:
-        verdict = log_ratio_rational(Flt(math.exp(v)), Flt(math.exp(logs[0])),
+    for v in values[1:]:
+        verdict = log_ratio_rational(Flt(v), Flt(values[0]),
                                      denominator_bound=denominator_bound)
         if verdict.kind != "rational":
             warnings.append(
@@ -169,20 +168,16 @@ def _classify_floats(values, denominator_bound: int) -> TypeLabel:
                 "entries as multiplicatively independent")
             return TypeLabel(scalars.ONE, "heuristic", None, tuple(warnings))
         ratios.append(verdict.ratio)
-    denom_lcm = 1
-    for r in ratios:
-        denom_lcm = denom_lcm * r.denominator // math.gcd(denom_lcm, r.denominator)
+    denom_lcm = math.lcm(*(r.denominator for r in ratios))
     exps = [int(r * denom_lcm) for r in ratios]
-    g = 0
-    for e in exps:
-        g = math.gcd(g, e)
+    g = math.gcd(*exps)
     exps = [e // g for e in exps]
     if any(e < 1 for e in exps) or max(exps) > FLOAT_EXPONENT_CAP:
         warnings.append(
             "inferred exponents are implausibly large for float evidence; "
             "treating the entries as multiplicatively independent")
         return TypeLabel(scalars.ONE, "heuristic", None, tuple(warnings))
-    lam = Flt(math.exp(logs[0] * g / denom_lcm))
+    lam = Flt(math.exp(math.log(values[0]) * g / denom_lcm))
     return TypeLabel(lam, "heuristic",
                      BaseDecomposition(lam, tuple(exps)), tuple(warnings))
 
@@ -192,9 +187,7 @@ def detect_lambda(a, denominator_bound: int = 10**6) -> TypeLabel:
     (0,1); exact for rational, power-form, and certified single-base mixed
     inputs, heuristic for floats."""
     if isinstance(a, PowerForm):
-        g = 0
-        for e in a.exponents:
-            g = math.gcd(g, e)
+        g = math.gcd(*a.exponents)
         lam = scalars.make_power(a.base, g)
         exps = tuple(e // g for e in a.exponents)
         return TypeLabel(lam, "exact", BaseDecomposition(lam, exps))

@@ -1,4 +1,4 @@
-"""Closed intervals with rational endpoints, plus rigorous exp/log/sqrt enclosures.
+"""Closed intervals with rational endpoints, plus rigorous exp/log enclosures.
 
 All endpoints are Fractions, so +, -, * and integer powers are exact; the
 transcendental enclosures use truncated series with explicit remainder
@@ -287,7 +287,7 @@ def log_interval_point(x: Fraction, precision: Fraction = Q(1, 10**15)) -> Inter
     while m < Q(2, 3):
         m *= 2
         k -= 1
-    u = (m - 1) / (m + 1)  # |u| <= 1/5 on [2/3, 4/3]... actually <= 1/7 and 1/5
+    u = (m - 1) / (m + 1)  # u in [-1/5, 1/7] for m in [2/3, 4/3]
     terms = 10
     while True:
         enc = _atanh_series(u, terms) * 2

@@ -24,7 +24,7 @@ power-of-two grid, rounded outward.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -45,6 +45,7 @@ class PFData:
     eigenvalue: Interval
     eigenvector: tuple  # tuple[Interval, ...], entries positive, sums to 1
     iterations: int
+    precision: Fraction  # the eigenvalue bracket is at most this wide
 
 
 @dataclass(frozen=True)
@@ -53,6 +54,7 @@ class ParamVector:
     entries: tuple  # tuple[Scalar, ...], each in (0,1)
     certificate: str  # "exact" | "verified"
     tolerance: Fraction | None = None
+    pf: PFData | None = field(default=None, compare=False, repr=False)  # from in_lambda
 
     def __post_init__(self):
         if len(self.entries) != self.matrix.n:
@@ -210,14 +212,13 @@ def _cw_iterate(nlo, nhi, x, target: Fraction, cap: int, max_den: int):
 # pf_data
 
 
-def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
-            compute_vector: bool = True) -> PFData:
+def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFData:
     """Certified Perron eigenvalue bracket (width <= precision) of
     (diag a) A and a positive eigenvector enclosure normalized to sum 1.
 
     `a` holds one positive Scalar per row of the irreducible 0-1 matrix
-    `matrix`, all ones when omitted.  `compute_vector=False` skips the
-    eigenvector enclosure (the eigenvector field is then empty).
+    `matrix`, all ones when omitted.  The result records `precision`, so
+    that states.state_spec can tell whether in_lambda's data fits.
 
     Both exact loops start from the float Perron vector of the midpoint
     matrix, so at the default precision the Collatz-Wielandt bracket
@@ -259,15 +260,13 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION,
         entry_width /= 64
         nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
 
-    if not compute_vector:
-        return PFData(bracket, (), total_steps)
     vec_width = entry_width if not refinable else min(entry_width, precision / (64 * n))
     if refinable:
         nlo, nhi, nmid = _shifted_enclosure(matrix, a, vec_width)
     vector = _eigenvector_enclosure(
         nlo, nhi, nmid, x, precision, ITERATION_CAP, max_den, refinable,
         lambda w: _shifted_enclosure(matrix, a, w), vec_width, bits + 16)
-    return PFData(bracket, vector, total_steps)
+    return PFData(bracket, vector, total_steps, precision)
 
 
 def _positive_power(nlo, nhi, bits: int):
@@ -357,40 +356,50 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
 # spectral membership and canonical parameters
 
 
-def _pf_on_manifold(matrix: ZeroOneMatrix, a, slack: Fraction, precision,
-                    compute_vector: bool = True) -> PFData:
-    """pf_data of (diag a) A, kept only when its eigenvalue bracket meets
-    [1 - slack, 1 + slack]; otherwise MembershipRejected carries the
-    bracket."""
-    data = pf_data(matrix, a, precision=precision, compute_vector=compute_vector)
-    if data.eigenvalue.intersects(Interval(1 - slack, 1 + slack)):
-        return data
+def _require_radius_one(radius: Interval, slack: Fraction) -> None:
+    """The membership band test: raise MembershipRejected carrying `radius`
+    unless that spectral radius enclosure meets [1 - slack, 1 + slack]."""
+    if radius.intersects(Interval(1 - slack, 1 + slack)):
+        return
+    if radius.lo == radius.hi:
+        raise MembershipRejected(f"spectral radius is exactly {radius.lo}, not 1", radius)
     raise MembershipRejected(
-        f"spectral radius enclosure [{data.eigenvalue.lo}, {data.eigenvalue.hi}] "
-        "does not meet 1", data.eigenvalue)
+        f"spectral radius enclosure [{radius.lo}, {radius.hi}] does not meet 1", radius)
 
 
 def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=Q(1, 10**9)) -> ParamVector:
     """Accept a parameter vector when the spectral radius of (diag a) A is 1
     within `tolerance`; rejection raises MembershipRejected carrying the
-    computed enclosure."""
+    computed enclosure.
+
+    A full matrix has radius sum(a), since (diag a) F_n a = sum(a) a,
+    whatever the entry type; each entry is refined to tolerance/(32n) and
+    no finer, as an algebraic entry keeps and later prints the narrowest
+    enclosure asked of it.  Any other matrix
+    takes one pf_data at min(DEFAULT_PRECISION, tolerance/4), eigenvector
+    included, and the returned ParamVector carries it as `pf`, which
+    states.state_spec reuses at that precision.
+    """
     tolerance = Q(tolerance)
+    if tolerance <= 0:
+        raise DomainError("tolerance must be positive")
     entries = tuple(scalars._as_scalar(v) for v in a_entries)
     if len(entries) != matrix.n:
         raise DomainError("parameter vector length must match the matrix size")
     for s in entries:
         if not scalars.in_open_unit_interval(s):
             raise DomainError("parameter entries must lie strictly between 0 and 1")
-    if matrix.is_full() and all(isinstance(s, Rat) for s in entries):
-        total = sum(s.value for s in entries)
-        enclosure = Interval.point(total)
-        if abs(total - 1) <= tolerance:
-            cert = "exact" if total == 1 else "verified"
-            return ParamVector(matrix, entries, cert, tolerance)
-        raise MembershipRejected(
-            f"spectral radius is exactly {total}, not 1", enclosure)
-    _pf_on_manifold(matrix, entries, tolerance, tolerance / 4, compute_vector=False)
-    return ParamVector(matrix, entries, "verified", tolerance)
+    if not matrix.is_full():
+        data = pf_data(matrix, entries, min(DEFAULT_PRECISION, tolerance / 4))
+        _require_radius_one(data.eigenvalue, tolerance)
+        return ParamVector(matrix, entries, "verified", tolerance, data)
+    radius = sum(scalars.refine(s, tolerance / (32 * matrix.n)) for s in entries)
+    if radius.width > tolerance / 4:
+        raise NumericalFailureError(
+            "eigenvalue bracket is limited by fixed-width enclosure entries")
+    _require_radius_one(radius, tolerance)
+    exact = radius == Interval.point(1) and all(isinstance(s, Rat) for s in entries)
+    return ParamVector(matrix, entries, "exact" if exact else "verified", tolerance)
 
 
 def pf_eigenvalue_scalar(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> Scalar:
@@ -488,9 +497,7 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
             raise DomainError("frequencies must be positive")
         scale_l = lcm(*[f.denominator for f in fracs])
         m = [int(f * scale_l) for f in fracs]
-        g = 0
-        for v in m:
-            g = gcd(g, v)
+        g = gcd(*m)
         reduced = [v // g for v in m]
         if sum(reduced) <= SOLVE_BETA_DEGREE_CAP:
             return _solve_beta_exact(matrix, reduced, Q(scale_l, g), precision)

@@ -9,7 +9,7 @@ scalar type (root isolation via Sturm chains) and the spectral solvers
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Q = Fraction
 Poly = list  # list[Fraction | int], constant-first
@@ -99,13 +99,9 @@ def content_primitive(p: Poly) -> tuple[Fraction, Poly]:
     if not p:
         return Q(0), []
     fracs = [Q(c) for c in p]
-    den = 1
-    for c in fracs:
-        den = den * c.denominator // gcd(den, c.denominator)
+    den = lcm(*(c.denominator for c in fracs))
     ints = [int(c * den) for c in fracs]
-    g = 0
-    for c in ints:
-        g = gcd(g, abs(c))
+    g = gcd(*ints)
     ints = [c // g for c in ints]
     sign = 1
     if ints[-1] < 0:

@@ -453,9 +453,7 @@ def _parallel_lattice(rows: list[list[int]]) -> tuple[list[int], list[int]] | No
     ref = next((r for r in rows if any(r)), None)
     if ref is None:
         return None
-    g = 0
-    for e in ref:
-        g = gcd(g, abs(e))
+    g = gcd(*ref)
     prim = [e // g for e in ref]
     j0 = next(j for j, e in enumerate(prim) if e)
     mults = []

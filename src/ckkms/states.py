@@ -13,13 +13,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import ckwords, scalars
+from . import ckwords, perron, scalars
 from .ckwords import Monomial
 from .errors import DimensionError, DomainError, PreconditionError
 from .intervals import Interval, Q, exp_interval
 from .matrix01 import ZeroOneMatrix
 from .perron import (DEFAULT_PRECISION, BetaSolution, FrequencyVector,
-                     ParamVector, _pf_on_manifold)
+                     ParamVector, _require_radius_one)
 from .scalars import Enc, Rat, Scalar
 
 
@@ -43,20 +43,22 @@ def state_spec(param: ParamVector, precision=DEFAULT_PRECISION,
     Full matrices admit the exact eigenvector x = a (row i of (diag a) F_n
     applied to a gives a_i * sum(a) = a_i); `independent_pf` forces the
     power-iteration path anyway, which verification oracles use to keep the
-    two sides of an identity independent.  On that path a bracket that
-    misses 1 by more than the parameter's tolerance raises
-    MembershipRejected.
+    two sides of an identity independent.  On that path the eigendata is
+    the pf_data that in_lambda decided the parameter with when it was
+    computed at `precision`; otherwise one pf_data runs at `precision`, and
+    a bracket that misses 1 by more than the parameter's tolerance (8 *
+    precision without one) raises MembershipRejected.
     """
     precision = Q(precision)
     matrix = param.matrix
     if matrix.is_full() and not independent_pf:
         enclosures = tuple(scalars.refine(s, precision) for s in param.entries)
-        total_lo = sum(iv.lo for iv in enclosures)
-        total_hi = sum(iv.hi for iv in enclosures)
-        return StateSpec(param, Interval(total_lo, total_hi), enclosures,
-                         param.entries, precision)
-    slack = param.tolerance if param.tolerance is not None else precision * 8
-    data = _pf_on_manifold(matrix, param.entries, slack, precision)
+        return StateSpec(param, sum(enclosures), enclosures, param.entries, precision)
+    data = param.pf
+    if data is None or data.precision != precision:
+        data = perron.pf_data(matrix, param.entries, precision)
+        slack = param.tolerance if param.tolerance is not None else precision * 8
+        _require_radius_one(data.eigenvalue, slack)
     return StateSpec(param, data.eigenvalue, data.eigenvector, None, precision)
 
 

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ckkms import perron, scalars
-from ckkms.errors import (MembershipRejected, NumericalFailureError,
+from ckkms.errors import (DomainError, MembershipRejected, NumericalFailureError,
                           PreconditionError)
 from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
                             kronecker_matrix)
@@ -208,6 +208,40 @@ class TestMembership:
             perron.in_lambda(FULL2, (Rat(Q(1, 2)),))  # wrong arity
         with pytest.raises(Exception):
             perron.in_lambda(FULL2, (Rat(Q(3, 2)), Rat(Q(1, 2))))  # outside (0,1)
+
+    @pytest.mark.parametrize("tolerance", [0, Q(-1, 10**9)])
+    def test_nonpositive_tolerance_is_a_domain_error(self, tolerance):
+        # both paths: the entry sum on a full matrix, pf_data on the other
+        golden = perron.canonical_point(GOLDEN).entries
+        for matrix, entries in ((FULL2, (Rat(Q(1, 2)),) * 2), (GOLDEN, golden)):
+            with pytest.raises(DomainError, match="tolerance must be positive"):
+                perron.in_lambda(matrix, entries, tolerance=tolerance)
+
+    def test_full_matrix_radius_is_the_entry_sum(self):
+        # a = (g, g^3) with g = 1/phi: the radius g + g^3 = 3g - 1 is the
+        # positive root of r^2 + 5r - 5
+        g = scalars.make_algebraic([-1, 1, 1], Q(0), Q(1))
+        with pytest.raises(MembershipRejected) as info:
+            perron.in_lambda(FULL2, (g, scalars.make_power(g, 3)))
+        enc = info.value.enclosure
+        assert enc.lo**2 + 5 * enc.lo - 5 <= 0 <= enc.hi**2 + 5 * enc.hi - 5
+        assert enc.width <= Q(1, 4 * 10**9)
+
+    def test_tight_tolerance_is_decided_at_its_own_precision(self):
+        # a = (x, x) on the golden-mean matrix with x * phi = 1 + 2e-13 lies
+        # outside the band, and with 1 + 0.5e-13 inside it; the float value
+        # of sqrt 5 is off by far less than either margin
+        def golden_vector(radius):
+            x = Rat(Q(2) / (1 + Q(math.sqrt(5))) * radius)
+            return (x, x)
+
+        tolerance = Q(1, 10**13)
+        with pytest.raises(MembershipRejected) as info:
+            perron.in_lambda(GOLDEN, golden_vector(1 + Q(2, 10**13)), tolerance)
+        assert info.value.enclosure.lo > 1 + tolerance
+        param = perron.in_lambda(GOLDEN, golden_vector(1 + Q(1, 2 * 10**13)), tolerance)
+        assert param.pf.precision == tolerance / 4
+        assert param.pf.eigenvalue.width <= tolerance / 4
 
 
 class TestCanonicalPoint:

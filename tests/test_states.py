@@ -1,6 +1,7 @@
 """State evaluation, gauge scaling, and the equilibrium-condition check,
 cross-checked against closed forms and a numpy eigenvector oracle."""
 
+import dataclasses
 import math
 import random
 from fractions import Fraction
@@ -181,6 +182,49 @@ class TestStateSpecInvariants:
             9 * bracket.hi**2 - 3 * bracket.hi - 1
         assert 0 < bracket.lo and bracket.hi < 1
         assert "does not meet 1" in str(info.value)
+
+
+class TestMembershipCertificate:
+    """state_spec reuses the pf_data that in_lambda decided membership with."""
+
+    @staticmethod
+    def pf_data_calls(monkeypatch) -> list:
+        calls = []
+        inner = perron.pf_data
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(perron, "pf_data", counting)
+        return calls
+
+    def test_one_perron_computation_per_state(self, monkeypatch):
+        golden = perron.canonical_point(GOLDEN).entries
+        full = (golden[0], scalars.make_power(golden[0], 2))  # g + g^2 = 1
+        calls = self.pf_data_calls(monkeypatch)
+        states.state_spec(perron.in_lambda(GOLDEN, golden))
+        assert len(calls) == 1
+        states.state_spec(perron.in_lambda(FULL2, full))
+        assert len(calls) == 1
+
+    def test_reused_certificate_matches_a_fresh_computation(self, monkeypatch):
+        entries = perron.canonical_point(GOLDEN).entries
+        tolerance = Q(1, 10**9)
+        # both sides start from one enclosure history of the algebraic entries
+        scalars._alg_bracket.cache_clear()
+        param = perron.in_lambda(GOLDEN, entries, tolerance)
+        reused = states.state_spec(param)
+        scalars._alg_bracket.cache_clear()
+        fresh = states.state_spec(
+            perron.ParamVector(GOLDEN, entries, "verified", tolerance))
+        for field in dataclasses.fields(states.StateSpec):
+            assert getattr(reused, field.name) == getattr(fresh, field.name), field.name
+        calls = self.pf_data_calls(monkeypatch)
+        finer = states.state_spec(param, precision=Q(1, 10**15))
+        assert len(calls) == 1
+        assert finer.precision == Q(1, 10**15)
+        assert finer.eigenvalue.width <= Q(1, 10**15)
 
 
 class TestGaugeFactor:
