@@ -273,7 +273,9 @@ def _ln2_enclosure(terms: int) -> Interval:
 
 
 def log_interval_point(x: Fraction, precision: Fraction = Q(1, 10**15)) -> Interval:
-    """Rigorous enclosure of ln(x) for a positive rational x."""
+    """Rigorous enclosure of ln(x) for a positive rational x, of width at
+    most `precision`; NumericalFailureError when 500 series terms do not
+    reach that width."""
     x = _to_q(x)
     precision = _to_q(precision)
     if x <= 0:
@@ -297,7 +299,9 @@ def log_interval_point(x: Fraction, precision: Fraction = Q(1, 10**15)) -> Inter
             return enc
         terms += 10
         if terms > 500:
-            return enc
+            raise NumericalFailureError(
+                f"log enclosure of width {float(precision):.3g} at "
+                f"x = {float(x):.6g} needs more than 500 series terms")
 
 
 def log_interval(x: Interval, precision: Fraction = Q(1, 10**15)) -> Interval:

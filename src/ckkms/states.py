@@ -5,7 +5,8 @@ A state is determined by its parameter vector a and the eigenvector x of
 |J| = m the value is a_{j_1} ... a_{j_{m-1}} x_{j_m}; off the diagonal the
 value is 0.  For full matrices x = a exactly, so those states evaluate in
 exact arithmetic; otherwise the eigenvector is carried as a certified
-interval enclosure.
+interval enclosure.  diagonal_table encloses the diagonal values of many
+words at once, one interval product per word.
 """
 
 from __future__ import annotations
@@ -85,6 +86,39 @@ def eval_monomial(spec: StateSpec, mono: Monomial) -> Scalar:
     else:
         x_last = Enc(spec.eigenvector[last])
     return scalars.mul(*(spec.param.entries[j - 1] for j in J[:-1]), x_last)
+
+
+# The width to which scalars.mul refines an exact operand of an enclosure
+# product: a table entry of a non-full state multiplies the same operands,
+# in the same order, as eval_monomial does for its word.
+ENCLOSURE_WIDTH = Q(1, 10**18)
+
+
+def diagonal_table(spec: StateSpec, words) -> dict:
+    """Enclosures of rho_a(s_J s_J*) for the unit and the admissible words
+    J of `words`, keyed by J; `words` lists every prefix of a word before
+    the word, as ckwords.enumerate_admissible does.
+
+    Each parameter entry, and each entry of an exact eigenvector, is refined
+    once to ENCLOSURE_WIDTH; a power-iteration eigenvector is used as it is.
+    The prefix product a_{j_1} ... a_{j_m} of a word is that of its parent
+    times one entry, and the value is the parent's prefix times x_{j_m}.
+    Every entry contains the positive value eval_monomial gives exactly or
+    encloses, so distances between entries bound distances between values.
+    """
+    entries = [scalars.refine(a, ENCLOSURE_WIDTH) for a in spec.param.entries]
+    if spec.exact_vector is None:
+        x = spec.eigenvector
+    else:
+        x = [scalars.refine(v, ENCLOSURE_WIDTH) for v in spec.exact_vector]
+    prefix = {(): Interval.point(1)}
+    table = dict(prefix)
+    for J in words:
+        if J:
+            head = prefix[J[:-1]]
+            prefix[J] = head * entries[J[-1] - 1]
+            table[J] = head * x[J[-1] - 1]
+    return table
 
 
 def eval_state(spec: StateSpec, x) -> Scalar:

@@ -8,7 +8,11 @@ evaluations of the split monomials.
 
 The homomorphism verifier compares that tensor evaluation against the state
 of the Kronecker parameter vector over the Kronecker matrix, with the
-composite eigenvector recomputed independently by power iteration.
+composite eigenvector recomputed independently by power iteration.  On the
+diagonal it reads both sides from per-state tables of value enclosures
+(states.diagonal_table), built once per call by prefix products along the
+admissible words; a seeded sample of off-diagonal monomials goes through
+tensor_state_eval and eval_state.
 """
 
 from __future__ import annotations
@@ -115,11 +119,19 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
     parameter over the Kronecker matrix.
 
     Every admissible diagonal monomial s_J s_J* with |J| <= max_len is
-    evaluated on both sides.  Monomials with J != K vanish on both sides
-    structurally (the split of unequal sequences differs in some factor, and
-    states vanish off the diagonal); a seeded sample of such pairs is pushed
-    through both evaluators to confirm the zeros rather than trusting the
-    argument.
+    checked on enclosures from states.diagonal_table: one table per factor
+    state over its words of length <= max_len, one for the composite state
+    over the composite words.  The tensor side of s_J s_J* is the product
+    of the factor entries of the two halves of J, split letter by letter,
+    and its distance bound to the composite entry is the residual.  Every
+    entry contains its true value, so max_residual bounds
+    |rho_a tensor rho_b - rho_{a kron b}| on every checked monomial.
+
+    Monomials with J != K vanish on both sides structurally (the split of
+    unequal sequences differs in some factor, and states vanish off the
+    diagonal); a seeded sample of such pairs is pushed through
+    tensor_state_eval and eval_state to confirm the zeros rather than
+    trusting the argument.
 
     The composite state takes one power iteration on the Kronecker matrix;
     when its eigenvalue bracket misses 1 +- `tolerance` that raises
@@ -134,30 +146,24 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
                          independent_pf=True)
     split = IndexSplit(spec_a.matrix.n, spec_b.matrix.n)
     words = ckwords.enumerate_admissible(composite, max_len, ENUMERATION_CAP)
-    work = tolerance / 64
+    table_a = states.diagonal_table(
+        spec_a, ckwords.enumerate_admissible(spec_a.matrix, max_len))
+    table_b = states.diagonal_table(
+        spec_b, ckwords.enumerate_admissible(spec_b.matrix, max_len))
+    table_ab = states.diagonal_table(spec_ab, words)
+    halves = {u: split.split_index(u) for u in range(1, split.size + 1)}
     max_residual = Q(0)
     diagonal = 0
-    # a factor word recurs under many composite words; evaluate it once
-    values_a, values_b = {}, {}
     for J in words:
-        mono = Monomial(J, J)
         if J and not ckwords.followers(composite, J, J):
             continue
-        # what tensor_state_eval and eval_state give for this one monomial
-        first, second = embed_monomial(split, mono)
-        va = values_a.get(first.J)
-        if va is None:
-            va = values_a[first.J] = states.eval_monomial(spec_a, first)
-        vb = values_b.get(second.J)
-        if vb is None:
-            vb = values_b[second.J] = states.eval_monomial(spec_b, second)
-        zero = any(isinstance(v, Rat) and v.value == 0 for v in (va, vb))
-        lhs = scalars.ZERO if zero else scalars.mul(va, vb)
-        rhs = states.eval_monomial(spec_ab, mono)
-        gap = states.residual_bound(lhs, rhs, work)
+        first = tuple(halves[u][0] for u in J)
+        second = tuple(halves[u][1] for u in J)
+        gap = (table_a[first] * table_b[second]).distance_sup(table_ab[J])
         diagonal += 1
         if gap > max_residual:
             max_residual = gap
+    work = tolerance / 64
     rng = random.Random(seed)
     by_len = {}
     for J in words:

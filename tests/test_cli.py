@@ -361,6 +361,17 @@ class TestOutputOptions:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["lambda"] == "1/2"
 
+    def test_readme_library_quick_start(self, tmp_path):
+        # the README's Python block runs as written against src/
+        text = (SOURCE_ROOT.parent / "README.md").read_text(encoding="utf-8")
+        section = text.split("## Library quick start", 1)[1]
+        code = section.split("```python\n", 1)[1].split("```", 1)[0]
+        assert "verify_tensor_identity" in code
+        proc = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                              capture_output=True, text=True, timeout=300,
+                              env=cli_env())
+        assert proc.returncode == 0, proc.stderr
+
 
 class TestOtherCommands:
     def test_iii1_family(self):

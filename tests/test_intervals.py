@@ -165,6 +165,11 @@ class TestExpLog:
         with pytest.raises(NumericalFailureError):
             exp_interval_point(1, Fraction(1, 10**2000))
 
+    def test_unreachable_log_width_raises(self):
+        # 500 atanh terms at u = -3/17 leave ln(7/10) about 3.4e-757 wide
+        with pytest.raises(NumericalFailureError):
+            log_interval_point(Fraction(7, 10), Fraction(1, 10**1000))
+
     def test_point_interval_takes_one_point_enclosure(self, monkeypatch):
         calls = []
 

@@ -13,10 +13,11 @@ from ckkms import ckwords, perron, scalars, states
 from ckkms.ckwords import Monomial
 from ckkms.errors import (DimensionError, DomainError, MembershipRejected,
                           PreconditionError)
+from ckkms.intervals import Interval
 from ckkms.matrix01 import ZeroOneMatrix
 from ckkms.scalars import Flt, Q, Rat
 
-from conftest import FULL2, FULL3, GOLDEN, random_positive_rationals
+from conftest import CYCLE3, FULL2, FULL3, GOLDEN, random_positive_rationals
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -152,6 +153,31 @@ class TestEvalState:
             a = states.eval_monomial(fast, Monomial(J, J))
             b = states.eval_monomial(slow, Monomial(J, J))
             assert states.residual_bound(a, b) < Q(1, 10**10)
+
+
+class TestDiagonalTable:
+    """diagonal_table against eval_monomial, word by word."""
+
+    @pytest.mark.parametrize("matrix, omega", [
+        (FULL2, (1, 2)), (FULL3, (2, 1, 1)), (GOLDEN, (1, 2)),
+        (CYCLE3, (1, 1, 2)),
+    ])
+    def test_entries_enclose_eval_monomial(self, matrix, omega):
+        spec = states.state_spec(perron.solve_beta(matrix, omega).param)
+        words = ckwords.enumerate_admissible(matrix, 3)
+        table = states.diagonal_table(spec, words)
+        assert list(table) == words
+        assert table[()] == Interval.point(1)
+        for J in words:
+            value = states.eval_monomial(spec, Monomial(J, J))
+            deep = scalars.refine(value, Q(1, 10**30))
+            entry = table[J]
+            if scalars.is_exact(value):
+                # full matrices evaluate exactly: the entry holds the value
+                assert entry.lo <= deep.lo and deep.hi <= entry.hi, J
+            else:
+                assert entry.intersects(deep), J
+            assert entry.lo > 0 and entry.width <= Q(1, 10**11), J
 
 
 class TestStateSpecInvariants:

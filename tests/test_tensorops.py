@@ -2,6 +2,7 @@
 homomorphism verifier, and combined gauge frequencies, cross-checked against
 numpy's kron and exact rational evaluation."""
 
+import dataclasses
 import math
 import random
 
@@ -231,24 +232,54 @@ def reference_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9), seed=0):
     return max(diagonal + off), len(diagonal), len(off)
 
 
+EDGE_PAIRS = ((FULL2, FULL2), (GOLDEN, CYCLE3), (FULL3, GOLDEN))
+
+
+def record_tables(monkeypatch) -> list:
+    """(spec, table) for every diagonal_table call, in call order: the
+    verifier builds the two factor tables, then the composite one."""
+    calls = []
+    inner = states.diagonal_table
+
+    def recording(spec, words):
+        calls.append((spec, inner(spec, words)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(states, "diagonal_table", recording)
+    return calls
+
+
 class TestVerifyTensorIdentity:
     @pytest.mark.parametrize("a, omega_a, b, omega_b", [
         (GOLDEN, (1, 2), CYCLE3, (1, 1, 2)),
         (FULL2, (2, 1), GOLDEN, (1, 2)),
         (FULL3, (1, 2, 1), FULL2, (1, 2)),
     ])
-    def test_matches_reference_loop(self, a, omega_a, b, omega_b):
-        # both runs start from the same enclosure history, so the
-        # certified residuals must agree exactly, not just within tolerance
+    def test_matches_reference_loop(self, a, omega_a, b, omega_b, monkeypatch):
+        # Enclosures depend on the order in which exact values were refined
+        # before, so the two residual bounds differ in their last digits;
+        # the counts and verdicts agree, and every diagonal enclosure the
+        # verifier compares meets the value the public evaluators give.
         spec_a = states.state_spec(perron.solve_beta(a, omega_a).param)
         spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
-        scalars._alg_bracket.cache_clear()
+        tables = record_tables(monkeypatch)
         report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=2)
-        scalars._alg_bracket.cache_clear()
-        expected = reference_report(spec_a, spec_b, max_len=2)
-        assert (report.max_residual, report.diagonal_count,
-                report.off_diagonal_count) == expected
-        assert report.passed
+        residual, diagonal, off = reference_report(spec_a, spec_b, max_len=2)
+        assert (report.diagonal_count, report.off_diagonal_count) == (diagonal, off)
+        assert report.passed and residual <= report.tolerance
+
+        (_, table_a), (_, table_b), (spec_ab, table_ab) = tables
+        assert len(table_ab) == report.diagonal_count
+        split = IndexSplit(a.n, b.n)
+        deep = Q(1, 10**30)
+        for J in table_ab:
+            mono = Monomial(J, J)
+            first, second = tensorops.embed_monomial(split, mono)
+            lhs = table_a[first.J] * table_b[second.J]
+            assert lhs.intersects(scalars.refine(
+                tensorops.tensor_state_eval(spec_a, spec_b, mono), deep)), J
+            assert table_ab[J].intersects(scalars.refine(
+                states.eval_state(spec_ab, mono), deep)), J
 
     def test_full2_pair(self):
         pa = perron.in_lambda(FULL2, rat_vector(Q(1, 3), Q(2, 3)))
@@ -281,9 +312,52 @@ class TestVerifyTensorIdentity:
         assert report.passed
 
     def test_max_len_zero(self):
-        report = tensorops.verify_tensor_identity(spec_for(FULL2),
-                                                  spec_for(FULL2), max_len=0)
-        assert report.passed and report.diagonal_count == 1
+        # only the unit is checked, and no off-diagonal pair has a length
+        for a, b in EDGE_PAIRS:
+            report = tensorops.verify_tensor_identity(spec_for(a), spec_for(b),
+                                                      max_len=0)
+            assert report.passed
+            assert (report.diagonal_count, report.off_diagonal_count,
+                    report.max_residual) == (1, 0, 0)
+
+    def test_max_len_one(self):
+        for a, b in EDGE_PAIRS:
+            spec_a, spec_b = spec_for(a), spec_for(b)
+            report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=1)
+            _, diagonal, off = reference_report(spec_a, spec_b, max_len=1)
+            assert report.passed and report.max_residual <= Q(1, 10**12)
+            assert report.diagonal_count == diagonal == 1 + a.n * b.n
+            assert report.off_diagonal_count == off == \
+                tensorops.OFF_DIAGONAL_SAMPLES
+
+    def test_swapped_composite_eigenvector_fails(self, monkeypatch):
+        # two unequal entries of the composite eigenvector trade places
+        inner = tensorops.state_spec
+
+        def swapped(*args, **kwargs):
+            spec = inner(*args, **kwargs)
+            x = list(spec.eigenvector)
+            i, j = next((i, j) for i in range(len(x)) for j in range(i)
+                        if not x[i].intersects(x[j]))
+            x[i], x[j] = x[j], x[i]
+            return dataclasses.replace(spec, eigenvector=tuple(x))
+
+        monkeypatch.setattr(tensorops, "state_spec", swapped)
+        report = tensorops.verify_tensor_identity(spec_for(GOLDEN),
+                                                  spec_for(CYCLE3), max_len=2)
+        assert report.passed is False
+
+    def test_factor_table_of_the_wrong_state_fails(self, monkeypatch):
+        # the first factor's table comes from another state on its matrix
+        right = states.state_spec(perron.solve_beta(FULL2, (1, 2)).param)
+        wrong = spec_for(FULL2)
+        inner = states.diagonal_table
+        monkeypatch.setattr(
+            states, "diagonal_table",
+            lambda spec, words: inner(wrong if spec is right else spec, words))
+        report = tensorops.verify_tensor_identity(right, spec_for(GOLDEN),
+                                                  max_len=2)
+        assert report.passed is False
 
     def test_both_orders_pass_independently(self):
         pa = perron.in_lambda(FULL2, rat_vector(Q(1, 5), Q(4, 5)))
