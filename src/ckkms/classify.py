@@ -21,12 +21,12 @@ from fractions import Fraction
 from . import scalars
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .intervals import Q, exp_interval
+from .matrix01 import DEFAULT_DIMENSION_CAP
 from .perron import DEFAULT_PRECISION, solve_beta
 from .scalars import (Alg, BaseDecomposition, Enc, Flt, Rat, Scalar,
                       log_ratio_rational)
 from .tensorops import kronecker_vector
 
-DIMENSION_CAP = 4096
 FLOAT_EXPONENT_CAP = 64
 
 
@@ -231,7 +231,7 @@ def tensor_type(a, b, denominator_bound: int = 10**6) -> TypeLabel:
 
 
 def power_type_direct(a, k: int, denominator_bound: int = 10**6,
-                      dimension_cap: int = DIMENSION_CAP) -> TypeLabel:
+                      dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TypeLabel:
     """lambda of the k-fold Kronecker power of a."""
     k = int(k)
     if k < 1:

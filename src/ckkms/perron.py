@@ -7,10 +7,9 @@ start vector keeps the certificates valid, so the floats only save exact
 steps.  Collatz-Wielandt quotients evaluated on the interval matrix give a
 certified eigenvalue bracket at every step, in rational arithmetic.  The
 eigenvector enclosure comes from a Birkhoff projective-metric contraction
-bound on the integer power (M + I)^(n-1), its bounds kept on a power-of-two
-grid and rounded outward; the enclosure is of the eigenvector of sum 1
-whatever the sum of the iterate, with endpoints rounded outward onto a
-power-of-two grid.
+bound on the integer power (M + I)^(n-1); its bounds, and the endpoints of
+the enclosure, are rounded outward onto power-of-two grids.  The enclosure
+is of the eigenvector of sum 1 whatever the sum of the iterate.
 
 The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
@@ -18,7 +17,9 @@ a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
 no eigenvalue can reach 1 earlier.  Other frequency vectors take a bisection
 whose sign test runs the Collatz-Wielandt iteration on integers over a
-power-of-two grid, rounded outward.
+power-of-two grid, rounded outward.  The canonical point (1/c_A, ..., 1/c_A)
+is the exact parameter for unit frequencies: its entry is the smallest root
+of det(tA - I) in (0,1), and beta = log c_A.
 """
 
 from __future__ import annotations
@@ -30,10 +31,10 @@ from math import gcd, lcm
 
 from . import polys, scalars
 from .errors import (DomainError, MembershipRejected, NumericalFailureError,
-                     PreconditionError)
+                     PreconditionError, ResourceLimitError)
 from .intervals import Interval, Q, exp_neg_grid, log_interval_point
 from .matrix01 import ZeroOneMatrix, in_class_cdm, is_irreducible
-from .scalars import Alg, Enc, Flt, Rat, Scalar
+from .scalars import Enc, Flt, Rat, Scalar
 
 DEFAULT_PRECISION = Q(1, 10**12)
 ITERATION_CAP = 10**5
@@ -71,7 +72,11 @@ class FrequencyVector:
         entries = tuple(scalars._as_scalar(e) for e in self.entries)
         object.__setattr__(self, "entries", entries)
         for e in entries:
-            if isinstance(e, (Rat, Flt)) and scalars.to_float(e) <= 0:
+            if isinstance(e, Enc):
+                positive = e.interval.lo > 0
+            else:
+                positive = scalars.compare_rational(e, 0) > 0
+            if not positive:
                 raise DomainError("frequencies must be positive")
 
     def is_rational(self) -> bool:
@@ -402,41 +407,15 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=Q(1, 10**9)) -> ParamV
     return ParamVector(matrix, entries, "exact" if exact else "verified", tolerance)
 
 
-def pf_eigenvalue_scalar(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> Scalar:
-    """The spectral radius of a 0-1 matrix as an exact algebraic scalar."""
-    char = polys.charpoly([list(r) for r in matrix.rows])
-    sf = polys.squarefree_part(char)
-    prec = min(Q(precision), Q(1, 10**6))
-    for _ in range(12):
-        data = pf_data(matrix, precision=prec)
-        lo, hi = data.eigenvalue.lo, data.eigenvalue.hi
-        pad = (hi - lo) or prec
-        lo, hi = lo - pad / 7, hi + pad / 7
-        if polys.eval_at(sf, lo) != 0 and polys.eval_at(sf, hi) != 0 and \
-                polys.count_roots(sf, lo, hi) == 1:
-            return scalars.make_algebraic(char, lo, hi)
-        prec /= 256
-    raise NumericalFailureError("could not isolate the spectral radius")
-
-
-def reciprocal_scalar(s: Scalar) -> Scalar:
-    """1/s, keeping algebraic numbers algebraic via coefficient reversal."""
-    if isinstance(s, Rat):
-        return Rat(1 / s.value)
-    if isinstance(s, Alg):
-        rev = list(reversed(list(s.poly)))
-        iv = Interval(s.lo, s.hi).reciprocal()
-        return scalars.make_algebraic(rev, iv.lo, iv.hi)
-    return scalars.inv(s)
-
-
 def canonical_point(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> ParamVector:
-    """The constant vector (1/c_A, ..., 1/c_A); exact by construction."""
-    c = pf_eigenvalue_scalar(matrix, precision)
-    if isinstance(c, Rat) and c.value == 1:
-        raise DomainError("spectral radius 1 puts the canonical point on the boundary")
-    entry = reciprocal_scalar(c)
-    return ParamVector(matrix, tuple([entry] * matrix.n), "exact")
+    """The constant vector (1/c_A, ..., 1/c_A), c_A the spectral radius of
+    `matrix`: the exact parameter solve_beta gives for unit frequencies,
+    whose inverse temperature is log c_A.  Its isolating interval is no
+    wider than `precision`."""
+    if matrix.n > SOLVE_BETA_DEGREE_CAP:
+        raise ResourceLimitError(
+            f"an exact canonical point needs n <= {SOLVE_BETA_DEGREE_CAP}")
+    return solve_beta(matrix, (1,) * matrix.n, precision).param
 
 
 # ---------------------------------------------------------------------------
@@ -493,8 +472,6 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
             "solver needs an irreducible non-permutation matrix (spectral radius > 1)")
     if omega.is_rational():
         fracs = [e.value for e in omega.entries]
-        if any(f <= 0 for f in fracs):
-            raise DomainError("frequencies must be positive")
         scale_l = lcm(*[f.denominator for f in fracs])
         m = [int(f * scale_l) for f in fracs]
         g = gcd(*m)

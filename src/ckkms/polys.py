@@ -259,29 +259,6 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
     return lo, hi
 
 
-def charpoly(rows: list[list[int]]) -> Poly:
-    """Monic characteristic polynomial det(xI - A), integer coefficients."""
-    n = len(rows)
-    a = [[Q(v) for v in row] for row in rows]
-    # Faddeev-LeVerrier: M_0 = I, c_n = 1; M_k = A M_{k-1} + c_{n-k+1} I
-    coeffs = [Q(0)] * (n + 1)
-    coeffs[n] = Q(1)
-    m = [[Q(1) if i == j else Q(0) for j in range(n)] for i in range(n)]
-    for k in range(1, n + 1):
-        if k > 1:
-            am = [[sum(a[i][t] * m[t][j] for t in range(n)) for j in range(n)] for i in range(n)]
-            for i in range(n):
-                am[i][i] += coeffs[n - k + 1]
-            m = am
-        trace = sum(sum(a[i][t] * m[t][i] for t in range(n)) for i in range(n))
-        coeffs[n - k] = -trace / k
-    out = []
-    for c in coeffs:
-        assert c.denominator == 1
-        out.append(int(c))
-    return trim(out)
-
-
 def polymat_det(mat: list[list[Poly]]) -> Poly:
     """Determinant of a matrix of integer polynomials (Bareiss elimination)."""
     n = len(mat)

@@ -74,6 +74,10 @@ class Enc(Scalar):
 ONE = Rat(Fraction(1))
 ZERO = Rat(Fraction(0))
 
+# The width to which mul and add refine an exact operand of an enclosure
+# product or sum.
+ENCLOSURE_WIDTH = Q(1, 10**18)
+
 
 def is_exact(s: Scalar) -> bool:
     return isinstance(s, (Rat, Alg, Product))
@@ -280,7 +284,7 @@ def mul(*values) -> Scalar:
     if any(isinstance(s, Enc) for s in scalars):
         out = Interval.point(1)
         for s in scalars:
-            out = out * refine(s, Q(1, 10**18))
+            out = out * refine(s, ENCLOSURE_WIDTH)
         return Enc(out)
     if any(isinstance(s, Flt) for s in scalars):
         out = 1.0
@@ -331,7 +335,7 @@ def add(*values) -> Scalar:
         return Flt(sum(to_float(s) for s in nonzero))
     out = Interval.point(0)
     for s in nonzero:
-        out = out + refine(s, Q(1, 10**18))
+        out = out + refine(s, ENCLOSURE_WIDTH)
     return Enc(out)
 
 

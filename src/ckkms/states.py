@@ -21,7 +21,7 @@ from .intervals import Interval, Q, exp_interval
 from .matrix01 import ZeroOneMatrix
 from .perron import (DEFAULT_PRECISION, BetaSolution, FrequencyVector,
                      ParamVector, _require_radius_one)
-from .scalars import Enc, Rat, Scalar
+from .scalars import ENCLOSURE_WIDTH, Enc, Rat, Scalar
 
 
 @dataclass(frozen=True)
@@ -88,19 +88,16 @@ def eval_monomial(spec: StateSpec, mono: Monomial) -> Scalar:
     return scalars.mul(*(spec.param.entries[j - 1] for j in J[:-1]), x_last)
 
 
-# The width to which scalars.mul refines an exact operand of an enclosure
-# product: a table entry of a non-full state multiplies the same operands,
-# in the same order, as eval_monomial does for its word.
-ENCLOSURE_WIDTH = Q(1, 10**18)
-
-
 def diagonal_table(spec: StateSpec, words) -> dict:
     """Enclosures of rho_a(s_J s_J*) for the unit and the admissible words
     J of `words`, keyed by J; `words` lists every prefix of a word before
     the word, as ckwords.enumerate_admissible does.
 
     Each parameter entry, and each entry of an exact eigenvector, is refined
-    once to ENCLOSURE_WIDTH; a power-iteration eigenvector is used as it is.
+    once to ENCLOSURE_WIDTH, the width to which scalars.mul refines the
+    operands of eval_monomial, so an entry of a non-full state multiplies
+    the same enclosures in the same order; a power-iteration eigenvector is
+    used as it is.
     The prefix product a_{j_1} ... a_{j_m} of a word is that of its parent
     times one entry, and the value is the parent's prefix times x_{j_m}.
     Every entry contains the positive value eval_monomial gives exactly or
@@ -193,22 +190,15 @@ def gauge_factor(omega, beta, mono: Monomial, precision=DEFAULT_PRECISION) -> Sc
         if exp_total == 0:
             return scalars.ONE
         return scalars.make_power(beta.base, exp_total)
-    if all(isinstance(w, Rat) for w in omega.entries):
-        delta = (sum(omega.entries[j - 1].value for j in mono.J)
-                 - sum(omega.entries[k - 1].value for k in mono.K))
-        if delta == 0:
-            return scalars.ONE
-        delta_iv = Interval.point(delta)
-    else:
-        count = max(1, len(mono.J) + len(mono.K))
-        work = precision / (4 * count)
-        delta_iv = Interval.point(0)
-        for j in mono.J:
-            delta_iv = delta_iv + scalars.refine(omega.entries[j - 1], work)
-        for k in mono.K:
-            delta_iv = delta_iv - scalars.refine(omega.entries[k - 1], work)
-        if delta_iv.lo == delta_iv.hi == 0:
-            return scalars.ONE
+    count = max(1, len(mono.J) + len(mono.K))
+    work = precision / (4 * count)
+    delta_iv = Interval.point(0)
+    for j in mono.J:
+        delta_iv = delta_iv + scalars.refine(omega.entries[j - 1], work)
+    for k in mono.K:
+        delta_iv = delta_iv - scalars.refine(omega.entries[k - 1], work)
+    if delta_iv.lo == delta_iv.hi == 0:
+        return scalars.ONE
     biv = scalars.refine(_beta_scalar(beta), precision)
     return Enc(exp_interval(-(biv * delta_iv), precision))
 

@@ -30,7 +30,6 @@ from .perron import DEFAULT_PRECISION, FrequencyVector, ParamVector
 from .scalars import Rat, Scalar
 from .states import StateSpec, state_spec
 
-ENUMERATION_CAP = 10**5
 OFF_DIAGONAL_SAMPLES = 200
 
 
@@ -145,7 +144,7 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
                                        tolerance / 64),
                          independent_pf=True)
     split = IndexSplit(spec_a.matrix.n, spec_b.matrix.n)
-    words = ckwords.enumerate_admissible(composite, max_len, ENUMERATION_CAP)
+    words = ckwords.enumerate_admissible(composite, max_len)
     table_a = states.diagonal_table(
         spec_a, ckwords.enumerate_admissible(spec_a.matrix, max_len))
     table_b = states.diagonal_table(

@@ -268,6 +268,13 @@ class TestStateCommands:
         assert '"type": "power"' in out
         assert out == (DATA / envelope).read_text(encoding="utf-8")
 
+    def test_solve_beta_negative_frequency_is_a_usage_error(self):
+        omega = '[{"type":"enclosure","lo":"-2","hi":"-1"},"1"]'
+        code, out, err = run_cli("solve-beta", "--matrix", "F2", "--omega", omega)
+        assert code == 2
+        assert not out
+        assert err == "error: frequencies must be positive\n"
+
     def test_solve_beta_golden_frequencies(self):
         code, doc = run_json("solve-beta", "--matrix", "F2",
                              "--omega", '["1","2"]')

@@ -14,10 +14,11 @@ from hypothesis import strategies as st
 
 from ckkms import perron, scalars
 from ckkms.errors import (DomainError, MembershipRejected, NumericalFailureError,
-                          PreconditionError)
+                          PreconditionError, ResourceLimitError)
 from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
                             kronecker_matrix)
-from ckkms.scalars import Q, Rat
+from ckkms.intervals import Interval
+from ckkms.scalars import Enc, Flt, Q, Rat
 
 from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
 
@@ -244,7 +245,40 @@ class TestMembership:
         assert param.pf.eigenvalue.width <= tolerance / 4
 
 
+# the entry of this matrix's canonical point is the root of x^3 + x^2 + x - 1
+TRIBONACCI = ZeroOneMatrix(((1, 1, 0), (1, 0, 1), (1, 0, 0)))
+
+
 class TestCanonicalPoint:
+    @pytest.mark.parametrize("matrix", POOL + (TRIBONACCI,))
+    def test_is_the_unit_frequency_solution(self, matrix):
+        param = perron.canonical_point(matrix)
+        ones = (1,) * matrix.n
+        assert param == perron.solve_beta(matrix, ones).param
+        assert param.certificate == "exact"
+        radius, _ = np_perron(matrix.rows)
+        for entry in param.entries:
+            assert scalars.is_exact(entry)
+            assert abs(scalars.to_float(entry) * radius - 1) < 1e-12
+            if not isinstance(entry, Rat):
+                assert entry.hi - entry.lo <= perron.DEFAULT_PRECISION
+
+    def test_tribonacci_entry_meets_a_finer_precision(self):
+        entry = perron.canonical_point(TRIBONACCI, Q(1, 10**30)).entries[0]
+        assert entry.poly == (-1, 1, 1, 1)
+        assert entry.hi - entry.lo <= Q(1, 10**30)
+
+    def test_permutation_matrix_rejected(self):
+        swap = ZeroOneMatrix(((0, 1), (1, 0)))
+        with pytest.raises(PreconditionError):
+            perron.canonical_point(swap)
+
+    def test_above_degree_cap_raises(self):
+        # the numeric solver's float entries are never handed back
+        big = ZeroOneMatrix.full(perron.SOLVE_BETA_DEGREE_CAP + 1)
+        with pytest.raises(ResourceLimitError):
+            perron.canonical_point(big)
+
     def test_full_matrices_exact(self):
         p2 = perron.canonical_point(FULL2)
         assert [e.value for e in p2.entries] == [Q(1, 2), Q(1, 2)]
@@ -347,6 +381,22 @@ class TestSolveBeta:
         with pytest.raises(Exception):
             perron.solve_beta(FULL2, (Q(0), Q(1)))
 
+    @pytest.mark.parametrize("entry", [
+        Enc(Interval(Q(-2), Q(-1))),
+        Enc(Interval(Q(0), Q(1))),  # not proved positive
+        scalars.make_algebraic([-1, 1, 1], Q(-2), Q(-1)),  # -phi
+        scalars.make_algebraic([-1, -1, 1], Q(-1), Q(0)),  # 1 - phi
+        Flt(-0.5),
+    ])
+    def test_frequency_not_proved_positive_rejected(self, entry):
+        with pytest.raises(DomainError, match="frequencies must be positive"):
+            perron.FrequencyVector((entry, Rat(Q(1))))
+
+    def test_positive_irrational_frequencies_accepted(self):
+        sqrt2 = scalars.make_algebraic([-2, 0, 1], Q(0), Q(2))
+        omega = perron.FrequencyVector((sqrt2, Enc(Interval(Q(1, 2), Q(1)))))
+        assert omega.entries[0] == sqrt2
+
     @pytest.mark.parametrize("name, digits, seed, lo, hi", PINNED_FLOAT_BETA)
     def test_float_frequency_brackets_pinned(self, name, digits, seed, lo, hi):
         rows = {"GOLDEN": GOLDEN, "FULL2": FULL2, "CYCLE3": CYCLE3}[name]
@@ -430,22 +480,3 @@ class TestPowerEquation:
         s = perron.solve_power_equation((5, 11))
         assert abs(scalars.to_float(s) - lo) < 1e-12
         assert abs(lo - 0.9127694673795899) < 1e-12
-
-
-class TestScalarEigenvalue:
-    def test_golden_algebraic(self):
-        lam = perron.pf_eigenvalue_scalar(GOLDEN)
-        # root of x^2 - x - 1 in (1, 2)
-        ref = scalars.make_algebraic([-1, -1, 1], Q(1), Q(2))
-        assert scalars.same_value(lam, ref)
-
-    def test_full_is_rational(self):
-        lam = perron.pf_eigenvalue_scalar(FULL3)
-        assert isinstance(lam, Rat) and lam.value == 3
-
-    def test_reciprocal(self):
-        lam = perron.pf_eigenvalue_scalar(GOLDEN)
-        rec = perron.reciprocal_scalar(lam)
-        assert abs(scalars.to_float(rec) - 1 / PHI) < 1e-12
-        prod = scalars.mul(lam, rec)
-        assert abs(scalars.to_float(prod) - 1) < 1e-12

@@ -182,8 +182,3 @@ class TestPolymatDet:
         # det of [[t-1, t], [t, -1]] = 1 - t - t^2... built from entries
         mat = [[[-1, 1], [0, 1]], [[0, 1], [-1]]]
         assert polys.trim(polys.polymat_det(mat)) == [1, -1, -1]
-
-    def test_charpoly_companion(self):
-        # charpoly of [[1,1],[1,0]] is x^2 - x - 1
-        cp = polys.charpoly([[1, 1], [1, 0]])
-        assert polys.trim(cp) == [-1, -1, 1]
