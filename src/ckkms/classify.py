@@ -22,7 +22,7 @@ from . import scalars
 from .errors import DomainError, PreconditionError, ResourceLimitError
 from .intervals import Q, exp_interval
 from .matrix01 import DEFAULT_DIMENSION_CAP
-from .perron import DEFAULT_PRECISION, solve_beta
+from .perron import DEFAULT_PRECISION, DEFAULT_TOLERANCE, solve_beta
 from .scalars import (Alg, BaseDecomposition, Enc, Flt, Rat, Scalar,
                       log_ratio_rational)
 from .tensorops import kronecker_vector
@@ -324,4 +324,4 @@ def oka_crosscheck(matrix, omega) -> OkaReport:
     e_minus_r = exp_interval(-r_iv, DEFAULT_PRECISION)
     lam_iv = scalars.refine(label.lam, DEFAULT_PRECISION)
     gap = lam_iv.distance_sup(e_minus_r)
-    return OkaReport(gap <= Q(1, 10**9), label.lam, (r_iv.lo, r_iv.hi), gap)
+    return OkaReport(gap <= DEFAULT_TOLERANCE, label.lam, (r_iv.lo, r_iv.hi), gap)

@@ -30,8 +30,8 @@ from .scalars import Rat, fmt15
 
 @dataclass(frozen=True)
 class RunConfig:
-    tolerance: Fraction = Q(1, 10**9)
-    precision: Fraction = Q(1, 10**12)
+    tolerance: Fraction = perron.DEFAULT_TOLERANCE
+    precision: Fraction = perron.DEFAULT_PRECISION
     max_word_len: int = 3
     dimension_cap: int = 4096
     denominator_bound: int = 10**6
@@ -84,7 +84,7 @@ def _scalar_list(what: str, text: str) -> tuple:
 
 
 def parse_vector(text: str, matrix: ZeroOneMatrix | None = None,
-                 precision=Q(1, 10**12)):
+                 precision=perron.DEFAULT_PRECISION):
     """A vector argument: JSON list of scalars, or the keyword `canonical`
     for (1/PFE, ..., 1/PFE) of the given matrix."""
     text = text.strip()
@@ -607,9 +607,9 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
     def default(value):
         return argparse.SUPPRESS if suppress else value
 
-    parser.add_argument("--tolerance", default=default("1/1000000000"),
+    parser.add_argument("--tolerance", default=default(str(perron.DEFAULT_TOLERANCE)),
                         help="comparison tolerance as a fraction or decimal")
-    parser.add_argument("--precision", default=default("1/1000000000000"),
+    parser.add_argument("--precision", default=default(str(perron.DEFAULT_PRECISION)),
                         help="working enclosure precision")
     parser.add_argument("--max-word-len", type=int, default=default(3))
     parser.add_argument("--dimension-cap", type=int, default=default(4096))

@@ -1,14 +1,17 @@
 """Closed intervals with rational endpoints, plus rigorous exp/log enclosures.
 
-All endpoints are Fractions, so +, -, * and integer powers are exact; the
-transcendental enclosures use truncated series with explicit remainder
-bounds, rounded outward.  Every function here returns an interval that is
-guaranteed to contain the true value, except exp_neg_grid, which returns the
-same guarantee as two integers on a power-of-two grid.
+All endpoints are Fractions, so +, -, * and integer powers are exact.  Every
+exp enclosure comes from one integer kernel, exp_neg_grid, which brackets
+e^-t on a power-of-two grid with a Taylor series rounded outward term by
+term; log is an atanh series with an explicit remainder bound.  Every
+function here returns an interval that is guaranteed to contain the true
+value, except exp_neg_grid, which returns the same guarantee as two integers
+on a power-of-two grid.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -124,83 +127,32 @@ class Interval:
         return f"Interval({self.lo}, {self.hi})"
 
 
-def _exp_series_01(t: Fraction, terms: int) -> Interval:
-    """Enclosure of e^t for rational t in [0, 1]."""
-    assert 0 <= t <= 1
-    total = Q(0)
-    term = Q(1)
-    for k in range(terms):
-        total += term
-        term = term * t / (k + 1)
-    # remaining tail: sum_{k>=terms} t^k/k! <= 2 * t^terms/terms!  (t <= 1)
-    return Interval(total, total + 2 * term)
-
-
-# _exp_point asks for at most 74 term counts (20, 28, ..., 604).
-@lru_cache(maxsize=128)
-def _e_enclosure(terms: int) -> Interval:
-    return _exp_series_01(Q(1), terms)
-
-
-# Arguments produced by iterated root refinement carry denominators with
-# thousands of digits; running the power series on them is quadratically
-# expensive.  Snapping the fractional part down to this grid keeps the series
-# arithmetic small; e^f <= e^f0 * (1 + 2/SNAP) supplies the outward slack.
-_EXP_SNAP = 2**96
-
-
 def exp_interval_point(t: Fraction, precision: Fraction = Q(1, 10**15)) -> Interval:
-    """Rigorous enclosure of e^t for a single rational t."""
-    return _exp_point(_to_q(t), _to_q(precision))
+    """Rigorous enclosure of e^t for a single rational t, of width at most
+    `precision`, with a positive lower endpoint and both endpoints on the
+    grid 2^-bits.
 
-
-# State evaluation and KMS checks ask for the same few exponentials many
-# times over; Fractions and frozen Intervals are immutable, so memoising on
-# the normalised (t, precision) pair is safe.
-@lru_cache(maxsize=1024)
-def _exp_point(t: Fraction, precision: Fraction) -> Interval:
-    # e^t for t < 0 is the reciprocal of e^|t| at a quarter of the width.
-    u, inner = (-t, precision / 4) if t < 0 else (t, precision)
-    snaps = (False,)
-    if u.denominator > _EXP_SNAP and inner >= Q(16, _EXP_SNAP):
-        # The snap slack is relative, so it grows with e^u: it alone makes
-        # e^u wider than e^n * 2/SNAP >= 2^(n+1)/SNAP.  When the snapped
-        # series misses the width, the unsnapped fraction is tried.
-        hopeless = t >= 0 and Q(2 << int(u), _EXP_SNAP) > precision
-        snaps = (False,) if hopeless else (True, False)
-    for snap in snaps:
-        enc = _exp_nonneg(u, inner, snap)
-        if t < 0:
-            enc = enc.reciprocal()
-        if enc.width <= precision:
-            return enc
-    raise NumericalFailureError(
-        f"exp enclosure of width {float(precision):.3g} at t = {float(t):.6g} "
-        "needs more than 600 series terms")
-
-
-def _exp_nonneg(t: Fraction, precision: Fraction, snap: bool) -> Interval:
-    """The series enclosure of e^t for t >= 0 after at most 600 terms,
-    possibly wider than `precision`."""
-    n = int(t)  # floor for t >= 0
-    f = t - n
-    slack = Q(0)
-    if snap:
-        f = Q((f.numerator * _EXP_SNAP) // f.denominator, _EXP_SNAP)
-        slack = Q(2, _EXP_SNAP)
-    terms = 12
-    while True:
-        enc = _exp_series_01(f, terms)
-        if slack:
-            enc = Interval(enc.lo, enc.hi * (1 + slack))
-        if n:
-            e_enc = _e_enclosure(terms + 8)
-            enc = enc * e_enc**n
-        if enc.width <= precision:
-            return enc
-        terms += 8
-        if terms > 600:
-            return enc
+    One exp_neg_grid(|t|, bits) call brackets e^-|t| * 2^bits within 2 grid
+    units.  With L = bitlen(floor(1/precision)), 2^-L < precision.  For
+    t <= 0 that bracket is the enclosure: bits = L + 1 meets the width, and
+    1.5|t| more bits put e^t * 2^bits above 2, so lo >= 1.  For t > 0 the
+    bracket is inverted outward in integers, which widens it to at most
+    4 e^2t + 2 <= 6 e^2t grid units; bits = L + 3 + 3t absorbs that.
+    """
+    t = _to_q(t)
+    precision = _to_q(precision)
+    if precision <= 0:
+        raise DomainError("precision must be positive")
+    width_bits = (precision.denominator // precision.numerator).bit_length()
+    if t <= 0:
+        bits = width_bits + 1 + math.ceil(-t * 3 / 2)
+        lo, hi = exp_neg_grid(-t, bits)
+    else:
+        bits = width_bits + 3 + math.ceil(3 * t)
+        lo, hi = exp_neg_grid(t, bits)
+        scale = 1 << 2 * bits
+        lo, hi = scale // hi, -(-scale // lo)
+    return Interval(Q(lo, 1 << bits), Q(hi, 1 << bits))
 
 
 def exp_interval(t: Interval, precision: Fraction = Q(1, 10**15)) -> Interval:
@@ -278,6 +230,8 @@ def log_interval_point(x: Fraction, precision: Fraction = Q(1, 10**15)) -> Inter
     reach that width."""
     x = _to_q(x)
     precision = _to_q(precision)
+    if precision <= 0:
+        raise DomainError("precision must be positive")
     if x <= 0:
         raise DomainError("log of a non-positive rational")
     # scale x into [2/3, 4/3] by powers of 2, then ln(x) = ln(m) + k ln 2

@@ -37,6 +37,7 @@ from .matrix01 import ZeroOneMatrix, in_class_cdm, is_irreducible
 from .scalars import Enc, Flt, Rat, Scalar
 
 DEFAULT_PRECISION = Q(1, 10**12)
+DEFAULT_TOLERANCE = Q(1, 10**9)
 ITERATION_CAP = 10**5
 SOLVE_BETA_DEGREE_CAP = 256
 
@@ -372,7 +373,7 @@ def _require_radius_one(radius: Interval, slack: Fraction) -> None:
         f"spectral radius enclosure [{radius.lo}, {radius.hi}] does not meet 1", radius)
 
 
-def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=Q(1, 10**9)) -> ParamVector:
+def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=DEFAULT_TOLERANCE) -> ParamVector:
     """Accept a parameter vector when the spectral radius of (diag a) A is 1
     within `tolerance`; rejection raises MembershipRejected carrying the
     computed enclosure.

@@ -19,8 +19,8 @@ from .ckwords import Monomial
 from .errors import DimensionError, DomainError, PreconditionError
 from .intervals import Interval, Q, exp_interval
 from .matrix01 import ZeroOneMatrix
-from .perron import (DEFAULT_PRECISION, BetaSolution, FrequencyVector,
-                     ParamVector, _require_radius_one)
+from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, BetaSolution,
+                     FrequencyVector, ParamVector, _require_radius_one)
 from .scalars import ENCLOSURE_WIDTH, Enc, Rat, Scalar
 
 
@@ -224,7 +224,7 @@ def residual_bound(a: Scalar, b: Scalar, precision=Q(1, 10**14)) -> Fraction:
 
 
 def kms_check(spec: StateSpec, omega, beta, x, y,
-              tolerance=Q(1, 10**9), precision=DEFAULT_PRECISION) -> KmsCheckResult:
+              tolerance=DEFAULT_TOLERANCE, precision=DEFAULT_PRECISION) -> KmsCheckResult:
     """Check rho(y . sigma_{i beta}(x)) = rho(x y) for monomials x, y.
 
     Precondition: the spec's parameter satisfies a_i = e^{-beta omega_i}

@@ -26,7 +26,8 @@ from .ckwords import Monomial
 from .errors import DimensionError, DomainError
 from .intervals import Q
 from .matrix01 import kronecker_matrix
-from .perron import DEFAULT_PRECISION, FrequencyVector, ParamVector
+from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, FrequencyVector,
+                     ParamVector)
 from .scalars import Rat, Scalar
 from .states import StateSpec, state_spec
 
@@ -113,7 +114,7 @@ class TensorReport:
 
 
 def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
-                           tolerance=Q(1, 10**9), seed: int = 0) -> TensorReport:
+                           tolerance=DEFAULT_TOLERANCE, seed: int = 0) -> TensorReport:
     """Compare the tensor evaluation with the state of the Kronecker
     parameter over the Kronecker matrix.
 

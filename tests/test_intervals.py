@@ -1,7 +1,9 @@
 """Interval arithmetic: containment soundness, widths, and exp/log enclosures."""
 
+import decimal
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,29 @@ nonnegative_fractions = st.fractions(min_value=0, max_value=50, max_denominator=
 positive_fractions = st.fractions(
     min_value=Fraction(1, 40), max_value=50, max_denominator=40
 )
+
+
+# Decimal.exp is correctly rounded, so at 400 digits it is an oracle that is
+# independent of the integer kernel: rounding t to 400 digits and the result
+# to 400 digits moves e^t by less than 10^-397 relative for |t| <= 200.
+ORACLE = decimal.Context(prec=400)
+ORACLE_SLACK = Fraction(1, 10**390)
+
+
+def exp_oracle(t: Fraction) -> Fraction:
+    """e^t within ORACLE_SLACK relative, as an exact rational."""
+    d = ORACLE.divide(decimal.Decimal(t.numerator), decimal.Decimal(t.denominator))
+    return Fraction(ORACLE.exp(d))
+
+
+def holds_exp(lo: Fraction, hi: Fraction, t: Fraction) -> bool:
+    """[lo, hi] contains e^t, up to the oracle's relative slack."""
+    value = exp_oracle(t)
+    return lo <= value * (1 + ORACLE_SLACK) and value * (1 - ORACLE_SLACK) <= hi
+
+
+def is_dyadic(q: Fraction) -> bool:
+    return q.denominator & (q.denominator - 1) == 0
 
 
 def make_interval(a: Fraction, b: Fraction) -> Interval:
@@ -150,20 +175,52 @@ class TestExpLog:
         with pytest.raises(DomainError):
             log_interval(Interval(Fraction(-1), Fraction(2)))
 
-    def test_snapped_argument_far_from_zero_meets_its_width(self):
-        # the 2^-96 snap slack is relative and would leave e^t 1.3e-7 wide
-        t = 50 + Fraction(1, 3**80)
+    def test_long_denominator_far_from_zero_meets_its_width(self):
+        # e^(-(50 + 3^-80)) took seconds when exp ran a Fraction series
         precision = Fraction(1, 10**15)
+        for t in (50 + Fraction(1, 3**80), -(50 + Fraction(1, 3**80))):
+            start = time.perf_counter()
+            iv = exp_interval_point(t, precision)
+            assert time.perf_counter() - start < 1.0
+            assert iv.width <= precision and iv.lo > 0
+            assert holds_exp(iv.lo, iv.hi, t)
+
+    def test_fine_width_is_met(self):
+        precision = Fraction(1, 10**2000)
+        iv = exp_interval_point(1, precision)
+        assert iv.width <= precision
+        e = Fraction(decimal.Context(prec=2010).exp(1))
+        assert iv.lo <= e * (1 + Fraction(1, 10**2005))
+        assert e * (1 - Fraction(1, 10**2005)) <= iv.hi
+
+    @given(st.one_of(st.fractions(-60, 60, max_denominator=10**9),
+                     st.builds(lambda n, d: Fraction(n, d) - 60,
+                               st.integers(0, 120 * 2**96),
+                               st.integers(2**96 + 1, 2**97))),
+           st.integers(1, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_exp_point_meets_its_width_on_the_grid(self, t, k):
+        precision = Fraction(1, 10**k)
         iv = exp_interval_point(t, precision)
         assert iv.width <= precision
-        e50 = exp_interval_point(50, Fraction(1, 10**20))
-        assert e50.lo <= iv.hi
-        assert iv.lo <= e50.hi * (1 + Fraction(2, 3**80))
+        assert iv.lo > 0
+        assert is_dyadic(iv.lo) and is_dyadic(iv.hi)
+        assert holds_exp(iv.lo, iv.hi, t)
 
-    def test_unreachable_width_raises(self):
-        # 600 series terms bound e to about 1e-1410, not 1e-2000
-        with pytest.raises(NumericalFailureError):
-            exp_interval_point(1, Fraction(1, 10**2000))
+    @pytest.mark.parametrize("call", [
+        lambda: exp_interval_point(Fraction(1, 3), 0),
+        lambda: exp_interval(Interval(Fraction(0), Fraction(1)), 0),
+        lambda: exp_interval_point(Fraction(-2), Fraction(-1, 10)),
+    ])
+    def test_exp_non_positive_precision_rejected(self, call):
+        with pytest.raises(DomainError, match="precision must be positive"):
+            call()
+
+    def test_log_non_positive_precision_rejected(self):
+        with pytest.raises(DomainError, match="precision must be positive"):
+            log_interval_point(2, Fraction(-1, 10))
+        with pytest.raises(DomainError, match="precision must be positive"):
+            log_interval_point(2, 0)
 
     def test_unreachable_log_width_raises(self):
         # 500 atanh terms at u = -3/17 leave ln(7/10) about 3.4e-757 wide
@@ -200,10 +257,7 @@ def _grid_arguments() -> list:
 def _check_grid_bracket(t: Fraction, bits: int) -> None:
     lo, hi = exp_neg_grid(t, bits)
     assert lo <= hi <= lo + 2
-    # the Fraction series enclosure is independent of the integer kernel
-    ref = exp_interval_point(-t, Fraction(1, 2 ** (bits + 16)))
-    assert Fraction(lo, 2**bits) <= ref.lo
-    assert ref.hi <= Fraction(hi, 2**bits)
+    assert holds_exp(Fraction(lo, 2**bits), Fraction(hi, 2**bits), -t)
 
 
 big_denominators = st.builds(
@@ -222,10 +276,8 @@ class TestExpNegGrid:
         for t in _grid_arguments():
             _check_grid_bracket(t, bits)
 
-    # derandomized: the reference is 2^-16 grid units wide, so a bracket
-    # may legitimately end inside it; fixed examples keep the suite stable
     @given(grid_arguments, st.sampled_from([96, 128, 160]))
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=80, deadline=None)
     def test_brackets_hold_the_fraction_enclosure(self, t, bits):
         _check_grid_bracket(t, bits)
 
