@@ -3,10 +3,11 @@
 All endpoints are Fractions, so +, -, * and integer powers are exact.  Every
 exp enclosure comes from one integer kernel, exp_neg_grid, which brackets
 e^-t on a power-of-two grid with a Taylor series rounded outward term by
-term; log is an atanh series with an explicit remainder bound.  Every
-function here returns an interval that is guaranteed to contain the true
-value, except exp_neg_grid, which returns the same guarantee as two integers
-on a power-of-two grid.
+term, and every log enclosure from a second one, _atanh_grid, which brackets
+atanh(u) the same way for 0 <= u <= 1/3.  Every function here returns an
+interval that is guaranteed to contain the true value, except the two
+kernels, which return the same guarantee as two integers on a power-of-two
+grid.
 """
 
 from __future__ import annotations
@@ -14,9 +15,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
-from .errors import DomainError, NumericalFailureError
+from .errors import DomainError
 
 Q = Fraction
 
@@ -119,6 +119,15 @@ class Interval:
             return Interval(self.hi**k, self.lo**k)
         return Interval(Q(0), max(self.lo**k, self.hi**k))
 
+    def outward(self, bits: int) -> "Interval":
+        """The narrowest interval on the grid 2^-bits that contains this one;
+        a point stays an exact point."""
+        if self.lo == self.hi:
+            return self
+        scale = 1 << bits
+        return Interval(Q(math.floor(self.lo * scale), scale),
+                        Q(math.ceil(self.hi * scale), scale))
+
     def distance_sup(self, other: "Interval") -> Fraction:
         """Largest possible |x - y| with x in self, y in other."""
         return max(abs(self.hi - other.lo), abs(other.hi - self.lo))
@@ -205,61 +214,58 @@ def exp_neg_grid(t: Fraction, bits: int) -> tuple[int, int]:
     return scale // hi, -(-scale // lo)
 
 
-def _atanh_series(u: Fraction, terms: int) -> Interval:
-    """Enclosure of atanh(u) = sum u^(2k+1)/(2k+1) for |u| < 1."""
-    total = Q(0)
-    power = u
-    u2 = u * u
-    for k in range(terms):
-        total += power / (2 * k + 1)
-        power *= u2
-    # tail bound: |sum_{k>=terms}| <= |u|^(2*terms+1) / ((2*terms+1)(1-u^2))
-    bound = abs(power) / ((2 * terms + 1) * (1 - u2))
-    return Interval(total - bound, total + bound)
+def _atanh_grid(num: int, den: int, p: int) -> tuple[int, int]:
+    """Integers lo <= atanh(num/den) * 2^p <= hi, hi - lo <= p + 3, for
+    integers 0 <= num <= den/3 and p >= 3, in integer arithmetic only.
 
-
-# log_interval_point asks for at most 50 term counts (30, 40, ..., 520).
-@lru_cache(maxsize=128)
-def _ln2_enclosure(terms: int) -> Interval:
-    return _atanh_series(Q(1, 3), terms) * 2
+    Each power u^(2i+1) * 2^p is kept floored and ceiled, at most 2 apart
+    as u^2 <= 1/9, and each term u^(2i+1)/(2i+1) is floored for lo and
+    ceiled for hi, adding at most 2 to hi - lo.  The sum stops at the first
+    ceiled power <= 1, after at most (p + 2)/3 terms; the tail is at most
+    9/8 of that power, which hi counts as 2.
+    """
+    n2, d2 = num * num, den * den
+    pw_lo, rem = divmod(num << p, den)
+    pw_hi = pw_lo + (rem != 0)
+    lo = hi = 0
+    k = 1
+    while pw_hi > 1:
+        lo += pw_lo // k
+        hi -= -pw_hi // k
+        pw_lo = pw_lo * n2 // d2
+        pw_hi = -(-pw_hi * n2 // d2)
+        k += 2
+    return lo, hi + 2 * pw_hi
 
 
 def log_interval_point(x: Fraction, precision: Fraction = Q(1, 10**15)) -> Interval:
     """Rigorous enclosure of ln(x) for a positive rational x, of width at
-    most `precision`; NumericalFailureError when 500 series terms do not
-    reach that width."""
+    most `precision`, with both endpoints on the grid 2^-(p-1).
+
+    With x = 2^k m, m in [2/3, 4/3] and u = (m-1)/(m+1), |u| <= 1/5,
+    ln x = 2 atanh(u) + 2k atanh(1/3).  Both atanh brackets come from
+    _atanh_grid at p bits, so with c = 1 + |k| the enclosure is at most
+    2c(p + 3) units of 2^-p wide.  With L = bitlen(floor(1/precision)),
+    2^-L < precision, and p = L + g for g = bitlen(c) + bitlen(c + L) + 5
+    gives 2^g > 32c(c + L) >= 2c(p + 3), so the width is below 2^-L.
+    """
     x = _to_q(x)
     precision = _to_q(precision)
     if precision <= 0:
         raise DomainError("precision must be positive")
     if x <= 0:
         raise DomainError("log of a non-positive rational")
-    # scale x into [2/3, 4/3] by powers of 2, then ln(x) = ln(m) + k ln 2
-    k = 0
-    m = x
-    while m > Q(4, 3):
-        m /= 2
-        k += 1
-    while m < Q(2, 3):
-        m *= 2
-        k -= 1
-    u = (m - 1) / (m + 1)  # u in [-1/5, 1/7] for m in [2/3, 4/3]
-    terms = 10
-    while True:
-        enc = _atanh_series(u, terms) * 2
-        if k:
-            enc = enc + _ln2_enclosure(terms + 20) * k
-        if enc.width <= precision:
-            return enc
-        terms += 10
-        if terms > 500:
-            raise NumericalFailureError(
-                f"log enclosure of width {float(precision):.3g} at "
-                f"x = {float(x):.6g} needs more than 500 series terms")
-
-
-def log_interval(x: Interval, precision: Fraction = Q(1, 10**15)) -> Interval:
-    """Enclosure of {ln t : t in x} for x with positive lower endpoint."""
-    lo = log_interval_point(x.lo, precision)
-    hi = log_interval_point(x.hi, precision)
-    return Interval(lo.lo, hi.hi)
+    a, b = x.numerator, x.denominator
+    k = a.bit_length() - b.bit_length()  # a / (b 2^k) is in (1/2, 2)
+    a, b = (a, b << k) if k >= 0 else (a << -k, b)
+    if 3 * a > 4 * b:
+        b, k = b << 1, k + 1
+    elif 3 * a < 2 * b:
+        a, k = a << 1, k - 1
+    width_bits = (precision.denominator // precision.numerator).bit_length()
+    c = 1 + abs(k)
+    p = width_bits + c.bit_length() + (c + width_bits).bit_length() + 5
+    u_lo, u_hi = _atanh_grid(abs(a - b), a + b, p)
+    u_lo, u_hi = (u_lo, u_hi) if a >= b else (-u_hi, -u_lo)
+    t_lo, t_hi = sorted(k * t for t in _atanh_grid(1, 3, p))
+    return Interval(Q(u_lo + t_lo, 1 << p - 1), Q(u_hi + t_hi, 1 << p - 1))

@@ -7,9 +7,10 @@ start vector keeps the certificates valid, so the floats only save exact
 steps.  Collatz-Wielandt quotients evaluated on the interval matrix give a
 certified eigenvalue bracket at every step, in rational arithmetic.  The
 eigenvector enclosure comes from a Birkhoff projective-metric contraction
-bound on the integer power (M + I)^(n-1); its bounds, and the endpoints of
-the enclosure, are rounded outward onto power-of-two grids.  The enclosure
-is of the eigenvector of sum 1 whatever the sum of the iterate.
+bound on the integer power (M + I)^(n-1); its bounds, the endpoints of the
+enclosure and the last eigenvalue bracket are rounded outward onto
+power-of-two grids.  The enclosure is of the eigenvector of sum 1 whatever
+the sum of the iterate.
 
 The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
@@ -138,16 +139,6 @@ def _round_vector(x, max_den: int):
     return out
 
 
-def _floor_bits(x: Fraction, bits: int) -> Fraction:
-    scaled = x * (1 << bits)
-    return Q(scaled.numerator // scaled.denominator, 1 << bits)
-
-
-def _ceil_bits(x: Fraction, bits: int) -> Fraction:
-    scaled = x * (1 << bits)
-    return Q(-((-scaled.numerator) // scaled.denominator), 1 << bits)
-
-
 def _float_start(nmid):
     """A positive start vector for both loops: float power iteration on the
     midpoint matrix, stopped at relative change 1e-15 or after 2000 steps.
@@ -229,10 +220,10 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     Both exact loops start from the float Perron vector of the midpoint
     matrix, so at the default precision the Collatz-Wielandt bracket
     usually meets its width in one step.  The Birkhoff bound runs on
-    integer bounds of (M + I)^(n-1) on a power-of-two grid.  Each
-    eigenvector entry is x_i/S scaled by the Birkhoff factor F^-1 and F,
-    S = sum(x), rounded outward onto a power-of-two grid; an exact
-    eigenvector gives exact points.
+    integer bounds of (M + I)^(n-1) on a power-of-two grid.  The bracket and
+    each eigenvector entry, x_i/S scaled by the Birkhoff factor F^-1 and F,
+    S = sum(x), are rounded outward onto power-of-two grids; exact points
+    stay exact.
     """
     precision = Q(precision)
     if precision <= 0:
@@ -251,9 +242,11 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
     x = _float_start(nmid)
     total_steps = 0
+    # rounding onto the grid 2^-bits widens the bracket by under 2^(1-bits)
+    target = precision - Q(2, max_den)
     while True:
         bracket, x, ok, steps = _cw_iterate(
-            nlo, nhi, x, precision, ITERATION_CAP - total_steps, max_den)
+            nlo, nhi, x, target, ITERATION_CAP - total_steps, max_den)
         total_steps += steps
         if ok:
             break
@@ -265,6 +258,7 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
                 "eigenvalue bracket is limited by fixed-width enclosure entries")
         entry_width /= 64
         nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
+    bracket = bracket.outward(bits)
 
     vec_width = entry_width if not refinable else min(entry_width, precision / (64 * n))
     if refinable:
@@ -350,12 +344,10 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
         raise NumericalFailureError(
             f"eigenvector enclosure stalled at projective distance {float(u):.3g} > 1")
     total = sum(x)
-    if u == 0:  # x is an exact eigenvector
-        return tuple(Interval.point(xi / total) for xi in x)
     factor = 1 + u + u * u  # >= e^u for u in [0, 1]
     bits += math.floor(total / min(x)).bit_length()
-    return tuple(Interval(_floor_bits(xi / (total * factor), bits),
-                          _ceil_bits(xi * factor / total, bits)) for xi in x)
+    return tuple(Interval(xi / (total * factor), xi * factor / total).outward(bits)
+                 for xi in x)
 
 
 # ---------------------------------------------------------------------------
@@ -461,7 +453,7 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
     Rational frequencies take the exact branch (power-form parameters over
     the smallest (0,1) root of the determinant polynomial); anything else
     falls back to certified bisection with float parameters, flagged
-    heuristic.
+    heuristic.  Either way beta is at most `precision` wide.
     """
     precision = Q(precision)
     if not isinstance(omega, FrequencyVector):
@@ -489,11 +481,12 @@ def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
     lo, hi = polys.refine_root(det, lo, hi, precision)
     base = Rat(lo) if lo == hi else scalars.make_algebraic(det, lo, hi)
     entries = tuple(scalars.make_power(base, e) for e in reduced)
-    biv = scalars.refine(base, precision / 4)
-    log_prec = precision / (4 * (1 + int(scale)))
-    ln_lo = log_interval_point(biv.lo, log_prec)
-    ln_hi = log_interval_point(biv.hi, log_prec)
-    beta = Interval(-scale * ln_hi.hi, -scale * ln_lo.lo)
+    # t >= 1/n, as 1 = PFE(diag(t^m) A) <= t n: an enclosure of width 1/(2n)
+    # has lo > 0, and one of width w lo inside it has ln hi - ln lo <= w
+    w = precision / (4 * scale)
+    biv = scalars.refine(base, w * scalars.refine(base, Q(1, 2 * matrix.n)).lo)
+    beta = Interval(-scale * log_interval_point(biv.hi, w).hi,
+                    -scale * log_interval_point(biv.lo, w).lo)
     param = ParamVector(matrix, entries, "exact")
     return BetaSolution(beta, param, "exact", base=base,
                         exponents=tuple(reduced), scale=scale)
@@ -571,7 +564,7 @@ def _solve_beta_numeric(matrix: ZeroOneMatrix, omega: FrequencyVector,
         if sign == 0:
             work /= 16
             if work < Q(1, 10**60):
-                break
+                raise NumericalFailureError("bisection sign undecided at working width 1e-60")
             freqs = [scalars.refine(w, work) for w in omega.entries]
             continue
         if sign > 0:

@@ -11,13 +11,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import ckkms.intervals as intervals_module
-from ckkms.errors import DomainError, NumericalFailureError
+from ckkms.errors import DomainError
 from ckkms.intervals import (
     Interval,
     exp_interval,
     exp_interval_point,
     exp_neg_grid,
-    log_interval,
     log_interval_point,
 )
 
@@ -28,9 +27,10 @@ positive_fractions = st.fractions(
 )
 
 
-# Decimal.exp is correctly rounded, so at 400 digits it is an oracle that is
-# independent of the integer kernel: rounding t to 400 digits and the result
-# to 400 digits moves e^t by less than 10^-397 relative for |t| <= 200.
+# Decimal.exp and Decimal.ln are correctly rounded, so at 400 digits they are
+# oracles independent of the integer kernels: rounding t to 400 digits and the
+# result to 400 digits moves e^t by less than 10^-397 relative for |t| <= 200,
+# and ln(num) - ln(den) by less than 10^-394 for num, den below 10^1000.
 ORACLE = decimal.Context(prec=400)
 ORACLE_SLACK = Fraction(1, 10**390)
 
@@ -39,6 +39,14 @@ def exp_oracle(t: Fraction) -> Fraction:
     """e^t within ORACLE_SLACK relative, as an exact rational."""
     d = ORACLE.divide(decimal.Decimal(t.numerator), decimal.Decimal(t.denominator))
     return Fraction(ORACLE.exp(d))
+
+
+def log_oracle(x: Fraction) -> Fraction:
+    """ln x within ORACLE_SLACK, as an exact rational.  Both logs and their
+    difference are rounded in the 400-digit context; a plain `-` between two
+    Decimals would round to the default 28 digits."""
+    return Fraction(ORACLE.subtract(ORACLE.ln(decimal.Decimal(x.numerator)),
+                                    ORACLE.ln(decimal.Decimal(x.denominator))))
 
 
 def holds_exp(lo: Fraction, hi: Fraction, t: Fraction) -> bool:
@@ -150,13 +158,18 @@ class TestExpLog:
         assert float(iv.lo) <= true * (1 + 1e-13) and true * (1 - 1e-13) <= float(iv.hi)
         assert iv.width <= Fraction(1, 10**11)
 
-    @given(st.fractions(min_value=Fraction(1, 30), max_value=30,
-                        max_denominator=30))
-    @settings(max_examples=50, deadline=None)
-    def test_log_point_encloses_float_log(self, x):
-        iv = log_interval_point(x, Fraction(1, 10**12))
-        true = math.log(float(x))
-        assert float(iv.lo) <= true + 1e-11 and true - 1e-11 <= float(iv.hi)
+    @given(st.fractions(min_value=Fraction(1, 10**12), max_value=10**12,
+                        max_denominator=10**12),
+           st.integers(-300, 300), st.integers(1, 300))
+    @settings(max_examples=80, deadline=None)
+    def test_log_point_meets_its_width_on_the_grid(self, m, e, k):
+        x = m * Fraction(2) ** e
+        precision = Fraction(1, 10**k)
+        iv = log_interval_point(x, precision)
+        assert iv.width <= precision
+        assert is_dyadic(iv.lo) and is_dyadic(iv.hi)
+        value = log_oracle(x)
+        assert iv.lo - ORACLE_SLACK <= value <= iv.hi + ORACLE_SLACK
 
     def test_exp_log_roundtrip(self):
         x = Fraction(5, 7)
@@ -173,7 +186,7 @@ class TestExpLog:
         with pytest.raises(DomainError):
             log_interval_point(Fraction(0))
         with pytest.raises(DomainError):
-            log_interval(Interval(Fraction(-1), Fraction(2)))
+            log_interval_point(Fraction(-1, 2))
 
     def test_long_denominator_far_from_zero_meets_its_width(self):
         # e^(-(50 + 3^-80)) took seconds when exp ran a Fraction series
@@ -222,10 +235,14 @@ class TestExpLog:
         with pytest.raises(DomainError, match="precision must be positive"):
             log_interval_point(2, 0)
 
-    def test_unreachable_log_width_raises(self):
-        # 500 atanh terms at u = -3/17 leave ln(7/10) about 3.4e-757 wide
-        with pytest.raises(NumericalFailureError):
-            log_interval_point(Fraction(7, 10), Fraction(1, 10**1000))
+    def test_fine_log_width_is_met(self):
+        precision = Fraction(1, 10**1000)
+        iv = log_interval_point(Fraction(7, 10), precision)
+        assert iv.width <= precision
+        ctx = decimal.Context(prec=1010)
+        value = Fraction(ctx.subtract(ctx.ln(7), ctx.ln(10)))
+        slack = Fraction(1, 10**1005)
+        assert iv.lo - slack <= value <= iv.hi + slack
 
     def test_point_interval_takes_one_point_enclosure(self, monkeypatch):
         calls = []
@@ -287,3 +304,25 @@ class TestExpNegGrid:
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
             exp_neg_grid(Fraction(-1, 2), 96)
+
+
+class TestAtanhGrid:
+    def test_seeded_brackets_hold_atanh_and_meet_their_width(self):
+        # at small p a missing tail term or a floored upper power shows as a
+        # bracket that misses the value by a unit; 60 digits put the
+        # reference within 10^-30 units of atanh(u) * 2^p for p <= 80
+        ctx = decimal.Context(prec=60)
+        slack = Fraction(1, 10**30)
+        rng = random.Random(20261)
+        for _ in range(1500):
+            den = rng.randint(3, 10 ** rng.randint(1, 12))
+            num = rng.randint(0, den // 3)
+            p = rng.randint(3, 80)
+            lo, hi = intervals_module._atanh_grid(num, den, p)
+            assert hi - lo <= p + 3
+            ratio = ctx.divide(decimal.Decimal(den + num), decimal.Decimal(den - num))
+            value = Fraction(ctx.ln(ratio)) / 2 * 2**p
+            assert lo - slack <= value <= hi + slack
+
+    def test_zero_is_exact(self):
+        assert intervals_module._atanh_grid(0, 5, 64) == (0, 0)

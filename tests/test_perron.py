@@ -73,12 +73,12 @@ def random_irreducible(rng: random.Random, n: int) -> ZeroOneMatrix:
 
 class TestPfData:
     def test_full_matrices(self):
+        # the float start hits the uniform eigenvector exactly, so the
+        # eigenvalue and eigenvector come back as exact points, not grid cells
         for n in (2, 3, 4, 6):
             data = perron.pf_data(ZeroOneMatrix.full(n))
-            assert data.eigenvalue.lo <= n <= data.eigenvalue.hi
-            assert data.eigenvalue.width <= Q(1, 10**11)
-            for entry in data.eigenvector:
-                assert entry.lo <= Q(1, n) <= entry.hi
+            assert data.eigenvalue == Interval.point(n)
+            assert data.eigenvector == (Interval.point(Q(1, n)),) * n
 
     def test_golden_matrix(self):
         data = perron.pf_data(GOLDEN)
@@ -173,6 +173,9 @@ class TestPfData:
         scaled = np.array(matrix.rows, dtype=float) * np.array(a, dtype=float)[:, None]
         oracle_val, oracle_vec = np_perron(scaled)
         assert data.eigenvalue.width <= precision
+        if data.eigenvalue.lo != data.eigenvalue.hi:  # exact points stay exact
+            for end in (data.eigenvalue.lo, data.eigenvalue.hi):
+                assert end.denominator & (end.denominator - 1) == 0
         # slack for numpy's own rounding error, not for the certificate
         assert data.eigenvalue.lo - 1e-12 <= oracle_val <= data.eigenvalue.hi + 1e-12
         for entry, ref in zip(data.eigenvector, oracle_vec):
@@ -312,6 +315,15 @@ PINNED_FLOAT_BETA = (
 )
 
 
+# F_n with omega = (1, ..., 1, n/2 + 1) has a small base t, which ln t
+# spreads by about 1/t; the pool takes seeded rational frequencies
+_RNG = random.Random(15)
+EXACT_BETA_CASES = (
+    [(ZeroOneMatrix.full(n), (1,) * (n - 1) + (n // 2 + 1,)) for n in range(4, 17, 2)]
+    + [(m, tuple(Q(_RNG.randint(1, 4), _RNG.randint(1, 3)) for _ in range(m.n)))
+       for m in POOL for _ in range(2)])
+
+
 class TestSolveBeta:
     def test_full2_unit_frequencies(self):
         sol = perron.solve_beta(FULL2, (Q(1), Q(1)))
@@ -376,6 +388,21 @@ class TestSolveBeta:
         assert sol.beta.width <= perron.DEFAULT_PRECISION
         assert abs(float(sol.beta.mid) - bisect_radius_beta(CYCLE3.rows, omega)) < 1e-9
         assert elapsed < 2.0, f"solve took {elapsed:.2f}s"
+
+    @pytest.mark.parametrize("digits", [12, 30])
+    @pytest.mark.parametrize("matrix, omega", EXACT_BETA_CASES)
+    def test_exact_beta_meets_its_width(self, matrix, omega, digits):
+        precision = Q(1, 10**digits)
+        sol = perron.solve_beta(matrix, omega, precision)
+        assert sol.mode == "exact"
+        assert sol.beta.width <= precision
+        assert abs(float(sol.beta.mid) - bisect_radius_beta(matrix.rows, omega)) < 1e-9
+
+    def test_float_width_beyond_the_working_floor_raises(self):
+        # the sign test stops refining at working width 1e-60, so a bracket
+        # this fine is out of reach and must not come back wider than asked
+        with pytest.raises(NumericalFailureError):
+            perron.solve_beta(FULL2, (1.0, math.sqrt(2)), Fraction(1, 10**70))
 
     def test_positive_frequencies_required(self):
         with pytest.raises(Exception):
