@@ -16,6 +16,7 @@ never expanded into sum_i s_i s_i*).
 
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass
 
@@ -38,14 +39,32 @@ class Letter:
             raise DomainError("generator indices start at 1")
 
 
+def _letter(j) -> int:
+    """A letter index at the word boundary, as an int.  Anything
+    operator.index accepts (int, numpy integers) converts; a bool or a
+    non-integer such as 1.5 raises DomainError instead of being truncated."""
+    if type(j) is int:
+        return j
+    if isinstance(j, bool):
+        raise DomainError(f"letter index {j!r} is a bool, not an integer")
+    try:
+        return operator.index(j)
+    except TypeError:
+        raise DomainError(f"letter index {j!r} is not an integer") from None
+
+
 @dataclass(frozen=True)
 class Monomial:
+    """s_J s_K*.  The public constructor is the boundary: it converts and
+    validates every letter with _letter.  Monomials built inside the
+    package from letters already validated go through _monomial."""
+
     J: tuple
     K: tuple
 
     def __post_init__(self):
-        object.__setattr__(self, "J", tuple(int(j) for j in self.J))
-        object.__setattr__(self, "K", tuple(int(k) for k in self.K))
+        object.__setattr__(self, "J", tuple(map(_letter, self.J)))
+        object.__setattr__(self, "K", tuple(map(_letter, self.K)))
 
     @property
     def is_unit(self) -> bool:
@@ -56,10 +75,19 @@ class Monomial:
                 + tuple(Letter(k, True) for k in reversed(self.K)))
 
     def adjoint(self) -> "Monomial":
-        return Monomial(self.K, self.J)
+        return _monomial(self.K, self.J)
 
     def sort_key(self):
         return (len(self.J) + len(self.K), len(self.J), self.J, self.K)
+
+
+def _monomial(J: tuple, K: tuple) -> Monomial:
+    """A Monomial from tuples of int letters, without the boundary
+    conversion; it equals and hashes like Monomial(J, K)."""
+    mono = object.__new__(Monomial)
+    object.__setattr__(mono, "J", J)
+    object.__setattr__(mono, "K", K)
+    return mono
 
 
 UNIT = Monomial((), ())
@@ -103,36 +131,45 @@ UNIT_FORM = NormalForm(((UNIT, scalars.ONE),))
 
 
 def _check_indices(matrix: ZeroOneMatrix, seq):
-    for j in seq:
-        if not 1 <= j <= matrix.n:
-            raise DomainError(f"letter index {j} outside 1..{matrix.n}")
+    n = matrix.n
+    if seq and (min(seq) < 1 or max(seq) > n):
+        bad = next(j for j in seq if not 1 <= j <= n)
+        raise DomainError(f"letter index {bad} outside 1..{n}")
+
+
+def _chain_allowed(masks: tuple, seq) -> bool:
+    # every consecutive pair (i, j) of the validated letters has A_ij = 1
+    for i, j in zip(seq, seq[1:]):
+        if not masks[i] >> j & 1:
+            return False
+    return True
 
 
 def is_admissible(matrix: ZeroOneMatrix, word) -> bool:
     """True iff every consecutive index pair is allowed by the matrix, so
     the product of unstarred generators along the word is nonzero."""
-    seq = tuple(int(j) for j in word)
+    seq = tuple(map(_letter, word))
     _check_indices(matrix, seq)
-    return all(matrix.entry(seq[t], seq[t + 1]) for t in range(len(seq) - 1))
+    return _chain_allowed(matrix.follower_masks, seq)
 
 
 def followers(matrix: ZeroOneMatrix, J, K) -> frozenset:
     """Letters r for which both Jr and Kr stay admissible; the unit's
     followers are all letters."""
-    out = frozenset(range(1, matrix.n + 1))
-    if J:
-        out &= matrix.row_set(J[-1])
-    if K:
-        out &= matrix.row_set(K[-1])
-    return out
+    _check_indices(matrix, (*J[-1:], *K[-1:]))
+    sets = matrix.follower_sets
+    return sets[J[-1] if J else 0] & sets[K[-1] if K else 0]
 
 
 def monomial_is_zero(matrix: ZeroOneMatrix, mono: Monomial) -> bool:
-    if not is_admissible(matrix, mono.J) or not is_admissible(matrix, mono.K):
+    J, K = mono.J, mono.K
+    _check_indices(matrix, J + K)
+    masks = matrix.follower_masks
+    if not _chain_allowed(masks, J) or not _chain_allowed(masks, K):
         return True
-    if mono.is_unit:
+    if not J and not K:
         return False
-    return not followers(matrix, mono.J, mono.K)
+    return not masks[J[-1] if J else 0] & masks[K[-1] if K else 0]
 
 
 # ---------------------------------------------------------------------------
@@ -167,18 +204,17 @@ def _letters_of(word) -> list:
             out.append((l.index, l.starred))
         else:
             idx, starred = l
-            out.append((int(idx), bool(starred)))
+            out.append((_letter(idx), bool(starred)))
     return out
 
 
-def _term_is_dead(matrix: ZeroOneMatrix, letters) -> bool:
+def _term_is_dead(masks: tuple, letters) -> bool:
     # adjacent unstarred s_i s_j with A_ij = 0, or starred s_i* s_j* with
     # A_ji = 0, kill the whole term
-    for t in range(len(letters) - 1):
-        (i, si), (j, sj) = letters[t], letters[t + 1]
-        if not si and not sj and not matrix.entry(i, j):
+    for (i, si), (j, sj) in zip(letters, letters[1:]):
+        if not si and not sj and not masks[i] >> j & 1:
             return True
-        if si and sj and not matrix.entry(j, i):
+        if si and sj and not masks[j] >> i & 1:
             return True
     return False
 
@@ -210,7 +246,7 @@ def _split_normal(letters) -> Monomial:
     cut = next((t for t, (_, starred) in enumerate(letters) if starred), m)
     J = tuple(idx for idx, _ in letters[:cut])
     K = tuple(idx for idx, _ in reversed(letters[cut:]))
-    return Monomial(J, K)
+    return _monomial(J, K)
 
 
 def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
@@ -223,11 +259,10 @@ def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
     if strategy not in ("leftmost", "rightmost"):
         raise DomainError(f"unknown strategy {strategy!r}")
     start = _letters_of(word)
-    for idx, _ in start:
-        if not 1 <= idx <= matrix.n:
-            raise DomainError(f"letter index {idx} outside 1..{matrix.n}")
+    _check_indices(matrix, [idx for idx, _ in start])
+    masks = matrix.follower_masks
     result: dict = {}
-    if _term_is_dead(matrix, start):
+    if _term_is_dead(masks, start):
         return result
     stack = [(Q(1), start)]
     while stack:
@@ -249,11 +284,11 @@ def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
         if i != j:
             continue  # orthogonal ranges: the term is 0
         before = _measure(letters) if trace is not None else 0
-        for k in matrix.row_set(i):
+        for k in matrix.follower_sets[i]:
             child = letters[:t] + [(k, False), (k, True)] + letters[t + 2:]
             if trace is not None:
                 trace.append((before, _measure(child)))
-            if not _term_is_dead(matrix, child):
+            if not _term_is_dead(masks, child):
                 stack.append((coeff, child))
     return result
 
@@ -270,7 +305,7 @@ def _contract(matrix: ZeroOneMatrix, combo: dict) -> dict:
         parents = {}
         for mono in combo:
             if mono.J and mono.K and mono.J[-1] == mono.K[-1]:
-                parent = Monomial(mono.J[:-1], mono.K[:-1])
+                parent = _monomial(mono.J[:-1], mono.K[:-1])
                 parents.setdefault(parent, set()).add(mono.J[-1])
         for parent, seen in sorted(parents.items(),
                                    key=lambda kv: kv[0].sort_key(), reverse=True):
@@ -279,7 +314,7 @@ def _contract(matrix: ZeroOneMatrix, combo: dict) -> dict:
             fam = followers(matrix, parent.J, parent.K)
             if not fam or not fam <= seen:
                 continue
-            children = [Monomial(parent.J + (r,), parent.K + (r,)) for r in fam]
+            children = [_monomial(parent.J + (r,), parent.K + (r,)) for r in fam]
             if any(c not in combo for c in children):
                 continue
             c0 = combo[children[0]]
@@ -317,11 +352,11 @@ def rewrite_trace(matrix: ZeroOneMatrix, word, strategy: str = "leftmost") -> li
 def as_normal_form(matrix: ZeroOneMatrix, x) -> NormalForm:
     if isinstance(x, NormalForm):
         for mono, _ in x.terms:
-            if any(j > matrix.n for j in mono.J + mono.K):
+            if max(mono.J + mono.K, default=0) > matrix.n:
                 raise DimensionError("normal form uses letters beyond the matrix size")
         return x
     if isinstance(x, Monomial):
-        if any(j > matrix.n for j in x.J + x.K):
+        if max(x.J + x.K, default=0) > matrix.n:
             raise DimensionError("monomial uses letters beyond the matrix size")
         if monomial_is_zero(matrix, x):
             return ZERO_FORM
@@ -380,7 +415,7 @@ def enumerate_admissible(matrix: ZeroOneMatrix, max_len: int, cap: int = 10**5):
     for _ in range(max_len):
         nxt = []
         for word in frontier:
-            allowed = matrix.row_set(word[-1]) if word else letters
+            allowed = matrix.follower_sets[word[-1]] if word else letters
             for j in allowed:
                 nxt.append(word + (j,))
                 if len(out) + len(nxt) > cap:

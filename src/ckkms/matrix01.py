@@ -18,6 +18,13 @@ DEFAULT_DIMENSION_CAP = 4096
 
 @dataclass(frozen=True)
 class ZeroOneMatrix:
+    """A square 0-1 matrix.  Besides `rows`, construction stores plain
+    attributes that the word layer reads on every letter: `n`, and the
+    followers of each letter, 1-based, as `follower_masks[i]` (bit j set
+    when A[i][j] = 1) and as `follower_sets[i]` (the frozenset row_set
+    returns).  Entry 0 of both holds every letter, the followers of the
+    empty word.  The hash is computed once; equality compares `rows`."""
+
     rows: tuple  # tuple[tuple[int, ...], ...]
 
     def __post_init__(self):
@@ -32,10 +39,16 @@ class ZeroOneMatrix:
             for v in r:
                 if v not in (0, 1):
                     raise DomainError(f"entries must be 0 or 1, got {v!r}")
+        sets = [frozenset(range(1, n + 1))]
+        sets += [frozenset(j + 1 for j, v in enumerate(r) if v) for r in rows]
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "follower_sets", tuple(sets))
+        object.__setattr__(self, "follower_masks",
+                           tuple(sum(1 << j for j in s) for s in sets))
+        object.__setattr__(self, "_hash", hash(rows))
 
-    @property
-    def n(self) -> int:
-        return len(self.rows)
+    def __hash__(self):
+        return self._hash
 
     def entry(self, i: int, j: int) -> int:
         """1-based entry access."""
@@ -43,7 +56,7 @@ class ZeroOneMatrix:
 
     def row_set(self, i: int) -> frozenset:
         """Column indices j with A[i][j] = 1 (1-based)."""
-        return frozenset(j + 1 for j, v in enumerate(self.rows[i - 1]) if v)
+        return self.follower_sets[i]
 
     @staticmethod
     def full(n: int) -> "ZeroOneMatrix":

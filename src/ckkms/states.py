@@ -71,7 +71,7 @@ def eval_monomial(spec: StateSpec, mono: Monomial) -> Scalar:
     """rho_a(s_J s_K*): zero off the diagonal, else the product of the
     parameter entries along J except the last letter, times x of the last."""
     matrix = spec.matrix
-    if any(j > matrix.n for j in mono.J + mono.K):
+    if max(mono.J + mono.K, default=0) > matrix.n:
         raise DimensionError("monomial uses letters beyond the matrix size")
     if mono.J != mono.K:
         return scalars.ZERO
@@ -140,8 +140,8 @@ def quasi_free_eval(n: int, J, K) -> Scalar:
     n = int(n)
     if n < 2:
         raise DomainError("quasi-free states need n >= 2")
-    J = tuple(int(j) for j in J)
-    K = tuple(int(k) for k in K)
+    J = tuple(map(ckwords._letter, J))
+    K = tuple(map(ckwords._letter, K))
     for j in J + K:
         if not 1 <= j <= n:
             raise DomainError(f"letter index {j} outside 1..{n}")

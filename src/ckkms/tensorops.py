@@ -68,25 +68,46 @@ def kronecker_vector(v, w) -> tuple:
 def embed_monomial(split: IndexSplit, mono: Monomial):
     """Letterwise index splitting: the pair of factor monomials whose tensor
     is the image of the composite monomial."""
-    first = Monomial(tuple(split.split_index(u)[0] for u in mono.J),
-                     tuple(split.split_index(u)[0] for u in mono.K))
-    second = Monomial(tuple(split.split_index(u)[1] for u in mono.J),
-                      tuple(split.split_index(u)[1] for u in mono.K))
+    _check_composite(split.size, mono)
+    return _split_monomial(split.m, mono)
+
+
+def _check_composite(size: int, mono: Monomial):
+    letters = mono.J + mono.K
+    if letters and (min(letters) < 1 or max(letters) > size):
+        u = next(u for u in letters if not 1 <= u <= size)
+        raise DomainError(f"composite index {u} outside 1..{size}")
+
+
+def _split_monomial(m: int, mono: Monomial):
+    # u - 1 = m(i - 1) + (j - 1) splits a checked composite letter u into
+    # the letters i and j of factors of dimensions n and m
+    first = ckwords._monomial(tuple((u - 1) // m + 1 for u in mono.J),
+                              tuple((u - 1) // m + 1 for u in mono.K))
+    second = ckwords._monomial(tuple((u - 1) % m + 1 for u in mono.J),
+                               tuple((u - 1) % m + 1 for u in mono.K))
     return first, second
 
 
 def tensor_state_eval(spec_a: StateSpec, spec_b: StateSpec, x) -> Scalar:
     """(rho_a tensor rho_b) of a composite normal form, evaluated through
     the embedding: each composite monomial splits into two factor monomials
-    and the values multiply."""
-    split = IndexSplit(spec_a.matrix.n, spec_b.matrix.n)
+    and the values multiply.
+
+    A state vanishes off the diagonal (eval_monomial).  The split is
+    injective letter by letter, so both halves of s_J s_K* have J == K
+    exactly when J == K; a term with J != K is skipped before either factor
+    is evaluated."""
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
     nf = ckwords.as_normal_form(composite, x)
     if nf.is_zero:
         return scalars.ZERO
     terms = []
     for mono, coeff in nf.terms:
-        first, second = embed_monomial(split, mono)
+        _check_composite(composite.n, mono)
+        if mono.J != mono.K:
+            continue
+        first, second = _split_monomial(spec_b.matrix.n, mono)
         va = states.eval_monomial(spec_a, first)
         if isinstance(va, Rat) and va.value == 0:
             continue
@@ -130,8 +151,8 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
     Monomials with J != K vanish on both sides structurally (the split of
     unequal sequences differs in some factor, and states vanish off the
     diagonal); a seeded sample of such pairs is pushed through
-    tensor_state_eval and eval_state to confirm the zeros rather than
-    trusting the argument.
+    tensor_state_eval and eval_state, which reach their zeros by that same
+    rule, after their normal-form, range and zero tests.
 
     The composite state takes one power iteration on the Kronecker matrix;
     when its eigenvalue bracket misses 1 +- `tolerance` that raises
@@ -179,7 +200,7 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
         K = rng.choice(by_len[length])
         if J == K:
             continue
-        mono = Monomial(J, K)
+        mono = ckwords._monomial(J, K)
         if ckwords.monomial_is_zero(composite, mono):
             continue
         lhs = tensor_state_eval(spec_a, spec_b, mono)

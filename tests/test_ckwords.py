@@ -12,12 +12,15 @@ compared by dict equality.
 
 import random
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from ckkms import ckwords, scalars
+from ckkms import ckwords, scalars, states, tensorops
 from ckkms.ckwords import Letter, Monomial, NormalForm
 from ckkms.errors import DimensionError, DomainError, ResourceLimitError
-from ckkms.matrix01 import ZeroOneMatrix
+from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
 from ckkms.scalars import Q, Rat
 
 from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
@@ -90,6 +93,35 @@ def random_word(rng: random.Random, n: int, max_len: int) -> tuple:
                  for _ in range(length))
 
 
+def ref_admissible(matrix: ZeroOneMatrix, word) -> bool:
+    return all(matrix.rows[i - 1][j - 1] for i, j in zip(word, word[1:]))
+
+
+def ref_followers(matrix: ZeroOneMatrix, J, K) -> frozenset:
+    return frozenset(r for r in range(1, len(matrix.rows) + 1)
+                     if all(matrix.rows[seq[-1] - 1][r - 1] for seq in (J, K)
+                            if seq))
+
+
+def ref_is_zero(matrix: ZeroOneMatrix, J, K) -> bool:
+    """Reference for monomial_is_zero read straight off matrix.rows."""
+    if not ref_admissible(matrix, J) or not ref_admissible(matrix, K):
+        return True
+    return bool(J or K) and not ref_followers(matrix, J, K)
+
+
+@st.composite
+def matrices_and_words(draw):
+    """A random 0-1 matrix with n = 2..5, two words over 1..n of length at
+    most 5, and one letter outside 1..n."""
+    n = draw(st.integers(2, 5))
+    rows = tuple(tuple(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)))
+                 for _ in range(n))
+    word = st.lists(st.integers(1, n), max_size=5).map(tuple)
+    bad = draw(st.sampled_from((0, -1, n + 1, n + 9)))
+    return ZeroOneMatrix(rows), draw(word), draw(word), bad
+
+
 def random_nondegenerate(rng: random.Random, n: int) -> ZeroOneMatrix:
     while True:
         rows = tuple(tuple(rng.randint(0, 1) for _ in range(n))
@@ -134,6 +166,90 @@ class TestAdmissibility:
         assert ckwords.monomial_is_zero(GOLDEN, Monomial((2, 2), ()))
         assert ckwords.monomial_is_zero(GOLDEN, Monomial((), (2, 2)))
         assert not ckwords.monomial_is_zero(GOLDEN, Monomial((), ()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(matrices_and_words())
+    def test_predicates_match_the_rows(self, case):
+        # the follower bitmasks and sets against a reference on matrix.rows
+        matrix, J, K, bad = case
+        assert ckwords.is_admissible(matrix, J) == ref_admissible(matrix, J)
+        assert ckwords.followers(matrix, J, K) == ref_followers(matrix, J, K)
+        assert ckwords.monomial_is_zero(matrix, Monomial(J, K)) == \
+            ref_is_zero(matrix, J, K)
+        with pytest.raises(DomainError):
+            ckwords.is_admissible(matrix, J + (bad,) + K)
+        with pytest.raises(DomainError):
+            ckwords.followers(matrix, J, K + (bad,))
+        with pytest.raises(DomainError):
+            ckwords.monomial_is_zero(matrix, Monomial(J, (bad,) + K))
+
+
+class TestLetterBoundary:
+    """Letters are converted once, where words enter: a bool or a
+    non-integer raises instead of being truncated by int()."""
+
+    CASES = {
+        "monomial": lambda J, K: Monomial(J, K),
+        "json": lambda J, K: ckwords.normal_form_from_json(
+            [{"J": list(J), "K": list(K)}]),
+        "admissible": lambda J, K: ckwords.is_admissible(GOLDEN, J + K),
+        "quasi_free": lambda J, K: states.quasi_free_eval(2, J, K),
+    }
+
+    @pytest.mark.parametrize("where", sorted(CASES))
+    @pytest.mark.parametrize("J, K", [((1.5,), (2.9,)), ((1.7,), (True,)),
+                                      ((1,), (True,)), ((2.2, 1.9), ()),
+                                      ((1,), ("2",))])
+    def test_non_integer_letters_raise(self, where, J, K):
+        with pytest.raises(DomainError):
+            self.CASES[where](J, K)
+
+    @pytest.mark.parametrize("where", sorted(CASES))
+    def test_numpy_integers_accepted(self, where):
+        J, K = tuple(np.array([1, 2], dtype=np.int64)), (np.int64(2),)
+        assert self.CASES[where](J, K) == self.CASES[where]((1, 2), (2,))
+
+    def test_letters_become_ints(self):
+        mono = Monomial(np.array([1, 2], dtype=np.int64), (np.int64(2),))
+        assert mono == Monomial((1, 2), (2,))
+        assert all(type(j) is int for j in mono.J + mono.K)
+
+
+class TestInternalMonomials:
+    """Monomials built inside the package skip the boundary conversion; they
+    must still equal, and hash like, the public construction, since
+    _contract and the diagonal tables look them up in dicts."""
+
+    @staticmethod
+    def assert_public(mono):
+        public = Monomial(mono.J, mono.K)
+        assert mono == public and hash(mono) == hash(public)
+        assert isinstance(mono.J, tuple) and isinstance(mono.K, tuple)
+        assert all(type(j) is int for j in mono.J + mono.K)
+
+    def test_normalize_and_adjoint(self):
+        rng = random.Random(61)
+        seen = 0
+        for _ in range(60):
+            matrix = POOL[rng.randrange(len(POOL))]
+            nf = ckwords.normalize(matrix, random_word(rng, matrix.n, 5))
+            for mono, _ in nf.terms + ckwords.adjoint(nf).terms:
+                self.assert_public(mono)
+                seen += 1
+        # the contraction pass builds the parent monomial s1 s2
+        contracted = ckwords.normalize(GOLDEN, ckwords.parse_word("s1 s1* s1 s2"))
+        self.assert_public(contracted.terms[0][0])
+        assert seen > 60
+
+    def test_embed_monomial(self):
+        rng = random.Random(67)
+        split = tensorops.IndexSplit(GOLDEN.n, CYCLE3.n)
+        composite = kronecker_matrix(GOLDEN, CYCLE3)
+        for _ in range(40):
+            mono = ckwords.normalize(composite, random_word(rng, 6, 3))
+            for term, _ in mono.terms:
+                for half in tensorops.embed_monomial(split, term):
+                    self.assert_public(half)
 
 
 class TestParsing:
@@ -294,6 +410,7 @@ class TestRewriteEngine:
             nf = ckwords.normalize(matrix, random_word(rng, matrix.n, 6))
             for mono, coeff in nf.terms:
                 assert not ckwords.monomial_is_zero(matrix, mono)
+                assert not ref_is_zero(matrix, mono.J, mono.K)
                 assert not (isinstance(coeff, Rat) and coeff.value == 0)
 
     def test_representation_agreement(self):

@@ -195,6 +195,48 @@ class TestTensorStateEval:
             rhs = states.eval_state(spec_ab, mono)
             assert scalars.to_fraction(lhs) == scalars.to_fraction(rhs)
 
+    def test_vanishing_halves_skipped(self, monkeypatch):
+        # F2 x F3 has composite letters u = 3(i - 1) + j; the terms split
+        # into (diagonal, off-diagonal), (off-diagonal, diagonal) and
+        # (diagonal, diagonal) pairs of halves, valued exactly
+        spec_a = states.state_spec(perron.in_lambda(FULL2, rat_vector(Q(1, 3), Q(2, 3))))
+        spec_b = states.state_spec(
+            perron.in_lambda(FULL3, rat_vector(Q(1, 6), Q(1, 3), Q(1, 2))))
+        split = IndexSplit(2, 3)
+        coeffs = {Monomial((1,), (2,)): Q(2), Monomial((1, 5), (4, 5)): Q(-3),
+                  Monomial((2, 4), (2, 4)): Q(5), Monomial((1,), (1,)): Q(1, 7)}
+        halves = [tensorops.embed_monomial(split, mono) for mono in coeffs]
+        assert [(f.J == f.K, s.J == s.K) for f, s in halves] == [
+            (True, False), (False, True), (True, True), (True, True)]
+        expected = sum(
+            c * scalars.to_fraction(states.eval_monomial(spec_a, f))
+            * scalars.to_fraction(states.eval_monomial(spec_b, s))
+            for c, (f, s) in zip(coeffs.values(), halves))
+        evaluated = []
+        inner = states.eval_monomial
+
+        def recording(spec, mono):
+            evaluated.append(mono)
+            return inner(spec, mono)
+
+        monkeypatch.setattr(states, "eval_monomial", recording)
+        nf = ckwords.NormalForm.from_dict({m: Rat(c) for m, c in coeffs.items()})
+        got = tensorops.tensor_state_eval(spec_a, spec_b, nf)
+        assert scalars.to_fraction(got) == expected != 0
+        assert evaluated and all(mono.J == mono.K for mono in evaluated)
+
+    def test_letter_beyond_composite_raises(self):
+        spec_a, spec_b = spec_for(GOLDEN), spec_for(FULL3)
+        beyond = ckwords.NormalForm.from_dict({Monomial((1,), (2,)): scalars.ONE,
+                                               Monomial((7,), (7,)): scalars.ONE})
+        with pytest.raises(DimensionError):
+            tensorops.tensor_state_eval(spec_a, spec_b, beyond)
+        with pytest.raises(DimensionError):
+            tensorops.tensor_state_eval(spec_a, spec_b, Monomial((1, 7), (2,)))
+        below = ckwords.NormalForm.from_dict({Monomial((0,), (1,)): scalars.ONE})
+        with pytest.raises(DomainError):
+            tensorops.tensor_state_eval(spec_a, spec_b, below)
+
 
 def reference_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9), seed=0):
     """verify_tensor_identity as a plain loop that sends every monomial
