@@ -35,8 +35,10 @@ class Letter:
     starred: bool = False
 
     def __post_init__(self):
-        if self.index < 1:
+        index = _letter(self.index)
+        if index < 1:
             raise DomainError("generator indices start at 1")
+        object.__setattr__(self, "index", index)
 
 
 def _letter(j) -> int:
@@ -296,25 +298,30 @@ def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
 def _contract(matrix: ZeroOneMatrix, combo: dict) -> dict:
     """Fold complete equal-coefficient follower families onto their parent.
 
-    The empty parent is skipped so the unit never absorbs sum_i s_i s_i*.
+    A fold deletes children two letters longer than their parent and writes
+    the parent, so it can only complete a family with a shorter parent, and
+    families are disjoint: one pass over parent sizes, longest first,
+    makes every fold.  The empty parent is skipped so the unit never
+    absorbs sum_i s_i s_i*.
     """
     combo = dict(combo)
-    changed = True
-    while changed:
-        changed = False
-        parents = {}
-        for mono in combo:
-            if mono.J and mono.K and mono.J[-1] == mono.K[-1]:
-                parent = _monomial(mono.J[:-1], mono.K[:-1])
-                parents.setdefault(parent, set()).add(mono.J[-1])
-        for parent, seen in sorted(parents.items(),
-                                   key=lambda kv: kv[0].sort_key(), reverse=True):
-            if parent.is_unit:
-                continue
+    by_size: dict = {}
+
+    def note(mono):
+        if mono.J and mono.K and mono.J[-1] == mono.K[-1]:
+            parent = _monomial(mono.J[:-1], mono.K[:-1])
+            level = by_size.setdefault(len(parent.J) + len(parent.K), {})
+            level.setdefault(parent, set()).add(mono.J[-1])
+
+    for mono in combo:
+        note(mono)
+    for size in range(max(by_size, default=0), 0, -1):
+        for parent, seen in by_size.get(size, {}).items():
             fam = followers(matrix, parent.J, parent.K)
             if not fam or not fam <= seen:
                 continue
             children = [_monomial(parent.J + (r,), parent.K + (r,)) for r in fam]
+            # a child that its own fold zeroed stays in this seen set
             if any(c not in combo for c in children):
                 continue
             c0 = combo[children[0]]
@@ -325,10 +332,9 @@ def _contract(matrix: ZeroOneMatrix, combo: dict) -> dict:
             acc = combo.get(parent, Q(0)) + c0
             if acc:
                 combo[parent] = acc
+                note(parent)
             else:
                 combo.pop(parent, None)
-            changed = True
-            break
     return combo
 
 

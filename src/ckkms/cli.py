@@ -35,7 +35,6 @@ class RunConfig:
     max_word_len: int = 3
     dimension_cap: int = 4096
     denominator_bound: int = 10**6
-    seed: int = 0
 
     def __post_init__(self):
         if self.tolerance <= 0 or self.precision <= 0:
@@ -325,12 +324,11 @@ def _cmd_verify_homomorphism(args, config: RunConfig):
     spec_b = _state_spec_from_args(args.matrix_b, args.vector_b, config)
     report = tensorops.verify_tensor_identity(
         spec_a, spec_b, max_len=config.max_word_len,
-        tolerance=config.tolerance, seed=config.seed)
+        tolerance=config.tolerance)
     result = {
         "passed": report.passed,
         "max_residual": fmt15(float(report.max_residual)),
         "diagonal_monomials": report.diagonal_count,
-        "off_diagonal_samples": report.off_diagonal_count,
         "max_word_len": report.max_len,
     }
     mode = "exact" if report.max_residual == 0 else "heuristic"
@@ -615,7 +613,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
     parser.add_argument("--dimension-cap", type=int, default=default(4096))
     parser.add_argument("--denominator-bound", type=int,
                         default=default(10**6))
-    parser.add_argument("--seed", type=int, default=default(0))
     parser.add_argument("--out", default=default(None),
                         help="also write the JSON here")
     parser.add_argument("--format", choices=("json", "table"),
@@ -755,7 +752,6 @@ def main(argv=None) -> int:
             max_word_len=args.max_word_len,
             dimension_cap=args.dimension_cap,
             denominator_bound=args.denominator_bound,
-            seed=args.seed,
         )
     except (ValueError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

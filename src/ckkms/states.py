@@ -136,8 +136,12 @@ def eval_state(spec: StateSpec, x) -> Scalar:
 
 def quasi_free_eval(n: int, J, K) -> Scalar:
     """delta_{JK} n^{-|J|}, exact; every word is admissible over the full
-    matrix."""
-    n = int(n)
+    matrix.  The dimension is checked like a letter: a bool or a
+    non-integer such as 2.7 raises DomainError instead of being truncated."""
+    try:
+        n = ckwords._letter(n)
+    except DomainError:
+        raise DomainError(f"dimension {n!r} is not an integer") from None
     if n < 2:
         raise DomainError("quasi-free states need n >= 2")
     J = tuple(map(ckwords._letter, J))

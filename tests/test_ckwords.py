@@ -194,6 +194,10 @@ class TestLetterBoundary:
             [{"J": list(J), "K": list(K)}]),
         "admissible": lambda J, K: ckwords.is_admissible(GOLDEN, J + K),
         "quasi_free": lambda J, K: states.quasi_free_eval(2, J, K),
+        "letter": lambda J, K: (tuple(Letter(j) for j in J)
+                                + tuple(Letter(k, True) for k in K)),
+        "rewrite": lambda J, K: ckwords.rewrite(
+            GOLDEN, [Letter(j) for j in J] + [Letter(k, True) for k in K]),
     }
 
     @pytest.mark.parametrize("where", sorted(CASES))
@@ -304,6 +308,17 @@ class TestNormalizeExamples:
         assert nf.as_dict().keys() == {Monomial((1,), (1,))}
         total = ckwords.unit_sum_form(FULL2)
         assert set(total.as_dict()) == {Monomial((1,), (1,)), Monomial((2,), (2,))}
+
+
+    def test_nested_families_fold_in_one_pass(self):
+        # the four s_{1rt} s_{1rt}* fold onto s_{1r} s_{1r}*, which then
+        # fold onto s1 s1*; the unit does not absorb it
+        combo = {Monomial((1, r, t), (1, r, t)): Q(3) for r in (1, 2) for t in (1, 2)}
+        assert ckwords._contract(FULL2, combo) == {Monomial((1,), (1,)): Q(3)}
+        # a parent that its own fold zeroes leaves its grandparent's family
+        # incomplete
+        combo[Monomial((1, 1), (1, 1))] = Q(-3)
+        assert ckwords._contract(FULL2, combo) == {Monomial((1, 2), (1, 2)): Q(3)}
 
 
 class TestMultiplyExamples:

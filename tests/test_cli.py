@@ -4,6 +4,8 @@ codes, worked examples, output formats, and determinism."""
 import json
 import math
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -200,6 +202,19 @@ class TestExitCodes:
         assert not out
         assert err.startswith("error: cannot parse matrix")
 
+    @pytest.mark.parametrize("where", ["global", "command"])
+    def test_seed_flag_is_gone(self, where, capsys):
+        # the verifier samples nothing, so no command takes a seed
+        from ckkms import cli
+
+        command = ["verify-homomorphism", "--matrix-a", "F2", "--vector-a",
+                   "canonical", "--matrix-b", "F2", "--vector-b", "canonical"]
+        argv = (["--seed", "7"] + command if where == "global"
+                else command + ["--seed", "7"])
+        assert cli.main(argv) == 2
+        out, err = capsys.readouterr()
+        assert not out and "error:" in err
+
     def test_internal_error_is_not_a_usage_error(self, monkeypatch, capsys):
         # exit 70, neither 1 (a failed check) nor 2 (a usage error)
         from ckkms import cli
@@ -337,7 +352,7 @@ class TestOutputOptions:
     def test_determinism(self):
         args = ("verify-homomorphism", "--matrix-a", "F2", "--vector-a",
                 '["1/3","2/3"]', "--matrix-b", "F2", "--vector-b",
-                '["1/2","1/2"]', "--max-word-len", "1", "--seed", "7")
+                '["1/2","1/2"]', "--max-word-len", "1")
         first = run_cli(*args)
         second = run_cli(*args)
         assert first == second
@@ -367,6 +382,20 @@ class TestOutputOptions:
                               env=cli_env())
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["result"]["lambda"] == "1/2"
+
+    def test_readme_commands_run(self, capsys):
+        # every `ckkms ...` line of the README's sh blocks exits 0 and
+        # prints one JSON envelope, so a stale flag or command fails here
+        from ckkms import cli
+
+        text = (SOURCE_ROOT.parent / "README.md").read_text(encoding="utf-8")
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                 for line in block.splitlines() if line.startswith("ckkms ")]
+        assert lines
+        for line in lines:
+            assert cli.main(shlex.split(line)[1:]) == 0, line
+            doc = json.loads(capsys.readouterr().out)
+            assert set(doc) == ENVELOPE_KEYS, line
 
     def test_readme_library_quick_start(self, tmp_path):
         # the README's Python block runs as written against src/

@@ -59,6 +59,15 @@ class TestQuasiFree:
         with pytest.raises(DomainError):
             states.quasi_free_eval(2, (3,), (3,))
 
+    @pytest.mark.parametrize("n", [2.7, True, "2"])
+    def test_non_integer_dimension_raises(self, n):
+        # 2.7 used to be truncated to 2
+        with pytest.raises(DomainError):
+            states.quasi_free_eval(n, (1,), (1,))
+
+    def test_numpy_dimension_accepted(self):
+        assert states.quasi_free_eval(np.int64(3), (1, 2), (1, 2)) == Rat(Q(1, 9))
+
 
 class TestEvalState:
     def test_uniform_full2(self):

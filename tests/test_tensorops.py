@@ -238,40 +238,30 @@ class TestTensorStateEval:
             tensorops.tensor_state_eval(spec_a, spec_b, below)
 
 
-def reference_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9), seed=0):
-    """verify_tensor_identity as a plain loop that sends every monomial
-    through the two public evaluators, tensor_state_eval and eval_state."""
+def composite_spec(spec_a, spec_b, tolerance=Q(1, 10**9)):
+    """The state of the Kronecker parameter over the Kronecker matrix, built
+    as verify_tensor_identity builds it."""
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
     ab = tensorops.kronecker_vector(spec_a.param.entries, spec_b.param.entries)
-    spec_ab = states.state_spec(
+    return states.state_spec(
         perron.ParamVector(composite, ab, "verified", tolerance),
         precision=min(spec_a.precision, spec_b.precision, tolerance / 64),
         independent_pf=True)
-    words = ckwords.enumerate_admissible(composite, max_len)
+
+
+def reference_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9)):
+    """verify_tensor_identity as a plain loop that sends every diagonal
+    monomial through the two public evaluators, tensor_state_eval and
+    eval_state: (max residual, diagonal count)."""
+    spec_ab = composite_spec(spec_a, spec_b, tolerance)
+    words = ckwords.enumerate_admissible(spec_ab.matrix, max_len)
     work = tolerance / 64
-
-    def residual(mono):
-        return states.residual_bound(
-            tensorops.tensor_state_eval(spec_a, spec_b, mono),
-            states.eval_state(spec_ab, mono), work)
-
-    diagonal = [residual(Monomial(J, J)) for J in words
-                if not J or ckwords.followers(composite, J, J)]
-    rng = random.Random(seed)
-    by_len = {}
-    for J in words:
-        by_len.setdefault(len(J), []).append(J)
-    lengths = [length for length in by_len if length > 0]
-    off = []
-    attempts = 0
-    while lengths and len(off) < tensorops.OFF_DIAGONAL_SAMPLES \
-            and attempts < tensorops.OFF_DIAGONAL_SAMPLES * 20:
-        attempts += 1
-        length = rng.choice(lengths)
-        J, K = rng.choice(by_len[length]), rng.choice(by_len[length])
-        if J != K and not ckwords.monomial_is_zero(composite, Monomial(J, K)):
-            off.append(residual(Monomial(J, K)))
-    return max(diagonal + off), len(diagonal), len(off)
+    diagonal = [states.residual_bound(
+                    tensorops.tensor_state_eval(spec_a, spec_b, Monomial(J, J)),
+                    states.eval_state(spec_ab, Monomial(J, J)), work)
+                for J in words
+                if not J or ckwords.followers(spec_ab.matrix, J, J)]
+    return max(diagonal), len(diagonal)
 
 
 EDGE_PAIRS = ((FULL2, FULL2), (GOLDEN, CYCLE3), (FULL3, GOLDEN))
@@ -306,8 +296,8 @@ class TestVerifyTensorIdentity:
         spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
         tables = record_tables(monkeypatch)
         report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=2)
-        residual, diagonal, off = reference_report(spec_a, spec_b, max_len=2)
-        assert (report.diagonal_count, report.off_diagonal_count) == (diagonal, off)
+        residual, diagonal = reference_report(spec_a, spec_b, max_len=2)
+        assert report.diagonal_count == diagonal
         assert report.passed and residual <= report.tolerance
 
         (_, table_a), (_, table_b), (spec_ab, table_ab) = tables
@@ -332,7 +322,6 @@ class TestVerifyTensorIdentity:
         assert report.passed
         assert report.max_residual <= Q(1, 10**9)
         assert report.diagonal_count == 1 + 4 + 16 + 64
-        assert report.off_diagonal_count > 0
 
     def test_one_composite_perron_computation(self, monkeypatch):
         spec_a, spec_b = spec_for(GOLDEN), spec_for(CYCLE3)
@@ -354,23 +343,39 @@ class TestVerifyTensorIdentity:
         assert report.passed
 
     def test_max_len_zero(self):
-        # only the unit is checked, and no off-diagonal pair has a length
+        # only the unit is checked
         for a, b in EDGE_PAIRS:
             report = tensorops.verify_tensor_identity(spec_for(a), spec_for(b),
                                                       max_len=0)
             assert report.passed
-            assert (report.diagonal_count, report.off_diagonal_count,
-                    report.max_residual) == (1, 0, 0)
+            assert (report.diagonal_count, report.max_residual) == (1, 0)
 
     def test_max_len_one(self):
         for a, b in EDGE_PAIRS:
             spec_a, spec_b = spec_for(a), spec_for(b)
             report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=1)
-            _, diagonal, off = reference_report(spec_a, spec_b, max_len=1)
+            _, diagonal = reference_report(spec_a, spec_b, max_len=1)
             assert report.passed and report.max_residual <= Q(1, 10**12)
             assert report.diagonal_count == diagonal == 1 + a.n * b.n
-            assert report.off_diagonal_count == off == \
-                tensorops.OFF_DIAGONAL_SAMPLES
+
+    def test_both_sides_vanish_off_the_diagonal(self):
+        # the verifier checks only the diagonal: on every nonzero composite
+        # s_J s_K* with J != K, of any lengths, both sides are exactly zero
+        for a, b in EDGE_PAIRS:
+            spec_a, spec_b = spec_for(a), spec_for(b)
+            spec_ab = composite_spec(spec_a, spec_b)
+            words = ckwords.enumerate_admissible(spec_ab.matrix, 2)
+            checked = 0
+            for J in words:
+                for K in words:
+                    mono = Monomial(J, K)
+                    if J == K or ckwords.monomial_is_zero(spec_ab.matrix, mono):
+                        continue
+                    assert tensorops.tensor_state_eval(spec_a, spec_b, mono) \
+                        == scalars.ZERO, (J, K)
+                    assert states.eval_state(spec_ab, mono) == scalars.ZERO, (J, K)
+                    checked += 1
+            assert checked > len(words)
 
     def test_swapped_composite_eigenvector_fails(self, monkeypatch):
         # two unequal entries of the composite eigenvector trade places
