@@ -736,9 +736,27 @@ def _as_table(doc: dict, prefix: str = "") -> list:
     return lines
 
 
+def _reject_unknown_leading_flags(parser: argparse.ArgumentParser, argv) -> None:
+    """Name an unknown flag given before the command; argparse would take its
+    value for the command and report that as an invalid choice."""
+    known = parser._option_string_actions
+    tokens = iter(argv)
+    for token in tokens:
+        if token == "--" or not token.startswith("-"):
+            return
+        name = token.split("=", 1)[0]
+        actions = {a for s, a in known.items()
+                   if s == name or (name.startswith("--") and s.startswith(name))}
+        if not actions:
+            parser.error(f"unrecognized arguments: {token}")
+        if len(actions) == 1 and actions.pop().nargs != 0 and "=" not in token:
+            next(tokens, None)  # the flag's value
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        _reject_unknown_leading_flags(parser, sys.argv[1:] if argv is None else argv)
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0

@@ -1,24 +1,25 @@
 """Perron-Frobenius data with rigorous two-sided error bounds.
 
 Power iteration runs on the shifted matrix M + I (primitive whenever M is
-irreducible, which kills the oscillation of periodic matrices).  It starts
-from a float Perron vector of the midpoint matrix, made exact: any positive
-start vector keeps the certificates valid, so the floats only save exact
-steps.  Collatz-Wielandt quotients evaluated on the interval matrix give a
-certified eigenvalue bracket at every step, in rational arithmetic.  The
-eigenvector enclosure comes from a Birkhoff projective-metric contraction
-bound on the integer power (M + I)^(n-1); its bounds, the endpoints of the
-enclosure and the last eigenvalue bracket are rounded outward onto
-power-of-two grids.  The enclosure is of the eigenvector of sum 1 whatever
-the sum of the iterate.
+irreducible, which kills the oscillation of periodic matrices), in integers:
+the entry bounds of M + I are rounded outward onto a grid 2^-bits and the
+iterate is a positive integer vector.  It starts from a float Perron vector
+of the midpoint matrix, made exact: any positive start vector keeps the
+certificates valid, so the floats only save exact steps.  Collatz-Wielandt
+quotients, each rounded outward onto the grid, give a certified eigenvalue
+bracket at every step.  The eigenvector enclosure comes from a Birkhoff
+projective-metric contraction bound on the integer power (M + I)^(n-1); the
+endpoints of the enclosure are rounded outward onto a power-of-two grid.
+The enclosure is of the eigenvector of sum 1 whatever the sum of the
+iterate.
 
 The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
 a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
 no eigenvalue can reach 1 earlier.  Other frequency vectors take a bisection
-whose sign test runs the Collatz-Wielandt iteration on integers over a
-power-of-two grid, rounded outward.  The canonical point (1/c_A, ..., 1/c_A)
+whose sign test runs the same integer Collatz-Wielandt loop as pf_data, on
+entry bounds from exp_neg_grid.  The canonical point (1/c_A, ..., 1/c_A)
 is the exact parameter for unit frequencies: its entry is the smallest root
 of det(tA - I) in (0,1), and beta = log c_A.
 """
@@ -28,7 +29,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import islice
 from math import gcd, lcm
+from operator import mul
 
 from . import polys, scalars
 from .errors import (DomainError, MembershipRejected, NumericalFailureError,
@@ -96,60 +99,70 @@ class BetaSolution:
 
 
 # ---------------------------------------------------------------------------
-# matrix plumbing
+# the integer Collatz-Wielandt kernel
 
 
-def _shifted_enclosure(matrix: ZeroOneMatrix, a, width: Fraction):
-    """Entrywise enclosures (lo, hi, mid) of (diag a) A + I.
-
-    Each a_i is refined once, until its lower endpoint is positive, and
-    copied across the support of row i; zeros of A stay exact zeros.
-    """
-    n = matrix.n
-    lo = [[Q(int(i == j)) for j in range(n)] for i in range(n)]
-    hi = [row[:] for row in lo]
-    for i, s in enumerate(a):
-        w = width
-        iv = scalars.refine(s, w)
-        while iv.lo <= 0 and not isinstance(s, Enc) and w > Q(1, 10**300):
-            w /= 16
-            iv = scalars.refine(s, w)
-        if iv.lo < 0:
-            raise PreconditionError("parameter entries must be positive")
-        if iv.lo <= 0:
-            raise PreconditionError("cannot certify the sign of a parameter entry")
-        for j in range(n):
-            if matrix.rows[i][j]:
-                lo[i][j] += iv.lo
-                hi[i][j] += iv.hi
-    mid = [[(l + h) / 2 for l, h in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
+def _shifted_bounds(matrix: ZeroOneMatrix, rows, bits: int):
+    """Integer matrices lo <= 2^bits ((diag a) A + I) <= hi, entrywise, from
+    the bounds lo_i <= 2^bits a_i <= hi_i in `rows`, and their floored
+    midpoint.  Zeros of A stay exact zeros."""
+    one = 1 << bits
+    lo, hi = [], []
+    for i, (a_lo, a_hi) in enumerate(rows):
+        lo.append([a_lo if e else 0 for e in matrix.rows[i]])
+        hi.append([a_hi if e else 0 for e in matrix.rows[i]])
+        lo[i][i] += one
+        hi[i][i] += one
+    mid = [[(p + q) >> 1 for p, q in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
     return lo, hi, mid
 
 
 def _matvec(m, x):
-    n = len(x)
-    return [sum(m[i][j] * x[j] for j in range(n) if m[i][j]) for i in range(n)]
+    return [sum(map(mul, row, x)) for row in m]
 
 
-def _round_vector(x, max_den: int):
-    out = []
-    for v in x:
-        r = v.limit_denominator(max_den)
-        out.append(r if r > 0 else v)
-    return out
+def _next_iterate(mid, x, bits: int):
+    """mid x, floored onto a sum of at most about 2^bits; entries stay positive."""
+    y = _matvec(mid, x)
+    shift = max(sum(y).bit_length() - bits, 0)
+    return [(v >> shift) or 1 for v in y]
 
 
-def _float_start(nmid):
-    """A positive start vector for both loops: float power iteration on the
-    midpoint matrix, stopped at relative change 1e-15 or after 2000 steps.
-    Each entry becomes the simplest fraction of denominator at most 2^20
-    within 2^-48 of it, relative, or else the float's exact value, so an
-    eigenvector with small denominators (the uniform vector of a matrix
-    with equal weighted row sums) is hit exactly.  Any positive vector
-    keeps the Collatz-Wielandt bracket and the Birkhoff bound valid, so the
-    float arithmetic only decides how many exact steps follow."""
-    n = len(nmid)
-    rows = [[(j, float(v)) for j, v in enumerate(row) if v] for row in nmid]
+def _collatz_wielandt(lo, hi, mid, x, bits: int):
+    """Collatz-Wielandt brackets on PFE(M) + 1 for lo <= 2^bits (M + I) <= hi.
+
+    Yields (b_lo, b_hi, x, stall) after each step: the intersection of the
+    brackets so far in units of 2^-bits, each quotient rounded outward; the
+    positive integer iterate x that gave the latest one; and the number of
+    steps in a row that narrowed the bracket by under 1%.  Any positive
+    vector gives a valid bracket (E. Seneta, Non-negative Matrices and Markov
+    Chains, 1981), so flooring the iterate costs no soundness.  The caller
+    decides when to stop.
+    """
+    b_lo, b_hi = 0, math.inf
+    stall = 0
+    while True:
+        c_lo = min(s // v for s, v in zip(_matvec(lo, x), x))
+        c_hi = max(-(-s // v) for s, v in zip(_matvec(hi, x), x))
+        width = b_hi - b_lo
+        b_lo, b_hi = max(b_lo, c_lo), min(b_hi, c_hi)
+        stall = stall + 1 if 100 * (b_hi - b_lo) >= 99 * width else 0
+        yield b_lo, b_hi, x, stall
+        x = _next_iterate(mid, x, bits)
+
+
+def _float_start(mid):
+    """A positive integer start vector for both loops: float power iteration
+    on the midpoint matrix, stopped at relative change 1e-15 or after 2000
+    steps.  Each entry becomes the simplest fraction of denominator at most
+    2^20 within 2^-48 of it, relative, or else the float's exact value, and
+    the vector is scaled by the lcm of their denominators, so an eigenvector
+    with small denominators (the uniform vector of a matrix with equal
+    weighted row sums) is hit exactly.  Any positive vector keeps the
+    Collatz-Wielandt bracket and the Birkhoff bound valid, so the float
+    arithmetic only decides how many exact steps follow."""
+    n = len(mid)
+    rows = [[(j, float(v)) for j, v in enumerate(row) if v] for row in mid]
     x = [1.0 / n] * n
     for _ in range(2000):
         y = [sum(v * x[j] for j, v in row) for row in rows]
@@ -166,47 +179,32 @@ def _float_start(nmid):
             continue
         simple = Q(v).limit_denominator(1 << 20)
         start.append(simple if abs(simple - v) <= v * 2.0**-48 else Q(v))
-    return start
-
-
-def _cw_iterate(nlo, nhi, x, target: Fraction, cap: int, max_den: int):
-    """Collatz-Wielandt bracket refinement for the shifted matrix.
-
-    Returns (bracket_for_unshifted, x, converged, steps).  Every bracket
-    contains the true eigenvalue, so successive brackets intersect.
-    """
-    n = len(x)
-    best = None
-    stall = 0
-    steps = 0
-    while steps < cap:
-        steps += 1
-        ylo = _matvec(nlo, x)
-        yhi = _matvec(nhi, x)
-        cw = Interval(min(ylo[i] / x[i] for i in range(n)) - 1,
-                      max(yhi[i] / x[i] for i in range(n)) - 1)
-        if best is None:
-            best = cw
-        else:
-            merged = Interval(max(best.lo, cw.lo), min(best.hi, cw.hi))
-            if merged.width >= best.width * Q(99, 100):
-                stall += 1
-            else:
-                stall = 0
-            best = merged
-        if best.width <= target:
-            return best, x, True, steps
-        if stall >= 15:
-            return best, x, False, steps
-        # the midpoint matrix times x, exactly, by linearity
-        y = [(a + b) / 2 for a, b in zip(ylo, yhi)]
-        total = sum(y)
-        x = _round_vector([v / total for v in y], max_den)
-    return best, x, False, steps
+    scale = lcm(*(s.denominator for s in start))
+    return [s.numerator * (scale // s.denominator) for s in start]
 
 
 # ---------------------------------------------------------------------------
 # pf_data
+
+
+def _grid_entries(a, width: Fraction, bits: int):
+    """Per-row bounds lo_i <= 2^bits a_i <= hi_i: each a_i is refined once to
+    `width`, and further until its lower endpoint is positive, and rounded
+    outward onto the grid."""
+    one = 1 << bits
+    rows = []
+    for s in a:
+        w = width
+        iv = scalars.refine(s, w)
+        while iv.lo <= 0 and not isinstance(s, Enc) and w > Q(1, 10**300):
+            w /= 16
+            iv = scalars.refine(s, w)
+        if iv.lo < 0:
+            raise PreconditionError("parameter entries must be positive")
+        if iv.lo <= 0:
+            raise PreconditionError("cannot certify the sign of a parameter entry")
+        rows.append((math.floor(iv.lo * one), math.ceil(iv.hi * one)))
+    return rows
 
 
 def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFData:
@@ -217,13 +215,16 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     `matrix`, all ones when omitted.  The result records `precision`, so
     that states.state_spec can tell whether in_lambda's data fits.
 
-    Both exact loops start from the float Perron vector of the midpoint
-    matrix, so at the default precision the Collatz-Wielandt bracket
-    usually meets its width in one step.  The Birkhoff bound runs on
-    integer bounds of (M + I)^(n-1) on a power-of-two grid.  The bracket and
-    each eigenvector entry, x_i/S scaled by the Birkhoff factor F^-1 and F,
-    S = sum(x), are rounded outward onto power-of-two grids; exact points
-    stay exact.
+    Each enclosure of an a_i is rounded outward onto one grid 2^-bits,
+    bits = max(64, bitlen(precision.denominator) + 48) + 16, and both loops
+    run in integers on it: the Collatz-Wielandt loop that solve_beta's sign
+    test also runs, whose bracket lies on the grid, and the Birkhoff bound on
+    (M + I)^(n-1).  Both start from the float Perron vector of the midpoint
+    matrix, so at the default precision the bracket usually meets its width
+    in one step.  Each eigenvector entry, x_i/S scaled by the Birkhoff factor
+    F^-1 and F, S = sum(x), is rounded outward onto a power-of-two grid.
+    Exact points stay exact.  When narrowing the entries below the grid no
+    longer narrows the bracket, this raises NumericalFailureError.
     """
     precision = Q(precision)
     if precision <= 0:
@@ -236,63 +237,59 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
         raise PreconditionError("matrix is not irreducible")
     refinable = not any(isinstance(s, Enc) for s in a)
 
-    bits = max(64, precision.denominator.bit_length() + 48)
-    max_den = 1 << bits
+    bits = max(64, precision.denominator.bit_length() + 48) + 16
+    one = 1 << bits
+    target = (precision.numerator << bits) // precision.denominator
+
+    def bounds(width):
+        return _shifted_bounds(matrix, _grid_entries(a, width, bits), bits)
+
     entry_width = precision / (8 * n)
-    nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
-    x = _float_start(nmid)
-    total_steps = 0
-    # rounding onto the grid 2^-bits widens the bracket by under 2^(1-bits)
-    target = precision - Q(2, max_den)
-    while True:
-        bracket, x, ok, steps = _cw_iterate(
-            nlo, nhi, x, target, ITERATION_CAP - total_steps, max_den)
-        total_steps += steps
-        if ok:
+    lo, hi, mid = bounds(entry_width)
+    loop = _collatz_wielandt(lo, hi, mid, _float_start(mid), bits)
+    for steps in range(1, ITERATION_CAP + 1):
+        b_lo, b_hi, x, stall = next(loop)
+        if b_hi - b_lo <= target:
             break
-        if total_steps >= ITERATION_CAP:
-            raise NumericalFailureError(
-                f"power iteration did not converge within {ITERATION_CAP} steps")
-        if not refinable:
-            raise NumericalFailureError(
-                "eigenvalue bracket is limited by fixed-width enclosure entries")
-        entry_width /= 64
-        nlo, nhi, nmid = _shifted_enclosure(matrix, a, entry_width)
-    bracket = bracket.outward(bits)
+        if stall >= 15:
+            if not refinable:
+                raise NumericalFailureError(
+                    "eigenvalue bracket is limited by fixed-width enclosure entries")
+            if entry_width < Q(1, one):
+                raise NumericalFailureError(
+                    f"eigenvalue bracket stalled at width {(b_hi - b_lo) / one:.3g} "
+                    "with entries narrower than the grid")
+            entry_width /= 64
+            lo, hi, mid = bounds(entry_width)
+            loop = _collatz_wielandt(lo, hi, mid, x, bits)
+    else:
+        raise NumericalFailureError(
+            f"power iteration did not converge within {ITERATION_CAP} steps")
+    bracket = Interval(Q(b_lo - one, one), Q(b_hi - one, one))
 
     vec_width = entry_width if not refinable else min(entry_width, precision / (64 * n))
     if refinable:
-        nlo, nhi, nmid = _shifted_enclosure(matrix, a, vec_width)
-    vector = _eigenvector_enclosure(
-        nlo, nhi, nmid, x, precision, ITERATION_CAP, max_den, refinable,
-        lambda w: _shifted_enclosure(matrix, a, w), vec_width, bits + 16)
-    return PFData(bracket, vector, total_steps, precision)
+        lo, hi, mid = bounds(vec_width)
+    vector = _eigenvector_enclosure(lo, hi, mid, x, precision, refinable,
+                                    bounds, vec_width, bits)
+    return PFData(bracket, vector, steps, precision)
 
 
-def _positive_power(nlo, nhi, bits: int):
-    """Integer matrices blo <= 2^bits (M+I)^(n-1) <= bhi, entrywise.
-
-    nlo and nhi are rounded outward onto the grid 2^-bits once; each
-    integer product is shifted back onto it, floor for the lower bound and
-    ceil for the upper.
-    """
-    n = len(nlo)
-    one = 1 << bits
-    lo = [[math.floor(v * one) for v in row] for row in nlo]
-    hi = [[math.ceil(v * one) for v in row] for row in nhi]
+def _positive_power(lo, hi, bits: int):
+    """Integer matrices blo <= 2^bits (M+I)^(n-1) <= bhi, entrywise, from
+    lo <= 2^bits (M+I) <= hi; each integer product is shifted back onto the
+    grid, floor for the lower bound and ceil for the upper."""
+    n = len(lo)
     blo, bhi = lo, hi
     for _ in range(n - 2):
-        blo = [[sum(p * q for p, q in zip(row, col)) >> bits for col in zip(*lo)]
-               for row in blo]
-        bhi = [[-(-sum(p * q for p, q in zip(row, col)) >> bits) for col in zip(*hi)]
-               for row in bhi]
+        blo = [[sum(map(mul, row, col)) >> bits for col in zip(*lo)] for row in blo]
+        bhi = [[-(-sum(map(mul, row, col)) >> bits) for col in zip(*hi)] for row in bhi]
     if any(v <= 0 for row in blo for v in row):
         raise NumericalFailureError("(M+I)^(n-1) has no positive lower bound on the grid")
     return blo, bhi
 
 
-def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
-                           refinable, rebuild, width, bits):
+def _eigenvector_enclosure(lo, hi, mid, x, precision, refinable, rebuild, width, bits):
     """Birkhoff bound: with B = (M+I)^(n-1) entrywise positive and upper
     contraction ratio kappa, the projective distance u from the iterate x
     to the true eigenvector v is at most d(x, Bx)/(1-kappa).  With
@@ -300,8 +297,12 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
     a factor e^u of each other, so v_i is in [x_i/(S F), x_i F/S] for
     F = 1 + u + u^2 >= e^u; the endpoints are rounded outward onto a grid
     2^-bits or finer, fine enough that every lower endpoint stays positive.
-    When u = 0, x is an exact eigenvector and the entries are exact points."""
-    blo, bhi = _positive_power(nlo, nhi, bits)
+    When u = 0, x is an exact eigenvector and the entries are exact points.
+
+    lo <= 2^bits (M+I) <= hi and their midpoint mid are integer matrices,
+    x is a positive integer vector, and rebuild(w) gives the three matrices
+    from entries refined to width w."""
+    blo, bhi = _positive_power(lo, hi, bits)
     # the cross-ratio sup (B_ik B_jl)/(B_jk B_il) is at most (top/bot)^2; a
     # loose kappa only costs extra iterations, never correctness
     root = Q(max(v for row in bhi for v in row), min(v for row in blo for v in row))
@@ -309,14 +310,10 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
     denom = 1 - kappa
     best_u = None
     stall = 0
-    steps = 0
-    while True:
-        steps += 1
-        if steps > cap:
-            break
+    for _ in range(ITERATION_CAP):
         # max over i, j of (x_i (Bx)hi_j) / (x_j (Bx)lo_i)
-        ratio = (max(w / xi for w, xi in zip(_matvec(bhi, x), x))
-                 / min(w / xi for w, xi in zip(_matvec(blo, x), x)))
+        ratio = (max(Q(w, xi) for w, xi in zip(_matvec(bhi, x), x))
+                 / min(Q(w, xi) for w, xi in zip(_matvec(blo, x), x)))
         u = (ratio - 1) / denom
         if u <= precision and u <= 1:
             break
@@ -333,19 +330,20 @@ def _eigenvector_enclosure(nlo, nhi, nmid, x, precision, cap, max_den,
                 raise NumericalFailureError(
                     f"eigenvector enclosure stalled at projective distance {float(u):.3g}")
             width /= 64
-            nlo, nhi, nmid = rebuild(width)
-            blo, bhi = _positive_power(nlo, nhi, bits)
+            lo, hi, mid = rebuild(width)
+            blo, bhi = _positive_power(lo, hi, bits)
             stall = 0
             continue
-        y = _matvec(nmid, x)
-        total = sum(y)
-        x = _round_vector([v / total for v in y], max_den)
+        x = _next_iterate(mid, x, bits)
+    else:
+        raise NumericalFailureError(
+            f"eigenvector enclosure did not converge within {ITERATION_CAP} steps")
     if u > 1:
         raise NumericalFailureError(
             f"eigenvector enclosure stalled at projective distance {float(u):.3g} > 1")
     total = sum(x)
     factor = 1 + u + u * u  # >= e^u for u in [0, 1]
-    bits += math.floor(total / min(x)).bit_length()
+    bits += (total // min(x)).bit_length()
     return tuple(Interval(xi / (total * factor), xi * factor / total).outward(bits)
                  for xi in x)
 
@@ -498,51 +496,30 @@ def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
     working precision.  `freqs` holds the enclosures of the omega_i refined
     to width `work`.
 
-    A Collatz-Wielandt iteration on M + I in integers: every entry bound
-    comes from exp_neg_grid, rounded outward onto the grid 2^-bits (one call
-    per row when beta * omega_i is a point), the iterate is a positive integer
-    vector, and the bracket on PFE(M) + 1 is kept in grid units, each
-    quotient rounded outward.  Any positive vector gives a valid bracket, so
-    floor renormalisation costs no soundness.  Bisection only needs the
-    sign, so the loop stops as soon as the bracket excludes 2.
+    The Collatz-Wielandt loop of pf_data, from the all-ones vector: every
+    entry bound comes from exp_neg_grid on the grid 2^-bits (one call per
+    row when beta * omega_i is a point).  Bisection only needs the sign, so
+    the loop stops as soon as its bracket excludes 1.
     """
     bits = max(96, work.denominator.bit_length() + 48)
-    one = 1 << bits
-    n = matrix.n
-    lo = [[0] * n for _ in range(n)]
-    hi = [[0] * n for _ in range(n)]
-    for i, w in enumerate(freqs):
+    rows = []
+    for w in freqs:
         t = w * beta
         if t.lo == t.hi:
-            a_lo, a_hi = exp_neg_grid(t.lo, bits)
+            rows.append(exp_neg_grid(t.lo, bits))
         else:
-            a_lo, a_hi = exp_neg_grid(t.hi, bits)[0], exp_neg_grid(t.lo, bits)[1]
-        for j in range(n):
-            if matrix.rows[i][j]:
-                lo[i][j], hi[i][j] = a_lo, a_hi
-        lo[i][i] += one
-        hi[i][i] += one
-    mid = [[(a + b) >> 1 for a, b in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
-    two = 2 * one
+            rows.append((exp_neg_grid(t.hi, bits)[0], exp_neg_grid(t.lo, bits)[1]))
+    lo, hi, mid = _shifted_bounds(matrix, rows, bits)
+    two = 2 << bits
     target = (4 * work.numerator << bits) // work.denominator  # 4*work in grid units
-    x = [1] * n
-    b_lo, b_hi = 0, math.inf
-    stall = 0
-    for _ in range(4000):
-        c_lo = min(s // v for s, v in zip(_matvec(lo, x), x))
-        c_hi = max(-(-s // v) for s, v in zip(_matvec(hi, x), x))
-        width = b_hi - b_lo
-        b_lo, b_hi = max(b_lo, c_lo), min(b_hi, c_hi)
-        stall = stall + 1 if 100 * (b_hi - b_lo) >= 99 * width else 0
+    loop = _collatz_wielandt(lo, hi, mid, [1] * matrix.n, bits)
+    for b_lo, b_hi, _, stall in islice(loop, 4000):
         if b_lo > two:
             return 1
         if b_hi < two:
             return -1
         if b_hi - b_lo <= target or stall >= 15:
             return 0
-        y = _matvec(mid, x)
-        shift = max(sum(y).bit_length() - bits, 0)
-        x = [(v >> shift) or 1 for v in y]
     return 0
 
 

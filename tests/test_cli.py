@@ -214,6 +214,8 @@ class TestExitCodes:
         assert cli.main(argv) == 2
         out, err = capsys.readouterr()
         assert not out and "error:" in err
+        # the message names the flag, not its value as a command
+        assert "--seed" in err and "invalid choice" not in err
 
     def test_internal_error_is_not_a_usage_error(self, monkeypatch, capsys):
         # exit 70, neither 1 (a failed check) nor 2 (a usage error)

@@ -17,7 +17,7 @@ from ckkms.errors import (DomainError, MembershipRejected, NumericalFailureError
                           PreconditionError, ResourceLimitError)
 from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
                             kronecker_matrix)
-from ckkms.intervals import Interval
+from ckkms.intervals import Interval, exp_interval
 from ckkms.scalars import Enc, Flt, Q, Rat
 
 from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
@@ -120,16 +120,15 @@ class TestPfData:
         # matrix stalls far above that: with the factor 3 the enclosure
         # would be [1/6, 3/2] for both entries, which misses the Perron
         # vector (0.969, 0.031) of its member [[1, 1], [1/1000, 1]].
-        nlo = [[Q(1), Q(1, 1000)], [Q(1, 1000), Q(1)]]
-        nhi = [[Q(2), Q(1)], [Q(1), Q(2)]]
-        nmid = [[(a + b) / 2 for a, b in zip(rlo, rhi)]
-                for rlo, rhi in zip(nlo, nhi)]
+        one = 1 << 104
+        lo = [[one, one // 1000], [one // 1000, one]]
+        hi = [[2 * one, one], [one, 2 * one]]
+        mid = [[(a + b) >> 1 for a, b in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
         _, member_vec = np_perron([[1, 1], [1e-3, 1]])
         assert member_vec[1] < 1 / 6
         with pytest.raises(NumericalFailureError):
             perron._eigenvector_enclosure(
-                nlo, nhi, nmid, [Q(1, 2), Q(1, 2)], Q(1, 10**12),
-                perron.ITERATION_CAP, 2**88, False, None, Q(1, 10**13), 104)
+                lo, hi, mid, [1, 1], Q(1, 10**12), False, None, Q(1, 10**13), 104)
 
     def test_hopeless_enclosure_raises_promptly(self):
         # a 1e-30 entry makes (M+I)^2 so ill-conditioned that no iterate
@@ -137,26 +136,44 @@ class TestPfData:
         # them cannot help: this raises instead of running to ITERATION_CAP
         a = (Rat(Q(1, 2)), Rat(Q(1, 10**30)), Rat(Q(1, 3)))
         start = time.monotonic()
-        with pytest.raises(NumericalFailureError):
+        with pytest.raises(NumericalFailureError) as info:
             perron.pf_data(CYCLE3, a)
         elapsed = time.monotonic() - start
         assert elapsed < 10.0, f"pf_data took {elapsed:.2f}s to fail"
+        assert f"within {perron.ITERATION_CAP} steps" not in str(info.value)
+
+    @staticmethod
+    def fixed_half(radius):
+        half = Enc(Interval(Q(1, 2) - radius, Q(1, 2) + radius))
+        return (half, half)
+
+    def test_narrow_fixed_width_entries_give_a_bracket(self):
+        # Enc entries cannot be refined; these are narrow enough for 1e-12
+        data = perron.pf_data(GOLDEN, self.fixed_half(Q(1, 10**20)), Q(1, 10**12))
+        lo, hi = data.eigenvalue.lo, data.eigenvalue.hi
+        # lo <= (1 + sqrt 5)/4 <= hi, decided exactly
+        assert 4 * lo - 1 <= 0 or (4 * lo - 1) ** 2 <= 5
+        assert 4 * hi - 1 > 0 and (4 * hi - 1) ** 2 >= 5
+        assert hi - lo <= Q(1, 10**12)
+
+    def test_wide_fixed_width_entries_raise(self):
+        with pytest.raises(NumericalFailureError,
+                           match="limited by fixed-width enclosure entries"):
+            perron.pf_data(GOLDEN, self.fixed_half(Q(1, 10**6)), Q(1, 10**12))
 
     @pytest.mark.parametrize("matrix, a, x, perron_vector", [
-        # the exact Perron direction of F3, summing to 3/4
-        (FULL3, (1, 1, 1), [Q(1, 4)] * 3, [Q(1, 3)] * 3),
-        # near the Perron direction (1/3, 2/3) of diag(1/3, 2/3) F2, sum ~3/4
-        (FULL2, (Q(1, 3), Q(2, 3)), [Q(1, 4), Q(1, 2) + Q(1, 10**20)],
-         [Q(1, 3), Q(2, 3)]),
+        # the exact Perron direction of F3, summing to 3
+        (FULL3, (1, 1, 1), [1, 1, 1], [Q(1, 3)] * 3),
+        # near the Perron direction (1/3, 2/3) of diag(1/3, 2/3) F2
+        (FULL2, (Q(1, 3), Q(2, 3)), [10**20, 2 * 10**20 + 4], [Q(1, 3), Q(2, 3)]),
     ])
     def test_eigenvector_enclosure_normalises_the_iterate(self, matrix, a, x,
                                                           perron_vector):
         width = Q(1, 24 * 10**12)
-        nlo, nhi, nmid = perron._shifted_enclosure(
-            matrix, tuple(Rat(Q(v)) for v in a), width)
+        entries = perron._grid_entries(tuple(Rat(Q(v)) for v in a), width, 104)
+        lo, hi, mid = perron._shifted_bounds(matrix, entries, 104)
         vector = perron._eigenvector_enclosure(
-            nlo, nhi, nmid, x, Q(1, 10**12), perron.ITERATION_CAP,
-            2**88, True, None, width, 104)
+            lo, hi, mid, x, Q(1, 10**12), True, None, width, 104)
         for entry, ref in zip(vector, perron_vector):
             assert entry.lo <= ref <= entry.hi
             assert entry.width <= Q(1, 10**11)
@@ -484,6 +501,60 @@ class TestRadiusVsOne:
         sign = perron._radius_vs_one(swap, self.points((1.0, 2.5)),
                                      Fraction(0), Q(1, 10**15))
         assert sign == 0
+
+
+class TestCollatzWielandt:
+    """The integer loop that pf_data and the bisection's sign test share."""
+
+    BITS = 104
+
+    def bounds(self, matrix):
+        one = 1 << self.BITS
+        return perron._shifted_bounds(matrix, [(one, one)] * matrix.n, self.BITS)
+
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    def test_uniform_start_is_exact_on_full_matrices(self, n):
+        lo, hi, mid = self.bounds(ZeroOneMatrix.full(n))
+        loop = perron._collatz_wielandt(lo, hi, mid, [1] * n, self.BITS)
+        b_lo, b_hi, x, stall = next(loop)
+        assert b_lo == b_hi == (n + 1) << self.BITS
+        assert x == [1] * n and stall == 0
+
+    @pytest.mark.parametrize("matrix", [GOLDEN, CYCLE3, kronecker_matrix(FULL2, GOLDEN)])
+    def test_brackets_are_nested_and_contain_the_radius(self, matrix):
+        rng = random.Random(f"cw/{matrix.rows}")
+        lo, hi, mid = self.bounds(matrix)
+        radius = np_perron(matrix.rows)[0] + 1  # of M + I
+        one = 1 << self.BITS
+        for _ in range(3):
+            x = [rng.randint(1, 10**6) for _ in range(matrix.n)]
+            loop = perron._collatz_wielandt(lo, hi, mid, x, self.BITS)
+            previous = (0, math.inf)
+            for _, (b_lo, b_hi, _, _) in zip(range(40), loop):
+                assert b_lo / one - 1e-12 <= radius <= b_hi / one + 1e-12
+                assert previous[0] <= b_lo <= b_hi <= previous[1]
+                previous = (b_lo, b_hi)
+
+    def test_sign_test_agrees_with_pf_data(self):
+        # the same loop decides both: _radius_vs_one on exp_neg_grid bounds,
+        # pf_data on exp_interval enclosures of the same e^{-beta omega_i}
+        rng = random.Random(43)
+        compared = 0
+        for m in POOL:
+            for _ in range(2):
+                omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
+                freqs = TestRadiusVsOne.points(omega)
+                for beta in TestRadiusVsOne.beta_grid(rng, m.rows, omega):
+                    if abs(np_radius(m.rows, omega, float(beta)) - 1) <= 1e-6:
+                        continue
+                    a = [Enc(exp_interval(Interval.point(-beta * Fraction(w))))
+                         for w in omega]
+                    bracket = perron.pf_data(m, a, Q(1, 10**9)).eigenvalue
+                    assert bracket.lo > 1 or bracket.hi < 1
+                    sign = perron._radius_vs_one(m, freqs, beta, Q(1, 10**15))
+                    assert sign == (1 if bracket.lo > 1 else -1), (m, omega, beta)
+                    compared += 1
+        assert compared >= 80
 
 
 class TestPowerEquation:
