@@ -19,9 +19,11 @@ a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
 no eigenvalue can reach 1 earlier.  Other frequency vectors take a bisection
 whose sign test runs the same integer Collatz-Wielandt loop as pf_data, on
-entry bounds from exp_neg_grid.  The canonical point (1/c_A, ..., 1/c_A)
-is the exact parameter for unit frequencies: its entry is the smallest root
-of det(tA - I) in (0,1), and beta = log c_A.
+entry bounds from exp_neg_grid.  Consecutive sign tests differ only slightly
+in beta, so each starts from the iterate the previous one ended on, which
+is as sound as any positive start vector.  The canonical point
+(1/c_A, ..., 1/c_A) is the exact parameter for unit frequencies: its entry
+is the smallest root of det(tA - I) in (0,1), and beta = log c_A.
 """
 
 from __future__ import annotations
@@ -491,15 +493,18 @@ def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
 
 
 def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
-                   work: Fraction) -> int:
-    """Sign of PFE(diag(e^{-beta omega}) A) - 1; 0 when undecided at this
-    working precision.  `freqs` holds the enclosures of the omega_i refined
-    to width `work`.
+                   work: Fraction, x: list) -> tuple:
+    """(sign, x): the sign of PFE(diag(e^{-beta omega}) A) - 1, 0 when
+    undecided at this working precision, and the iterate that gave the last
+    bracket.  `freqs` holds the enclosures of the omega_i refined to width
+    `work`, and `x` is a positive integer start vector.
 
-    The Collatz-Wielandt loop of pf_data, from the all-ones vector: every
-    entry bound comes from exp_neg_grid on the grid 2^-bits (one call per
-    row when beta * omega_i is a point).  Bisection only needs the sign, so
-    the loop stops as soon as its bracket excludes 1.
+    The Collatz-Wielandt loop of pf_data, from `x`: every entry bound comes
+    from exp_neg_grid on the grid 2^-bits (one call per row when
+    beta * omega_i is a point).  Any positive start vector gives a valid
+    bracket, so the bisection passes each test the iterate of the one before,
+    which is already close to the Perron vector.  Bisection only needs the
+    sign, so the loop stops as soon as its bracket excludes 1.
     """
     bits = max(96, work.denominator.bit_length() + 48)
     rows = []
@@ -512,32 +517,39 @@ def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
     lo, hi, mid = _shifted_bounds(matrix, rows, bits)
     two = 2 << bits
     target = (4 * work.numerator << bits) // work.denominator  # 4*work in grid units
-    loop = _collatz_wielandt(lo, hi, mid, [1] * matrix.n, bits)
-    for b_lo, b_hi, _, stall in islice(loop, 4000):
+    loop = _collatz_wielandt(lo, hi, mid, x, bits)
+    for b_lo, b_hi, x, stall in islice(loop, 4000):
         if b_lo > two:
-            return 1
+            return 1, x
         if b_hi < two:
-            return -1
+            return -1, x
         if b_hi - b_lo <= target or stall >= 15:
-            return 0
-    return 0
+            return 0, x
+    return 0, x
 
 
 def _solve_beta_numeric(matrix: ZeroOneMatrix, omega: FrequencyVector,
                         precision: Fraction) -> BetaSolution:
+    """Certified bisection on beta: double an upper end until the radius
+    drops below 1, then halve [0, hi] down to `precision`, refining the
+    frequencies 16 times finer whenever a sign stays undecided.  The first
+    sign test starts from the all-ones vector and each later one from the
+    iterate the previous test returned."""
     work = max(precision / 64, Q(1, 10**15))
     freqs = [scalars.refine(w, work) for w in omega.entries]
     hi = Q(1)
+    sign, x = _radius_vs_one(matrix, freqs, hi, work, [1] * matrix.n)
     doublings = 0
-    while _radius_vs_one(matrix, freqs, hi, work) >= 0:
+    while sign >= 0:
         hi *= 2
         doublings += 1
         if doublings > 80:
             raise NumericalFailureError("no bracket for the inverse temperature")
+        sign, x = _radius_vs_one(matrix, freqs, hi, work, x)
     lo = Q(0)
     while hi - lo > precision:
         mid = (lo + hi) / 2
-        sign = _radius_vs_one(matrix, freqs, mid, work)
+        sign, x = _radius_vs_one(matrix, freqs, mid, work, x)
         if sign == 0:
             work /= 16
             if work < Q(1, 10**60):

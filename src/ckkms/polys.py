@@ -162,41 +162,6 @@ def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 
-def rational_roots_in(p: Poly, lo: Fraction, hi: Fraction) -> list[Fraction]:
-    """All rational roots of p inside [lo, hi], via the rational root test."""
-    _, ints = content_primitive(p)
-    if not ints:
-        return []
-    # factor out powers of x
-    shift = 0
-    while ints and ints[0] == 0:
-        ints = ints[1:]
-        shift += 1
-    roots = set()
-    if shift and lo <= 0 <= hi:
-        roots.add(Q(0))
-    if ints and len(ints) > 1:
-        a0, an = abs(ints[0]), abs(ints[-1])
-        for pnum in _divisors(a0):
-            for qden in _divisors(an):
-                for cand in (Q(pnum, qden), Q(-pnum, qden)):
-                    if lo <= cand <= hi and eval_at(ints, cand) == 0:
-                        roots.add(cand)
-    return sorted(roots)
-
-
-def _divisors(n: int) -> list[int]:
-    out = []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            if d != n // d:
-                out.append(n // d)
-        d += 1
-    return sorted(out)
-
-
 def isolate_smallest_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
     """Isolating interval (a, b) for the smallest root of p in (lo, hi).
 

@@ -93,22 +93,31 @@ def make_algebraic(poly, lo, hi) -> Scalar:
     Collapses to Rat when the isolated root is rational.  Raises
     InvalidScalarError unless the interval isolates exactly one root with a
     sign change of the squarefree part.
+
+    A rational root p/q of the primitive squarefree part has q | a_n, its
+    leading coefficient, so it is a multiple of 1/a_n.  A copy of the
+    interval refined to width 1/(2 a_n) holds at most one such multiple, and
+    an exact evaluation there decides rationality without factoring any
+    coefficient.
     """
     lo, hi = Q(lo), Q(hi)
     sf = polys.squarefree_part(list(poly))
     if polys.degree(sf) < 1:
         raise InvalidScalarError("polynomial has no roots to isolate")
-    for r in polys.rational_roots_in(sf, lo, hi):
-        if lo <= r <= hi:
-            # exactly-one-root check still applies
-            if polys.count_roots(sf, lo, hi) > 1 and not (lo == hi == r):
-                raise InvalidScalarError("interval does not isolate a single root")
-            return Rat(r)
     flo, fhi = polys.eval_at(sf, lo), polys.eval_at(sf, hi)
+    if lo <= hi and (flo == 0 or fhi == 0):
+        if lo < hi and polys.count_roots(sf, lo, hi) > 1:
+            raise InvalidScalarError("interval does not isolate a single root")
+        return Rat(lo if flo == 0 else hi)
     if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
         raise InvalidScalarError("interval endpoints must straddle a sign change")
     if polys.count_roots(sf, lo, hi) != 1:
         raise InvalidScalarError("interval does not isolate a single root")
+    lead = sf[-1]
+    a, b = polys.refine_root(sf, lo, hi, Q(1, 2 * lead))
+    r = Q(math.ceil(a * lead), lead)
+    if r <= b and polys.eval_at(sf, r) == 0:
+        return Rat(r)
     return Alg(tuple(sf), lo, hi)
 
 

@@ -467,6 +467,17 @@ class TestRadiusVsOne:
         spread = [rng.uniform(0.05, 3.0) * root for _ in range(8)]
         return [Fraction(b) for b in near + spread]
 
+    @staticmethod
+    def check_sign(sign, gap, context) -> bool:
+        """No wrong sign outside the 1e-12 band, and a decided one outside
+        the 1e-6 band; True when the sign had to be decided."""
+        if abs(gap) > 1e-12:
+            assert sign in (0, 1 if gap > 0 else -1), context
+        if abs(gap) > 1e-6:
+            assert sign == (1 if gap > 0 else -1), context
+            return True
+        return False
+
     def test_sign_is_never_wrong_and_decided_away_from_one(self):
         rng = random.Random(41)
         decided = 0
@@ -477,29 +488,86 @@ class TestRadiusVsOne:
                 for beta in self.beta_grid(rng, m.rows, omega):
                     gap = np_radius(m.rows, omega, float(beta)) - 1
                     for work in self.WORKS:
-                        sign = perron._radius_vs_one(m, freqs, beta, work)
-                        if abs(gap) > 1e-12:
-                            assert sign in (0, 1 if gap > 0 else -1), (m, omega, beta)
-                        if abs(gap) > 1e-6:
-                            assert sign == (1 if gap > 0 else -1), (m, omega, beta, work)
-                            decided += 1
+                        sign, _ = perron._radius_vs_one(m, freqs, beta, work, [1] * m.n)
+                        decided += self.check_sign(sign, gap, (m, omega, beta, work))
         assert decided >= 250  # the grid reaches well past the 1e-6 band
+
+    def test_warm_starts_are_sound(self):
+        # any positive start vector gives a valid bracket: a lopsided one, and
+        # the iterates that tests at another beta and on another matrix of
+        # the same size return, as the bisection passes them on
+        rng = random.Random(47)
+        decided = 0
+        for m in POOL:
+            other = next(p for p in POOL if p.n == m.n and p != m)
+            for _ in range(2):
+                omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
+                freqs = self.points(omega)
+                other_freqs = self.points(tuple(rng.uniform(0.3, 3.0) for _ in range(m.n)))
+                for beta in self.beta_grid(rng, m.rows, omega):
+                    gap = np_radius(m.rows, omega, float(beta)) - 1
+                    for work in self.WORKS:
+                        elsewhere = Fraction(rng.uniform(0.05, 3.0)) * beta
+                        starts = (
+                            [1] * m.n,
+                            [1, 2**300] + [1] * (m.n - 2),
+                            perron._radius_vs_one(m, freqs, elsewhere, work, [1] * m.n)[1],
+                            perron._radius_vs_one(other, other_freqs, beta, work,
+                                                  [1] * m.n)[1],
+                        )
+                        for k, start in enumerate(starts):
+                            sign, x = perron._radius_vs_one(m, freqs, beta, work, start)
+                            assert len(x) == m.n and all(v >= 1 for v in x)
+                            decided += self.check_sign(sign, gap, (m, omega, beta, work, k))
+        assert decided >= 4 * 150
+
+    def test_warm_start_step_count_and_brackets(self, monkeypatch):
+        # each sign test starts from the iterate of the one before; a cold
+        # start from the all-ones vector takes about 550 steps per golden-mean
+        # solve and 1,360 per 3-cycle solve at 1e-12.  The brackets must not move.
+        steps = [0]
+        loop = perron._collatz_wielandt
+
+        def counting(*args):
+            for item in loop(*args):
+                steps[0] += 1
+                yield item
+
+        def solves(m):
+            out = []
+            for seed in range(20):
+                rng = random.Random(f"warm/{m.rows}/{seed}")
+                omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
+                steps[0] = 0
+                sol = perron.solve_beta(m, omega, Fraction(1, 10**12))
+                out.append(((sol.beta.lo, sol.beta.hi), steps[0]))
+            return out
+
+        monkeypatch.setattr(perron, "_collatz_wielandt", counting)
+        for m in (GOLDEN, CYCLE3):
+            warm = solves(m)
+            assert max(n for _, n in warm) <= 150, [n for _, n in warm]
+            sign_test = perron._radius_vs_one
+            with monkeypatch.context() as cold:
+                cold.setattr(perron, "_radius_vs_one",
+                             lambda mat, f, b, w, x: sign_test(mat, f, b, w, [1] * mat.n))
+                assert [b for b, _ in solves(m)] == [b for b, _ in warm]
 
     def test_tiny_entries_round_to_a_zero_lower_bound(self):
         # e^{-60 * 2} is far below the 2^-96 grid step: its lower bound
         # rounds to 0, which still bounds the radius from below
         omega = (1.0, 60.0)
         assert np_radius(GOLDEN.rows, omega, 2.0) < 1
-        sign = perron._radius_vs_one(GOLDEN, self.points(omega),
-                                     Fraction(2), Q(1, 10**15))
+        sign, _ = perron._radius_vs_one(GOLDEN, self.points(omega),
+                                        Fraction(2), Q(1, 10**15), [1, 1])
         assert sign == -1
 
     def test_radius_exactly_one_is_undecided(self):
         # at beta = 0 the swap matrix has radius exactly 1: the bracket
         # collapses onto 2 and the sign test must not pick a side
         swap = ZeroOneMatrix(((0, 1), (1, 0)))
-        sign = perron._radius_vs_one(swap, self.points((1.0, 2.5)),
-                                     Fraction(0), Q(1, 10**15))
+        sign, _ = perron._radius_vs_one(swap, self.points((1.0, 2.5)),
+                                        Fraction(0), Q(1, 10**15), [1, 1])
         assert sign == 0
 
 
@@ -551,7 +619,7 @@ class TestCollatzWielandt:
                          for w in omega]
                     bracket = perron.pf_data(m, a, Q(1, 10**9)).eigenvalue
                     assert bracket.lo > 1 or bracket.hi < 1
-                    sign = perron._radius_vs_one(m, freqs, beta, Q(1, 10**15))
+                    sign, _ = perron._radius_vs_one(m, freqs, beta, Q(1, 10**15), [1] * m.n)
                     assert sign == (1 if bracket.lo > 1 else -1), (m, omega, beta)
                     compared += 1
         assert compared >= 80

@@ -151,11 +151,6 @@ class TestIsolation:
         assert float(lo) <= expected <= float(hi)
         assert hi - lo <= Fraction(1, 10**12)
 
-    def test_rational_roots_found(self):
-        # (2x - 1)(3x - 2) = 2 - 7x + 6x^2
-        roots = polys.rational_roots_in([2, -7, 6], Fraction(0), Fraction(1))
-        assert set(roots) == {Fraction(1, 2), Fraction(2, 3)}
-
 
 class TestPolymatDet:
     def test_matches_leibniz_after_substitution(self):

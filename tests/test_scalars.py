@@ -2,6 +2,7 @@
 log-ratio verdicts, and JSON round-trips."""
 
 import math
+import time
 from fractions import Fraction
 
 import pytest
@@ -53,6 +54,27 @@ class TestConstruction:
     def test_rational_root_collapses_to_rat(self):
         s = scalars.make_algebraic([-1, 2], Q(0), Q(1))  # 2x - 1
         assert isinstance(s, Rat) and s.value == Q(1, 2)
+
+    def test_rational_roots_of_a_product_collapse(self):
+        # (2x - 1)(3x - 2) = 2 - 7x + 6x^2, one root on each side of 3/5
+        assert scalars.make_algebraic([2, -7, 6], Q(0), Q(3, 5)) == Rat(Q(1, 2))
+        assert scalars.make_algebraic([2, -7, 6], Q(3, 5), Q(1)) == Rat(Q(2, 3))
+
+    def test_rational_root_beside_irrational_ones_collapses(self):
+        # (10^20 x - 3)(x^2 - 2): a rational root with a 21-digit denominator
+        poly = [6, -2 * 10**20, -3, 10**20]
+        s = scalars.make_algebraic(poly, Q(2, 10**20), Q(4, 10**20))
+        assert s == Rat(Q(3, 10**20))
+        sqrt2 = scalars.make_algebraic(poly, Q(1), Q(2))
+        assert isinstance(sqrt2, Alg) and (sqrt2.lo, sqrt2.hi) == (Q(1), Q(2))
+
+    def test_large_leading_coefficient_is_fast(self):
+        # 10^40 x^2 - 2 isolates sqrt(2)/10^20 in [1e-20, 2e-20]; factoring
+        # 10^40 by trial division would not finish
+        start = time.monotonic()
+        s = scalars.make_algebraic([-2, 0, 10**40], Q(1, 10**20), Q(2, 10**20))
+        assert time.monotonic() - start < 1.0
+        assert isinstance(s, Alg) and (s.lo, s.hi) == (Q(1, 10**20), Q(2, 10**20))
 
     def test_interval_must_isolate(self):
         with pytest.raises(InvalidScalarError):
