@@ -156,12 +156,11 @@ def _validate_open_unit(entries):
             raise DomainError("entries must lie strictly between 0 and 1")
 
 
-def _classify_floats(values, denominator_bound: int) -> TypeLabel:
+def _classify_floats(values) -> TypeLabel:
     warnings = []
     ratios = [Q(1)]
     for v in values[1:]:
-        verdict = log_ratio_rational(Flt(v), Flt(values[0]),
-                                     denominator_bound=denominator_bound)
+        verdict = log_ratio_rational(Flt(v), Flt(values[0]))
         if verdict.kind != "rational":
             warnings.append(
                 "a log ratio shows no small rational dependence; treating the "
@@ -182,7 +181,7 @@ def _classify_floats(values, denominator_bound: int) -> TypeLabel:
                      BaseDecomposition(lam, tuple(exps)), tuple(warnings))
 
 
-def detect_lambda(a, denominator_bound: int = 10**6) -> TypeLabel:
+def detect_lambda(a) -> TypeLabel:
     """The invariant lambda of a parameter-style vector with entries in
     (0,1); exact for rational, power-form, and certified single-base mixed
     inputs, heuristic for floats."""
@@ -197,12 +196,12 @@ def detect_lambda(a, denominator_bound: int = 10**6) -> TypeLabel:
     _validate_open_unit(entries)
     if any(isinstance(s, (Flt, Enc)) for s in entries):
         values = [scalars.to_float(s) for s in entries]
-        return _classify_floats(values, denominator_bound)
+        return _classify_floats(values)
     label = _classify_lattice(entries)
     if label is not None:
         return label
     values = [scalars.to_float(s) for s in entries]
-    label = _classify_floats(values, denominator_bound)
+    label = _classify_floats(values)
     return TypeLabel(label.lam, "heuristic", label.decomposition,
                      label.warnings + (
                          "entries mix algebraic bases that the exact lattice "
@@ -217,7 +216,7 @@ def _kron_exponents(e1, e2) -> tuple:
     return tuple(a + b for a in e1 for b in e2)
 
 
-def tensor_type(a, b, denominator_bound: int = 10**6) -> TypeLabel:
+def tensor_type(a, b) -> TypeLabel:
     """lambda of the Kronecker product vector."""
     if isinstance(a, PowerForm) and isinstance(b, PowerForm) \
             and scalars.same_value(a.base, b.base):
@@ -227,33 +226,39 @@ def tensor_type(a, b, denominator_bound: int = 10**6) -> TypeLabel:
         scalars._as_scalar(v) for v in a)
     eb = b.entries() if isinstance(b, PowerForm) else tuple(
         scalars._as_scalar(v) for v in b)
-    return detect_lambda(kronecker_vector(ea, eb), denominator_bound)
+    return detect_lambda(kronecker_vector(ea, eb))
 
 
-def power_type_direct(a, k: int, denominator_bound: int = 10**6,
-                      dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TypeLabel:
+def _check_power_size(n: int, k: int, dimension_cap: int) -> None:
+    """Raise ResourceLimitError when n^k > dimension_cap, multiplying only
+    until the product passes the cap, so a huge k costs no big power."""
+    if n < 2:
+        return
+    size = 1
+    for _ in range(k):
+        size *= n
+        if size > dimension_cap:
+            raise ResourceLimitError(
+                f"the Kronecker power of {n} entries exceeds the cap {dimension_cap}")
+
+
+def power_type_direct(a, k: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TypeLabel:
     """lambda of the k-fold Kronecker power of a."""
     k = int(k)
     if k < 1:
         raise DomainError("the power must be a positive integer")
     if isinstance(a, PowerForm):
-        size = len(a.exponents) ** k
-        if size > dimension_cap:
-            raise ResourceLimitError(
-                f"Kronecker power size {size} exceeds the cap {dimension_cap}")
+        _check_power_size(len(a.exponents), k, dimension_cap)
         exps = a.exponents
         for _ in range(k - 1):
             exps = _kron_exponents(exps, a.exponents)
         return detect_lambda(PowerForm(a.base, exps))
     entries = tuple(scalars._as_scalar(v) for v in a)
-    size = len(entries) ** k
-    if size > dimension_cap:
-        raise ResourceLimitError(
-            f"Kronecker power size {size} exceeds the cap {dimension_cap}")
+    _check_power_size(len(entries), k, dimension_cap)
     acc = entries
     for _ in range(k - 1):
         acc = kronecker_vector(acc, entries)
-    return detect_lambda(acc, denominator_bound)
+    return detect_lambda(acc)
 
 
 def power_type_ck2(p: int, q: int, k: int) -> int:
@@ -269,7 +274,7 @@ def power_type_ck2(p: int, q: int, k: int) -> int:
     return math.gcd(abs(p - q), k)
 
 
-def afd_tensor_rule(lam, mu, denominator_bound: int = 10**6) -> Scalar:
+def afd_tensor_rule(lam, mu) -> Scalar:
     """The label of the tensor of two injective type-III factors: tau when
     (lambda, mu) = (tau^p, tau^q) with coprime p, q, and 1 otherwise."""
     lam = scalars._as_scalar(lam)
@@ -281,7 +286,7 @@ def afd_tensor_rule(lam, mu, denominator_bound: int = 10**6) -> Scalar:
     if scalars.compare_rational(lam, Q(1)) == 0 or \
             scalars.compare_rational(mu, Q(1)) == 0:
         return scalars.ONE
-    return detect_lambda((lam, mu), denominator_bound).lam
+    return detect_lambda((lam, mu)).lam
 
 
 def iii1_family(n: int) -> tuple:

@@ -34,15 +34,14 @@ class RunConfig:
     precision: Fraction = perron.DEFAULT_PRECISION
     max_word_len: int = 3
     dimension_cap: int = 4096
-    denominator_bound: int = 10**6
 
     def __post_init__(self):
         if self.tolerance <= 0 or self.precision <= 0:
             raise ValueError("tolerance and precision must be positive")
         if not 0 <= self.max_word_len <= 8:
             raise ValueError("max_word_len must be between 0 and 8")
-        if self.dimension_cap < 2 or self.denominator_bound < 2:
-            raise ValueError("caps must be at least 2")
+        if self.dimension_cap < 2:
+            raise ValueError("the dimension cap must be at least 2")
 
 
 class UsageError(Exception):
@@ -175,23 +174,24 @@ def render_lambda(label: classify.TypeLabel) -> dict:
 
 def _cmd_classify(args, config: RunConfig):
     vec = parse_vector_or_power_form(args.vector)
-    label = classify.detect_lambda(vec, config.denominator_bound)
+    label = classify.detect_lambda(vec)
     return render_lambda(label), label.mode, None, list(label.warnings), 0
 
 
 def _cmd_tensor_type(args, config: RunConfig):
     a = parse_vector_or_power_form(args.a)
     b = parse_vector_or_power_form(args.b)
-    label = classify.tensor_type(a, b, config.denominator_bound)
+    label = classify.tensor_type(a, b)
     return render_lambda(label), label.mode, None, list(label.warnings), 0
 
 
 def _cmd_power_type(args, config: RunConfig):
+    if (args.p is None) != (args.q is None):
+        raise UsageError("--p and --q must be given together")
     a = parse_vector_or_power_form(args.a)
-    label = classify.power_type_direct(a, args.k, config.denominator_bound,
-                                       config.dimension_cap)
+    label = classify.power_type_direct(a, args.k, config.dimension_cap)
     result = render_lambda(label)
-    if args.p is not None and args.q is not None:
+    if args.p is not None:
         r = classify.power_type_ck2(args.p, args.q, args.k)
         result["exponent_rule"] = r
     return result, label.mode, None, list(label.warnings), 0
@@ -209,7 +209,7 @@ def _parse_scalar_arg(text: str) -> scalars.Scalar:
 def _cmd_afd_rule(args, config: RunConfig):
     lam = _parse_scalar_arg(args.lam)
     mu = _parse_scalar_arg(args.mu)
-    out = classify.afd_tensor_rule(lam, mu, config.denominator_bound)
+    out = classify.afd_tensor_rule(lam, mu)
     return {"label": render_scalar(out)}, "exact", None, [], 0
 
 
@@ -611,8 +611,6 @@ def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> Non
                         help="working enclosure precision")
     parser.add_argument("--max-word-len", type=int, default=default(3))
     parser.add_argument("--dimension-cap", type=int, default=default(4096))
-    parser.add_argument("--denominator-bound", type=int,
-                        default=default(10**6))
     parser.add_argument("--out", default=default(None),
                         help="also write the JSON here")
     parser.add_argument("--format", choices=("json", "table"),
@@ -769,7 +767,6 @@ def main(argv=None) -> int:
             precision=_parse_bound(args.precision),
             max_word_len=args.max_word_len,
             dimension_cap=args.dimension_cap,
-            denominator_bound=args.denominator_bound,
         )
     except (ValueError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)

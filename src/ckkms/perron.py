@@ -5,13 +5,12 @@ irreducible, which kills the oscillation of periodic matrices), in integers:
 the entry bounds of M + I are rounded outward onto a grid 2^-bits and the
 iterate is a positive integer vector.  It starts from a float Perron vector
 of the midpoint matrix, made exact: any positive start vector keeps the
-certificates valid, so the floats only save exact steps.  Collatz-Wielandt
-quotients, each rounded outward onto the grid, give a certified eigenvalue
-bracket at every step.  The eigenvector enclosure comes from a Birkhoff
-projective-metric contraction bound on the integer power (M + I)^(n-1); the
-endpoints of the enclosure are rounded outward onto a power-of-two grid.
-The enclosure is of the eigenvector of sum 1 whatever the sum of the
-iterate.
+certificates valid, so the floats only save exact steps.  Every iterate
+carries both certificates: its Collatz-Wielandt quotients, rounded outward
+onto the grid, bracket the eigenvalue, and a Birkhoff projective-metric
+contraction bound on the integer power (M + I)^(n-1) bounds its distance to
+the eigenvector of sum 1, whose enclosure is rounded outward onto a
+power-of-two grid.
 
 The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
@@ -154,7 +153,7 @@ def _collatz_wielandt(lo, hi, mid, x, bits: int):
 
 
 def _float_start(mid):
-    """A positive integer start vector for both loops: float power iteration
+    """A positive integer start vector for pf_data: float power iteration
     on the midpoint matrix, stopped at relative change 1e-15 or after 2000
     steps.  Each entry becomes the simplest fraction of denominator at most
     2^20 within 2^-48 of it, relative, or else the float's exact value, and
@@ -217,16 +216,16 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     `matrix`, all ones when omitted.  The result records `precision`, so
     that states.state_spec can tell whether in_lambda's data fits.
 
-    Each enclosure of an a_i is rounded outward onto one grid 2^-bits,
-    bits = max(64, bitlen(precision.denominator) + 48) + 16, and both loops
-    run in integers on it: the Collatz-Wielandt loop that solve_beta's sign
-    test also runs, whose bracket lies on the grid, and the Birkhoff bound on
-    (M + I)^(n-1).  Both start from the float Perron vector of the midpoint
-    matrix, so at the default precision the bracket usually meets its width
-    in one step.  Each eigenvector entry, x_i/S scaled by the Birkhoff factor
-    F^-1 and F, S = sum(x), is rounded outward onto a power-of-two grid.
-    Exact points stay exact.  When narrowing the entries below the grid no
-    longer narrows the bracket, this raises NumericalFailureError.
+    The a_i are refined to precision/(64n) and rounded outward onto the grid
+    2^-bits, bits = max(64, bitlen(precision.denominator) + 48) + 16.  Each
+    iterate of the Collatz-Wielandt loop, started from the float Perron
+    vector of the midpoint matrix, gives a bracket on the grid and a Birkhoff
+    distance u; the loop stops once the bracket is `precision` wide and
+    u <= precision, usually after one step.  When the unmet bound stops
+    improving, the entries are refined 64 times finer and the loop goes on
+    from its iterate.  Enc entries, or entries already narrower than the
+    grid, raise NumericalFailureError instead, except that Enc entries whose
+    bracket holds accept u <= 1.
     """
     precision = Q(precision)
     if precision <= 0:
@@ -242,109 +241,79 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     bits = max(64, precision.denominator.bit_length() + 48) + 16
     one = 1 << bits
     target = (precision.numerator << bits) // precision.denominator
+    entry_width = precision / (64 * n)
 
-    def bounds(width):
-        return _shifted_bounds(matrix, _grid_entries(a, width, bits), bits)
+    def start(x):
+        lo, hi, mid = _shifted_bounds(matrix, _grid_entries(a, entry_width, bits), bits)
+        return (_collatz_wielandt(lo, hi, mid, x or _float_start(mid), bits),
+                _birkhoff_distance(lo, hi, bits))
 
-    entry_width = precision / (8 * n)
-    lo, hi, mid = bounds(entry_width)
-    loop = _collatz_wielandt(lo, hi, mid, _float_start(mid), bits)
+    loop, distance = start(None)
+    best_u, u_stall = math.inf, 0
     for steps in range(1, ITERATION_CAP + 1):
         b_lo, b_hi, x, stall = next(loop)
-        if b_hi - b_lo <= target:
-            break
-        if stall >= 15:
-            if not refinable:
-                raise NumericalFailureError(
-                    "eigenvalue bracket is limited by fixed-width enclosure entries")
-            if entry_width < Q(1, one):
-                raise NumericalFailureError(
-                    f"eigenvalue bracket stalled at width {(b_hi - b_lo) / one:.3g} "
-                    "with entries narrower than the grid")
+        met = b_hi - b_lo <= target
+        if met:
+            u = distance(x)
+            if u <= precision and u <= 1:  # 1 + u + u^2 bounds e^u only for u <= 1
+                break
+            u_stall = u_stall + 1 if u >= best_u * Q(99, 100) else 0
+            best_u = min(best_u, u)
+        if u_stall >= 10 if met else stall >= 15:
+            if met and u <= 1 and not refinable:
+                break
+            if not refinable or entry_width < Q(1, one):
+                what = (f"eigenvector enclosure stalled at projective distance {float(u):.3g}"
+                        if met else f"eigenvalue bracket stalled at width {(b_hi - b_lo) / one:.3g}")
+                why = "fixed-width enclosure entries" if not refinable else "the grid"
+                raise NumericalFailureError(f"{what}, limited by {why}")
             entry_width /= 64
-            lo, hi, mid = bounds(entry_width)
-            loop = _collatz_wielandt(lo, hi, mid, x, bits)
+            loop, distance = start(x)
+            best_u, u_stall = math.inf, 0
     else:
         raise NumericalFailureError(
             f"power iteration did not converge within {ITERATION_CAP} steps")
     bracket = Interval(Q(b_lo - one, one), Q(b_hi - one, one))
-
-    vec_width = entry_width if not refinable else min(entry_width, precision / (64 * n))
-    if refinable:
-        lo, hi, mid = bounds(vec_width)
-    vector = _eigenvector_enclosure(lo, hi, mid, x, precision, refinable,
-                                    bounds, vec_width, bits)
-    return PFData(bracket, vector, steps, precision)
+    return PFData(bracket, _eigenvector_enclosure(x, u, bits), steps, precision)
 
 
-def _positive_power(lo, hi, bits: int):
-    """Integer matrices blo <= 2^bits (M+I)^(n-1) <= bhi, entrywise, from
-    lo <= 2^bits (M+I) <= hi; each integer product is shifted back onto the
-    grid, floor for the lower bound and ceil for the upper."""
-    n = len(lo)
+def _birkhoff_distance(lo, hi, bits: int):
+    """The map from a positive integer iterate x to a bound u on the
+    projective distance from x to the Perron vector of every M with
+    lo <= 2^bits (M+I) <= hi (G. Birkhoff, Extensions of Jentzsch's theorem,
+    Trans. AMS 85, 1957): with B = (M+I)^(n-1) entrywise positive and upper
+    contraction ratio kappa, u = d(x, Bx)/(1-kappa).  B is bounded by integer
+    matrices blo <= 2^bits B <= bhi, each product shifted back onto the grid,
+    floor for the lower bound and ceil for the upper."""
     blo, bhi = lo, hi
-    for _ in range(n - 2):
+    for _ in range(len(lo) - 2):
         blo = [[sum(map(mul, row, col)) >> bits for col in zip(*lo)] for row in blo]
         bhi = [[-(-sum(map(mul, row, col)) >> bits) for col in zip(*hi)] for row in bhi]
     if any(v <= 0 for row in blo for v in row):
         raise NumericalFailureError("(M+I)^(n-1) has no positive lower bound on the grid")
-    return blo, bhi
-
-
-def _eigenvector_enclosure(lo, hi, mid, x, precision, refinable, rebuild, width, bits):
-    """Birkhoff bound: with B = (M+I)^(n-1) entrywise positive and upper
-    contraction ratio kappa, the projective distance u from the iterate x
-    to the true eigenvector v is at most d(x, Bx)/(1-kappa).  With
-    S = sum(x) and sum(v) = 1 the ratios v_i/x_i straddle 1/S and lie within
-    a factor e^u of each other, so v_i is in [x_i/(S F), x_i F/S] for
-    F = 1 + u + u^2 >= e^u; the endpoints are rounded outward onto a grid
-    2^-bits or finer, fine enough that every lower endpoint stays positive.
-    When u = 0, x is an exact eigenvector and the entries are exact points.
-
-    lo <= 2^bits (M+I) <= hi and their midpoint mid are integer matrices,
-    x is a positive integer vector, and rebuild(w) gives the three matrices
-    from entries refined to width w."""
-    blo, bhi = _positive_power(lo, hi, bits)
-    # the cross-ratio sup (B_ik B_jl)/(B_jk B_il) is at most (top/bot)^2; a
-    # loose kappa only costs extra iterations, never correctness
+    # sup (B_ik B_jl)/(B_jk B_il) <= (top/bot)^2 gives kappa <= (root-1)/(root+1);
+    # a loose kappa only costs extra iterations, never correctness
     root = Q(max(v for row in bhi for v in row), min(v for row in blo for v in row))
-    kappa = (root - 1) / (root + 1)
-    denom = 1 - kappa
-    best_u = None
-    stall = 0
-    for _ in range(ITERATION_CAP):
+    denom = 2 / (root + 1)  # 1 - kappa
+
+    def distance(x):
         # max over i, j of (x_i (Bx)hi_j) / (x_j (Bx)lo_i)
         ratio = (max(Q(w, xi) for w, xi in zip(_matvec(bhi, x), x))
                  / min(Q(w, xi) for w, xi in zip(_matvec(blo, x), x)))
-        u = (ratio - 1) / denom
-        if u <= precision and u <= 1:
-            break
-        if best_u is not None and u >= best_u * Q(99, 100):
-            stall += 1
-        else:
-            stall = 0
-        best_u = u if best_u is None else min(best_u, u)
-        if stall >= 10:
-            if not refinable:
-                break
-            if width < Q(1, 1 << bits):
-                # entries narrower than the grid of B cannot lower u
-                raise NumericalFailureError(
-                    f"eigenvector enclosure stalled at projective distance {float(u):.3g}")
-            width /= 64
-            lo, hi, mid = rebuild(width)
-            blo, bhi = _positive_power(lo, hi, bits)
-            stall = 0
-            continue
-        x = _next_iterate(mid, x, bits)
-    else:
-        raise NumericalFailureError(
-            f"eigenvector enclosure did not converge within {ITERATION_CAP} steps")
-    if u > 1:
-        raise NumericalFailureError(
-            f"eigenvector enclosure stalled at projective distance {float(u):.3g} > 1")
+        return (ratio - 1) / denom
+    return distance
+
+
+def _eigenvector_enclosure(x, u, bits: int):
+    """The enclosure of the eigenvector of sum 1 from a positive integer
+    iterate x at projective distance at most u <= 1 from it.  With S = sum(x)
+    the ratios v_i/x_i straddle 1/S and lie within a factor e^u of each
+    other, so v_i is in [x_i/(S F), x_i F/S] for F = 1 + u + u^2 >= e^u; the
+    endpoints are rounded outward onto a grid 2^-bits or finer, fine enough
+    that every lower endpoint stays positive.  When u = 0, x is an exact
+    eigenvector and the entries are exact points."""
     total = sum(x)
-    factor = 1 + u + u * u  # >= e^u for u in [0, 1]
+    factor = 1 + u + u * u
     bits += (total // min(x)).bit_length()
     return tuple(Interval(xi / (total * factor), xi * factor / total).outward(bits)
                  for xi in x)

@@ -154,11 +154,12 @@ def _sign_variations(chain: list[Poly], x: Fraction) -> int:
 
 
 def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]."""
-    sf = squarefree_part(p)
-    if degree(sf) <= 0:
+    """Number of distinct real roots of p in the half-open interval (lo, hi]:
+    Sturm's count, exact for any p whose ends are not roots of it, and for a
+    squarefree p (the form its callers pass) also when they are."""
+    if degree(p) <= 0:
         return 0
-    chain = sturm_chain(sf)
+    chain = sturm_chain(p)
     return _sign_variations(chain, lo) - _sign_variations(chain, hi)
 
 

@@ -484,6 +484,9 @@ def _parallel_lattice(rows: list[list[int]]) -> tuple[list[int], list[int]] | No
 # logarithm ratio detection
 
 
+LOG_RATIO_DENOMINATOR_BOUND = 10**6
+
+
 @dataclass(frozen=True)
 class LogRatioVerdict:
     kind: str  # "rational" | "irrational" | "undecided"
@@ -504,12 +507,13 @@ def _convergents(x: Fraction):
         a = 1 / frac
 
 
-def log_ratio_rational(x, y, denominator_bound: int = 10**6) -> LogRatioVerdict:
+def log_ratio_rational(x, y) -> LogRatioVerdict:
     """Decide whether log(x)/log(y) is rational for x, y in (0,1).
 
     Exact for rational inputs via prime-exponent vectors (a verdict of
     "irrational" only arises there).  Other inputs go through float
-    continued-fraction convergents and can only yield "rational" or
+    continued-fraction convergents of denominator at most
+    LOG_RATIO_DENOMINATOR_BOUND and can only yield "rational" or
     "undecided"."""
     sx, sy = _as_scalar(x), _as_scalar(y)
     for s in (sx, sy):
@@ -529,7 +533,7 @@ def log_ratio_rational(x, y, denominator_bound: int = 10**6) -> LogRatioVerdict:
     r = math.log(fx) / math.log(fy)
     target = Fraction(r)
     for conv in _convergents(target):
-        if conv.denominator > denominator_bound:
+        if conv.denominator > LOG_RATIO_DENOMINATOR_BOUND:
             break
         if abs(target - conv) <= Q(1, 10**9):
             return LogRatioVerdict("rational", conv)

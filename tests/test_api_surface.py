@@ -121,3 +121,13 @@ def test_no_unused_imports():
         unused += [f"{path.stem}: {name} (line {line})"
                    for name, line in sorted(imported.items()) if name not in used]
     assert unused == [], "imported but never used: " + ", ".join(unused)
+
+
+def test_sources_parse_with_the_python_3_10_grammar():
+    # pyproject.toml declares requires-python >= 3.10; this catches newer
+    # syntax (except*, type aliases, generic defs), though not newer
+    # library calls
+    for base in (ROOT / "src", ROOT / "tests", ROOT / "perfbench"):
+        for path in sorted(base.rglob("*.py")):
+            ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
+                      feature_version=(3, 10))

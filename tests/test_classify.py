@@ -3,6 +3,7 @@ III_1 family, and the modulus cross-check."""
 
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,18 @@ class TestPowerType:
             classify.power_type_direct(PowerForm(golden_base(), (1, 2)), 13)
         with pytest.raises(ResourceLimitError):
             classify.power_type_direct((Q(1, 2), Q(1, 2)), 5, dimension_cap=16)
+
+    @pytest.mark.parametrize("a", [
+        (Q(1, 2), Q(1, 3), Q(1, 6)),
+        PowerForm(golden_base(), (1, 2)),
+    ], ids=["entries", "power-form"])
+    def test_huge_power_is_refused_without_building_it(self, a):
+        # 3^(10^9) has about 4.8e8 digits: neither computing it nor printing
+        # it in the message may happen
+        start = time.monotonic()
+        with pytest.raises(ResourceLimitError, match="exceeds the cap 4096"):
+            classify.power_type_direct(a, 10**9)
+        assert time.monotonic() - start < 1.0
 
     def test_power_must_be_positive(self):
         with pytest.raises(DomainError):

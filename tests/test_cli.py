@@ -425,6 +425,19 @@ class TestOtherCommands:
         assert doc["result"]["exponent_rule"] == 1
         assert abs(float(doc["result"]["lambda_float"]) - (1 / PHI)) < 1e-12
 
+    def test_huge_power_is_a_usage_error(self):
+        code, out, err = run_cli("power-type", "--a", '["1/2","1/3","1/6"]',
+                                 "--k", "1000000000")
+        assert code == 2
+        assert not out and "exceeds the cap" in err
+
+    @pytest.mark.parametrize("flag", ["--p", "--q"])
+    def test_exponent_rule_needs_both_exponents(self, flag):
+        code, out, err = run_cli("power-type", "--a", GOLDEN_POWER_FORM,
+                                 "--k", "3", flag, "1")
+        assert code == 2
+        assert not out and "--p and --q" in err
+
     def test_afd_rule(self):
         code, doc = run_json("afd-rule", "--lam", "1/4", "--mu", "1/8")
         assert code == 0

@@ -116,19 +116,14 @@ class TestPfData:
         assert min(quotients) - 1e-9 <= lam <= max(quotients) + 1e-9
 
     def test_eigenvector_enclosure_raises_when_it_stalls_above_one(self):
-        # 1 + u + u^2 bounds e^u only for u <= 1.  This fixed-width interval
-        # matrix stalls far above that: with the factor 3 the enclosure
-        # would be [1/6, 3/2] for both entries, which misses the Perron
-        # vector (0.969, 0.031) of its member [[1, 1], [1/1000, 1]].
-        one = 1 << 104
-        lo = [[one, one // 1000], [one // 1000, one]]
-        hi = [[2 * one, one], [one, 2 * one]]
-        mid = [[(a + b) >> 1 for a, b in zip(rlo, rhi)] for rlo, rhi in zip(lo, hi)]
-        _, member_vec = np_perron([[1, 1], [1e-3, 1]])
-        assert member_vec[1] < 1 / 6
-        with pytest.raises(NumericalFailureError):
-            perron._eigenvector_enclosure(
-                lo, hi, mid, [1, 1], Q(1, 10**12), False, None, Q(1, 10**13), 104)
+        # 1 + u + u^2 bounds e^u only for u <= 1.  These fixed-width entries
+        # give a bracket of width about 1e-7, but the 1e-8 entry makes B so
+        # ill-conditioned that the Birkhoff distance stalls at about 5, and
+        # Enc entries cannot be refined, so no enclosure may be returned
+        a = (Enc(Interval(Q(1, 2) - Q(1, 10**15), Q(1, 2) + Q(1, 10**15))),
+             Enc(Interval(Q(1, 10**8) - Q(1, 10**15), Q(1, 10**8) + Q(1, 10**15))))
+        with pytest.raises(NumericalFailureError, match="projective distance"):
+            perron.pf_data(GOLDEN, a, Q(1, 10**6))
 
     def test_hopeless_enclosure_raises_promptly(self):
         # a 1e-30 entry makes (M+I)^2 so ill-conditioned that no iterate
@@ -171,9 +166,10 @@ class TestPfData:
                                                           perron_vector):
         width = Q(1, 24 * 10**12)
         entries = perron._grid_entries(tuple(Rat(Q(v)) for v in a), width, 104)
-        lo, hi, mid = perron._shifted_bounds(matrix, entries, 104)
-        vector = perron._eigenvector_enclosure(
-            lo, hi, mid, x, Q(1, 10**12), True, None, width, 104)
+        lo, hi, _ = perron._shifted_bounds(matrix, entries, 104)
+        u = perron._birkhoff_distance(lo, hi, 104)(x)
+        assert u <= Q(1, 10**12)
+        vector = perron._eigenvector_enclosure(x, u, 104)
         for entry, ref in zip(vector, perron_vector):
             assert entry.lo <= ref <= entry.hi
             assert entry.width <= Q(1, 10**11)

@@ -193,7 +193,7 @@ class TestLogRatio:
         assert v.kind == "irrational"
 
     def test_float_pair_heuristic(self):
-        v = scalars.log_ratio_rational(Flt(0.25), Flt(0.5), 10**6)
+        v = scalars.log_ratio_rational(Flt(0.25), Flt(0.5))
         assert v.kind == "rational" and v.ratio == 2
 
     @given(st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10),
