@@ -28,6 +28,10 @@ from .scalars import (Alg, BaseDecomposition, Enc, Flt, Rat, Scalar,
 from .tensorops import kronecker_vector
 
 FLOAT_EXPONENT_CAP = 64
+# The label of a one-entry power (a)^{kron k} is a^k itself.  It is built only
+# while k times the bits of a (see _check_one_entry_size) stay within this
+# cap, far below the 4,300 decimal digits Python prints of an int.
+POWER_LABEL_BITS = 8192
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,8 @@ def _validate_open_unit(entries):
 
 
 def _classify_floats(values) -> TypeLabel:
+    if min(values) <= 0:
+        raise ResourceLimitError("an entry is below the smallest positive float")
     warnings = []
     ratios = [Q(1)]
     for v in values[1:]:
@@ -242,11 +248,39 @@ def _check_power_size(n: int, k: int, dimension_cap: int) -> None:
                 f"the Kronecker power of {n} entries exceeds the cap {dimension_cap}")
 
 
+def _check_one_entry_size(base: Scalar, k: int) -> None:
+    """Raise ResourceLimitError when base^k would pass POWER_LABEL_BITS.
+
+    Each factor of the power adds the bits of the larger numerator or
+    denominator of the rational part of base (or of its enclosure ends),
+    plus its algebraic exponents; a float adds 1.
+    """
+    if isinstance(base, Enc):
+        ends, exps = (base.interval.lo, base.interval.hi), ()
+    elif isinstance(base, Flt):
+        ends, exps = (), ()
+    else:
+        rational, factors = scalars._factors_of(base)
+        ends, exps = (rational,), [e for _, e in factors]
+    bits = sum(abs(e) for e in exps) + max(
+        (max(abs(x.numerator).bit_length(), x.denominator.bit_length()) for x in ends),
+        default=1)
+    if k * bits > POWER_LABEL_BITS:
+        raise ResourceLimitError(
+            f"the power {k} of a one-entry vector exceeds the label size cap "
+            f"of {POWER_LABEL_BITS} bits")
+
+
 def power_type_direct(a, k: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> TypeLabel:
-    """lambda of the k-fold Kronecker power of a."""
+    """lambda of the k-fold Kronecker power of a.  The power of one entry
+    (a_1) is (a_1^k), built without the Kronecker loop and only within
+    POWER_LABEL_BITS."""
     k = int(k)
     if k < 1:
         raise DomainError("the power must be a positive integer")
+    if isinstance(a, PowerForm) and len(a.exponents) == 1:
+        _check_one_entry_size(a.base, a.exponents[0] * k)
+        return detect_lambda(PowerForm(a.base, (a.exponents[0] * k,)))
     if isinstance(a, PowerForm):
         _check_power_size(len(a.exponents), k, dimension_cap)
         exps = a.exponents
@@ -254,6 +288,9 @@ def power_type_direct(a, k: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> 
             exps = _kron_exponents(exps, a.exponents)
         return detect_lambda(PowerForm(a.base, exps))
     entries = tuple(scalars._as_scalar(v) for v in a)
+    if len(entries) == 1:
+        _check_one_entry_size(entries[0], k)
+        return detect_lambda((scalars.make_power(entries[0], k),))
     _check_power_size(len(entries), k, dimension_cap)
     acc = entries
     for _ in range(k - 1):

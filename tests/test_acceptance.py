@@ -7,15 +7,12 @@ their bound explicitly.
 """
 
 import itertools
-import json
 import math
 import random
-import subprocess
-import sys
 import time
 from contextlib import contextmanager
 
-from ckkms import ckwords, classify, perron, scalars, states, tensorops
+from ckkms import ckwords, classify, paper, perron, scalars, states, tensorops
 from ckkms.ckwords import Letter, Monomial
 from ckkms.classify import PowerForm
 from ckkms.errors import MembershipRejected
@@ -35,6 +32,13 @@ def budget(seconds):
     yield
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"wall-clock budget {seconds}s exceeded: {elapsed:.2f}s"
+
+
+def run_check(check_id):
+    """(passed, detail) of one paper check at the default precision and
+    tolerance."""
+    return dict(paper.CHECKS)[check_id](perron.DEFAULT_PRECISION,
+                                        perron.DEFAULT_TOLERANCE)
 
 
 def golden_base():
@@ -84,22 +88,21 @@ def test_a01_label_examples_exact():
     zero tolerance, < 1 s."""
     with budget(1.0):
         g = golden_base()
-        a = (Q(1, 3), Q(2, 3))
         b = (Q(1, 2), Q(1, 2))
 
-        la = classify.detect_lambda(a)
-        assert la.is_one and la.mode == "exact"
+        # the labels of (1/3, 2/3) and of b, and of their tensor product,
+        # are the registry's checks of the same inputs
+        assert run_check("label-rational-pair-a")[0]  # 1, exact
 
-        lb = classify.detect_lambda(b)
-        assert isinstance(lb.lam, Rat) and lb.lam.value == Q(1, 2)
-        assert lb.mode == "exact"
+        passed, detail = run_check("label-rational-pair-b")  # 1/2
+        assert passed
+        assert detail["label"].mode == "exact"
 
         lc = classify.detect_lambda(PowerForm(g, (1, 2)))
         assert lc.mode == "exact"
         assert scalars.same_value(lc.lam, g)
 
-        lab = classify.tensor_type(a, b)
-        assert lab.is_one and lab.mode == "exact"
+        assert run_check("label-tensor-ab")[0]  # 1, exact
 
         lbc = classify.tensor_type(b, (g, scalars.mul(g, g)))
         assert lbc.is_one and lbc.mode == "exact"
@@ -135,15 +138,9 @@ def test_a03_power_rule_matches_direct_computation():
         assert table == {k: math.gcd(6, k) for k in range(1, 13)}
         assert table[4] == table[10] == 2
 
-        proc = subprocess.run([sys.executable, "-m", "ckkms.cli",
-                               "reproduce-paper"],
-                              capture_output=True, text=True)
-        assert proc.returncode == 0
-        doc = json.loads(proc.stdout)
-        row = next(c for c in doc["result"]["checks"]
-                   if c["id"] == "power-mod6-table")
-        assert row["passed"]
-        assert any("4" in flag for flag in row["flags"])
+        passed, detail = run_check("power-mod6-table")
+        assert passed
+        assert any("4" in flag for flag in detail["flags"])
 
 
 def test_a04_tensor_homomorphism_residuals():

@@ -131,3 +131,17 @@ def test_sources_parse_with_the_python_3_10_grammar():
         for path in sorted(base.rglob("*.py")):
             ast.parse(path.read_text(encoding="utf-8"), filename=str(path),
                       feature_version=(3, 10))
+
+
+def test_the_paper_checks_do_not_import_the_cli():
+    # ckkms.cli renders the rows of ckkms.paper; the checks never depend on
+    # how they are printed
+    tree = ast.parse((PACKAGE / "paper.py").read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert not any(name.split(".")[-1] == "cli" for name in imported)

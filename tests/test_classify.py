@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from ckkms import classify, perron, scalars, tensorops
 from ckkms.classify import PowerForm, TypeLabel
 from ckkms.errors import (DomainError, PreconditionError, ResourceLimitError)
+from ckkms.intervals import Interval
 from ckkms.scalars import Flt, Q, Rat
 
 from conftest import FULL2, GOLDEN
@@ -152,6 +153,13 @@ class TestDetectLambda:
         assert isinstance(label.decomposition.exponents, tuple)
         assert hash(label) == hash(classify.detect_lambda(entries(golden_base())))
 
+    def test_entry_below_the_smallest_float_is_a_resource_limit(self):
+        # in (0, 1) exactly, but 0.0 as a float: no log of it is taken
+        tiny = scalars.Enc(Interval(Q(1, 10**400), Q(2, 10**400)))
+        for entries in ((tiny,), (Q(1, 2), tiny)):
+            with pytest.raises(ResourceLimitError, match="smallest positive float"):
+                classify.detect_lambda(entries)
+
 
 class TestTensorType:
     def test_rational_pair_gives_one(self):
@@ -234,6 +242,31 @@ class TestPowerType:
     def test_power_must_be_positive(self):
         with pytest.raises(DomainError):
             classify.power_type_direct((Q(1, 2), Q(1, 2)), 0)
+
+    def test_one_entry_power_is_the_entry_power(self):
+        assert classify.power_type_direct((Q(1, 2),), 3).lam == Rat(Q(1, 8))
+        label = classify.power_type_direct(PowerForm(golden_base(), (2,)), 3)
+        assert label.mode == "exact"
+        assert scalars.same_value(label.lam, scalars.make_power(golden_base(), 6))
+
+    @pytest.mark.parametrize("a, k, lam", [
+        ((Q(1, 2),), 4096, Q(1, 2**4096)),
+        ((Q(1, 2),), 10**9, None),
+        ((Q(1, 99),), 4096, None),  # 99^4096 has 8,174 digits
+        ((Q(1, 99),), 10**9, None),
+        (PowerForm(golden_base(), (1,)), 10**9, None),
+    ], ids=["half-4096", "half-1e9", "99th-4096", "99th-1e9", "golden-1e9"])
+    def test_one_entry_power_is_capped_by_label_size(self, a, k, lam):
+        # no Kronecker loop of k - 1 steps runs, and no label past
+        # POWER_LABEL_BITS is built
+        start = time.monotonic()
+        if lam is None:
+            with pytest.raises(ResourceLimitError, match="label size cap"):
+                classify.power_type_direct(a, k)
+        else:
+            label = classify.power_type_direct(a, k)
+            assert label.lam == Rat(lam) and label.mode == "exact"
+        assert time.monotonic() - start < 1.0
 
 
 class TestPowerTypeCk2:
