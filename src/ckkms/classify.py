@@ -28,6 +28,7 @@ from .scalars import (Alg, BaseDecomposition, Enc, Flt, Rat, Scalar,
 from .tensorops import kronecker_vector
 
 FLOAT_EXPONENT_CAP = 64
+BELOW_FLOAT_RANGE = "an entry is below the smallest positive float"
 # The label of a one-entry power (a)^{kron k} is a^k itself.  It is built only
 # while k times the bits of a (see _check_one_entry_size) stay within this
 # cap, far below the 4,300 decimal digits Python prints of an int.
@@ -162,7 +163,7 @@ def _validate_open_unit(entries):
 
 def _classify_floats(values) -> TypeLabel:
     if min(values) <= 0:
-        raise ResourceLimitError("an entry is below the smallest positive float")
+        raise ResourceLimitError(BELOW_FLOAT_RANGE)
     warnings = []
     ratios = [Q(1)]
     for v in values[1:]:
@@ -290,7 +291,11 @@ def power_type_direct(a, k: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> 
     entries = tuple(scalars._as_scalar(v) for v in a)
     if len(entries) == 1:
         _check_one_entry_size(entries[0], k)
-        return detect_lambda((scalars.make_power(entries[0], k),))
+        _validate_open_unit(entries)
+        power = scalars.make_power(entries[0], k)
+        if isinstance(power, Flt) and power.value == 0:
+            raise ResourceLimitError(BELOW_FLOAT_RANGE)
+        return detect_lambda((power,))
     _check_power_size(len(entries), k, dimension_cap)
     acc = entries
     for _ in range(k - 1):

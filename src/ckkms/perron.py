@@ -10,7 +10,8 @@ carries both certificates: its Collatz-Wielandt quotients, rounded outward
 onto the grid, bracket the eigenvalue, and a Birkhoff projective-metric
 contraction bound on the integer power (M + I)^(n-1) bounds its distance to
 the eigenvector of sum 1, whose enclosure is rounded outward onto a
-power-of-two grid.
+power-of-two grid.  pf_data keeps a bounded memo of its results, the one
+place where Perron data is reused.
 
 The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
@@ -28,8 +29,9 @@ is the smallest root of det(tA - I) in (0,1), and beta = log c_A.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import islice
 from math import gcd, lcm
 from operator import mul
@@ -45,6 +47,7 @@ DEFAULT_PRECISION = Q(1, 10**12)
 DEFAULT_TOLERANCE = Q(1, 10**9)
 ITERATION_CAP = 10**5
 SOLVE_BETA_DEGREE_CAP = 256
+PF_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True)
@@ -61,7 +64,6 @@ class ParamVector:
     entries: tuple  # tuple[Scalar, ...], each in (0,1)
     certificate: str  # "exact" | "verified"
     tolerance: Fraction | None = None
-    pf: PFData | None = field(default=None, compare=False, repr=False)  # from in_lambda
 
     def __post_init__(self):
         if len(self.entries) != self.matrix.n:
@@ -188,6 +190,21 @@ def _float_start(mid):
 # pf_data
 
 
+def positive_enclosure(s: Scalar, width: Fraction) -> Interval:
+    """s refined to `width`, and further until its lower endpoint is
+    positive; PreconditionError when s is negative or its sign cannot be
+    certified (an Enc, or a width below 1e-300)."""
+    iv = scalars.refine(s, width)
+    while iv.lo <= 0 and not isinstance(s, Enc) and width > Q(1, 10**300):
+        width /= 16
+        iv = scalars.refine(s, width)
+    if iv.lo < 0:
+        raise PreconditionError("parameter entries must be positive")
+    if iv.lo <= 0:
+        raise PreconditionError("cannot certify the sign of a parameter entry")
+    return iv
+
+
 def _grid_entries(a, width: Fraction, bits: int):
     """Per-row bounds lo_i <= 2^bits a_i <= hi_i: each a_i is refined once to
     `width`, and further until its lower endpoint is positive, and rounded
@@ -195,15 +212,7 @@ def _grid_entries(a, width: Fraction, bits: int):
     one = 1 << bits
     rows = []
     for s in a:
-        w = width
-        iv = scalars.refine(s, w)
-        while iv.lo <= 0 and not isinstance(s, Enc) and w > Q(1, 10**300):
-            w /= 16
-            iv = scalars.refine(s, w)
-        if iv.lo < 0:
-            raise PreconditionError("parameter entries must be positive")
-        if iv.lo <= 0:
-            raise PreconditionError("cannot certify the sign of a parameter entry")
+        iv = positive_enclosure(s, width)
         rows.append((math.floor(iv.lo * one), math.ceil(iv.hi * one)))
     return rows
 
@@ -213,8 +222,32 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     (diag a) A and a positive eigenvector enclosure normalized to sum 1.
 
     `a` holds one positive Scalar per row of the irreducible 0-1 matrix
-    `matrix`, all ones when omitted.  The result records `precision`, so
-    that states.state_spec can tell whether in_lambda's data fits.
+    `matrix`, all ones when omitted.  The result records `precision`.
+
+    Results are memoised: the arguments are normalised to (matrix, tuple of
+    Scalars, Fraction) and a repeated input returns the PFData computed
+    first, from a bounded LRU of PF_MEMO_SIZE entries; that result is
+    certified for the repeated input too.  This memo is the one place where
+    Perron data is reused, so in_lambda followed by states.state_spec at the
+    same precision runs one power iteration.
+    """
+    precision = Q(precision)
+    if precision <= 0:
+        raise DomainError("precision must be positive")
+    n = matrix.n
+    a = (scalars.ONE,) * n if a is None else tuple(scalars._as_scalar(s) for s in a)
+    if len(a) != n:
+        raise DomainError("parameter vector length must match the matrix size")
+    return _pf_memo(matrix, a, precision)
+
+
+@lru_cache(maxsize=PF_MEMO_SIZE)
+def _pf_memo(matrix: ZeroOneMatrix, a: tuple, precision: Fraction) -> PFData:
+    return _certified_pf(matrix, a, precision)
+
+
+def _certified_pf(matrix: ZeroOneMatrix, a: tuple, precision: Fraction) -> PFData:
+    """pf_data on normalised arguments, without the memo.
 
     The a_i are refined to precision/(64n) and rounded outward onto the grid
     2^-bits, bits = max(64, bitlen(precision.denominator) + 48) + 16.  Each
@@ -227,13 +260,7 @@ def pf_data(matrix: ZeroOneMatrix, a=None, precision=DEFAULT_PRECISION) -> PFDat
     grid, raise NumericalFailureError instead, except that Enc entries whose
     bracket holds accept u <= 1.
     """
-    precision = Q(precision)
-    if precision <= 0:
-        raise DomainError("precision must be positive")
     n = matrix.n
-    a = (scalars.ONE,) * n if a is None else tuple(scalars._as_scalar(s) for s in a)
-    if len(a) != n:
-        raise DomainError("parameter vector length must match the matrix size")
     if not is_irreducible(matrix):
         raise PreconditionError("matrix is not irreducible")
     refinable = not any(isinstance(s, Enc) for s in a)
@@ -344,8 +371,8 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=DEFAULT_TOLERANCE) -> 
     no finer, as an algebraic entry keeps and later prints the narrowest
     enclosure asked of it.  Any other matrix
     takes one pf_data at min(DEFAULT_PRECISION, tolerance/4), eigenvector
-    included, and the returned ParamVector carries it as `pf`, which
-    states.state_spec reuses at that precision.
+    included; pf_data's memo hands that result to states.state_spec when
+    it asks for the same precision.
     """
     tolerance = Q(tolerance)
     if tolerance <= 0:
@@ -359,7 +386,7 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=DEFAULT_TOLERANCE) -> 
     if not matrix.is_full():
         data = pf_data(matrix, entries, min(DEFAULT_PRECISION, tolerance / 4))
         _require_radius_one(data.eigenvalue, tolerance)
-        return ParamVector(matrix, entries, "verified", tolerance, data)
+        return ParamVector(matrix, entries, "verified", tolerance)
     radius = sum(scalars.refine(s, tolerance / (32 * matrix.n)) for s in entries)
     if radius.width > tolerance / 4:
         raise NumericalFailureError(

@@ -3,7 +3,10 @@
 Coefficient lists are constant-first: coeffs[k] is the coefficient of x^k.
 The zero polynomial is the empty list.  These routines back the algebraic
 scalar type (root isolation via Sturm chains) and the spectral solvers
-(characteristic and determinant polynomials).
+(characteristic and determinant polynomials).  refine_root, the bisection
+behind every algebraic enclosure, runs on integers: a scaled copy of p with
+integer coefficients, evaluated homogeneously at integer numerators over
+one power-of-two-scaled denominator.
 """
 
 from __future__ import annotations
@@ -203,26 +206,61 @@ def isolate_smallest_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction
     return lo, hi
 
 
+def _integer_multiple(p: Poly) -> list:
+    """p times the lcm of its coefficient denominators: a positive multiple
+    of p with integer coefficients, trimmed."""
+    coeffs = [Q(c) for c in trim(p)]
+    den = lcm(*(c.denominator for c in coeffs))
+    return [c.numerator * (den // c.denominator) for c in coeffs]
+
+
+def _sign_at(c: list, n: int, d: int) -> int:
+    """Sign of p(n/d) for d > 0 and integer coefficients c of p: the sign of
+    d^deg p(n/d) = sum_i c_i n^i d^(deg-i), by homogeneous Horner."""
+    acc = 0
+    dpow = 1
+    for ci in reversed(c):
+        acc = acc * n + ci * dpow
+        dpow *= d
+    return (acc > 0) - (acc < 0)
+
+
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
-    """Bisect a sign-change bracket of p down to the requested width."""
-    flo = eval_at(p, lo)
-    fhi = eval_at(p, hi)
-    if flo == 0:
+    """Bisect a sign-change bracket of p down to the requested width.
+
+    The bisection runs on integers: p is scaled to integer coefficients,
+    lo and hi are held as numerators over one denominator that doubles at
+    every halving, and the sign at a midpoint n/D is that of the
+    homogeneous form sum_i c_i n^i D^(d-i).  An endpoint that never moves
+    is returned as it was passed; a root hit at a midpoint returns that
+    point twice.
+    """
+    c = _integer_multiple(p)
+    qlo, qhi, width = Q(lo), Q(hi), Q(width)
+    slo = _sign_at(c, qlo.numerator, qlo.denominator)
+    shi = _sign_at(c, qhi.numerator, qhi.denominator)
+    if slo == 0:
         return lo, lo
-    if fhi == 0:
+    if shi == 0:
         return hi, hi
-    if (flo > 0) == (fhi > 0):
+    if slo == shi:
         raise ArithmeticError("bracket endpoints must straddle a sign change")
-    while hi - lo > width:
-        mid = (lo + hi) / 2
-        fmid = eval_at(p, mid)
-        if fmid == 0:
-            return mid, mid
-        if (fmid > 0) == (flo > 0):
-            lo, flo = mid, fmid
+    den = lcm(qlo.denominator, qhi.denominator)
+    nlo = qlo.numerator * (den // qlo.denominator)
+    nhi = qhi.numerator * (den // qhi.denominator)
+    moved_lo = moved_hi = False
+    # hi - lo > width  <=>  (nhi - nlo) * width.den > width.num * den
+    while (nhi - nlo) * width.denominator > width.numerator * den:
+        mid = nlo + nhi
+        nlo, nhi, den = nlo << 1, nhi << 1, den << 1
+        smid = _sign_at(c, mid, den)
+        if smid == 0:
+            return Q(mid, den), Q(mid, den)
+        if smid == slo:
+            nlo, moved_lo = mid, True
         else:
-            hi, fhi = mid, fmid
-    return lo, hi
+            nhi, moved_hi = mid, True
+    return (Q(nlo, den) if moved_lo else lo), (Q(nhi, den) if moved_hi else hi)
 
 
 def polymat_det(mat: list[list[Poly]]) -> Poly:

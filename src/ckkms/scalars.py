@@ -222,11 +222,38 @@ def _power_interval(base: Alg, exp: int, precision: Fraction) -> Interval:
         sub /= 16
 
 
+def _log2(q: Fraction) -> float:
+    return math.log2(abs(q.numerator)) - math.log2(q.denominator)
+
+
+def _underflows(s: Product) -> bool:
+    """True when a coarse bound proves |s| < 2^-1083, 8 bits below the
+    smallest positive float, so that it rounds to zero; False when the bound
+    does not, or a base's enclosure at width 2^-20 is not positive.  Each
+    factor b^e is bounded by the upper end of b for e > 0 and by the lower
+    end for e < 0.  The float logarithms are off by far less than 2^-32 per
+    unit of exponent, which the margin adds."""
+    bound = _log2(s.rational)
+    margin = 8
+    for b, e in s.factors:
+        iv = refine(b, Q(1, 1 << 20))
+        if iv.lo <= 0:
+            return False
+        bound += e * _log2(iv.hi if e > 0 else iv.lo)
+        margin += abs(e) * 2.0**-32
+    return bound < -1075 - margin
+
+
 def to_float(s: Scalar) -> float:
+    """The float nearest the value of s, up to the rounding of a 1e-17 wide
+    enclosure's midpoint; a power far below the float range is 0.0 without
+    one."""
     if isinstance(s, Rat):
         return float(s.value)
     if isinstance(s, Flt):
         return s.value
+    if isinstance(s, Product) and _underflows(s):
+        return math.copysign(0.0, s.rational)
     iv = refine(s, Q(1, 10**17))
     return float(iv.mid)
 

@@ -6,13 +6,15 @@ A state is determined by its parameter vector a and the eigenvector x of
 value is 0.  For full matrices x = a exactly, so those states evaluate in
 exact arithmetic; otherwise the eigenvector is carried as a certified
 interval enclosure.  diagonal_table encloses the diagonal values of many
-words at once, one interval product per word.
+words at once, as integer endpoint pairs over one denominator per word
+length, with two integer products per word.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import ckwords, perron, scalars
 from .ckwords import Monomial
@@ -44,22 +46,20 @@ def state_spec(param: ParamVector, precision=DEFAULT_PRECISION,
     Full matrices admit the exact eigenvector x = a (row i of (diag a) F_n
     applied to a gives a_i * sum(a) = a_i); `independent_pf` forces the
     power-iteration path anyway, which verification oracles use to keep the
-    two sides of an identity independent.  On that path the eigendata is
-    the pf_data that in_lambda decided the parameter with when it was
-    computed at `precision`; otherwise one pf_data runs at `precision`, and
-    a bracket that misses 1 by more than the parameter's tolerance (8 *
-    precision without one) raises MembershipRejected.
+    two sides of an identity independent.  On that path one pf_data runs at
+    `precision` (its memo returns the data in_lambda decided the parameter
+    with, when that was at the same precision), and a bracket that misses 1
+    by more than the parameter's tolerance (8 * precision without one)
+    raises MembershipRejected.
     """
     precision = Q(precision)
     matrix = param.matrix
     if matrix.is_full() and not independent_pf:
         enclosures = tuple(scalars.refine(s, precision) for s in param.entries)
         return StateSpec(param, sum(enclosures), enclosures, param.entries, precision)
-    data = param.pf
-    if data is None or data.precision != precision:
-        data = perron.pf_data(matrix, param.entries, precision)
-        slack = param.tolerance if param.tolerance is not None else precision * 8
-        _require_radius_one(data.eigenvalue, slack)
+    data = perron.pf_data(matrix, param.entries, precision)
+    slack = param.tolerance if param.tolerance is not None else precision * 8
+    _require_radius_one(data.eigenvalue, slack)
     return StateSpec(param, data.eigenvalue, data.eigenvector, None, precision)
 
 
@@ -88,34 +88,79 @@ def eval_monomial(spec: StateSpec, mono: Monomial) -> Scalar:
     return scalars.mul(*(spec.param.entries[j - 1] for j in J[:-1]), x_last)
 
 
-def diagonal_table(spec: StateSpec, words) -> dict:
+class DiagonalTable:
+    """Enclosures of rho_a(s_J s_J*) held as integers: the enclosure of a
+    word J of length m is [lo, hi] / denominators[m] for (lo, hi) =
+    entries[J].  Iterating gives the words in table order."""
+
+    # a plain class: as a dataclass it added about 1 ms to each import of
+    # the package
+
+    def __init__(self, entries, denominators):
+        self.entries = entries
+        self.denominators = denominators
+
+    def interval(self, J) -> Interval:
+        lo, hi = self.entries[J]
+        d = self.denominators[len(J)]
+        return Interval(Q(lo, d), Q(hi, d))
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self) -> int:
+        return len(self.entries)
+
+
+def _common_numerators(intervals) -> tuple:
+    """([(lo, hi), ...], d): the endpoints of `intervals` as integer
+    numerators over d, the lcm of their denominators."""
+    d = lcm(*(q.denominator for iv in intervals for q in (iv.lo, iv.hi)))
+    return [(iv.lo.numerator * (d // iv.lo.denominator),
+             iv.hi.numerator * (d // iv.hi.denominator)) for iv in intervals], d
+
+
+def diagonal_table(spec: StateSpec, words) -> DiagonalTable:
     """Enclosures of rho_a(s_J s_J*) for the unit and the admissible words
     J of `words`, keyed by J; `words` lists every prefix of a word before
     the word, as ckwords.enumerate_admissible does.
 
     Each parameter entry, and each entry of an exact eigenvector, is refined
     once to ENCLOSURE_WIDTH, the width to which scalars.mul refines the
-    operands of eval_monomial, so an entry of a non-full state multiplies
-    the same enclosures in the same order; a power-iteration eigenvector is
-    used as it is.
-    The prefix product a_{j_1} ... a_{j_m} of a word is that of its parent
-    times one entry, and the value is the parent's prefix times x_{j_m}.
-    Every entry contains the positive value eval_monomial gives exactly or
-    encloses, so distances between entries bound distances between values.
+    operands of eval_monomial, and further if its lower endpoint is not yet
+    positive; a power-iteration eigenvector is used as it is and must have
+    positive lower endpoints.  The endpoints become integers over d_e (the
+    lcm of the entries' denominators) and d_x (that of x's), so the prefix
+    product a_{j_1} ... a_{j_k} of a word is a pair of integers over
+    d_e^k: its parent's pair times one entry's, lower times lower and upper
+    times upper, which is the interval product of positive intervals.  The
+    value of a word of length m is its parent's prefix times x_{j_m}, over
+    d_e^(m-1) d_x.  Every entry contains the positive value eval_monomial
+    gives exactly or encloses, so distances between entries bound distances
+    between values.
     """
-    entries = [scalars.refine(a, ENCLOSURE_WIDTH) for a in spec.param.entries]
+    e_ints, d_e = _common_numerators(
+        [perron.positive_enclosure(a, ENCLOSURE_WIDTH) for a in spec.param.entries])
     if spec.exact_vector is None:
         x = spec.eigenvector
+        if any(iv.lo <= 0 for iv in x):
+            raise PreconditionError("eigenvector enclosure is not positive")
     else:
-        x = [scalars.refine(v, ENCLOSURE_WIDTH) for v in spec.exact_vector]
-    prefix = {(): Interval.point(1)}
-    table = dict(prefix)
+        x = [perron.positive_enclosure(v, ENCLOSURE_WIDTH) for v in spec.exact_vector]
+    x_ints, d_x = _common_numerators(x)
+    depth = max(map(len, words), default=0)
+    prefix = {(): (1, 1)}
+    table = {(): (1, 1)}
     for J in words:
         if J:
-            head = prefix[J[:-1]]
-            prefix[J] = head * entries[J[-1] - 1]
-            table[J] = head * x[J[-1] - 1]
-    return table
+            plo, phi = prefix[J[:-1]]
+            xlo, xhi = x_ints[J[-1] - 1]
+            table[J] = (plo * xlo, phi * xhi)
+            if len(J) < depth:
+                elo, ehi = e_ints[J[-1] - 1]
+                prefix[J] = (plo * elo, phi * ehi)
+    return DiagonalTable(table, (1,) + tuple(d_e ** (m - 1) * d_x
+                                              for m in range(1, depth + 1)))
 
 
 def eval_state(spec: StateSpec, x) -> Scalar:

@@ -12,9 +12,10 @@ composite eigenvector recomputed independently by power iteration.  A state
 of this class vanishes on every s_J s_K* with J != K (the state formula of
 Enomoto, Fujii and Watatani), and the letterwise split of such a monomial
 has unequal sequences in at least one half, so both sides vanish there and
-the identity can only fail on the diagonal.  There the verifier reads both sides from per-state tables of value enclosures
-(states.diagonal_table), built once per call by prefix products along the
-admissible words.
+the identity can only fail on the diagonal.  There the verifier reads both
+sides from per-state tables of value enclosures (states.diagonal_table),
+built once per call by integer prefix products along the admissible words,
+and compares them in integers, one common denominator per word length.
 """
 
 from __future__ import annotations
@@ -140,7 +141,9 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
     state over its words of length <= max_len, one for the composite state
     over the composite words.  The tensor side of s_J s_J* is the product
     of the factor entries of the two halves of J, split letter by letter,
-    and its distance bound to the composite entry is the residual.  Every
+    and its distance bound to the composite entry is the residual.  The
+    comparison cross-multiplies the tables' integer endpoints, and one
+    Fraction per word length gives the exact max_residual.  Every
     entry contains its true value, so max_residual bounds
     |rho_a tensor rho_b - rho_{a kron b}| on every checked monomial, and
     so on all of the span of the words up to max_len: both sides vanish on
@@ -165,17 +168,27 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
         spec_b, ckwords.enumerate_admissible(spec_b.matrix, max_len))
     table_ab = states.diagonal_table(spec_ab, words)
     halves = {u: split.split_index(u) for u in range(1, split.size + 1)}
-    max_residual = Q(0)
+    # a word of length m has its tensor side over da_m db_m and its
+    # composite entry over dab_m, so both are compared over da_m db_m dab_m;
+    # top[m] is the largest distance numerator among the words of length m
+    weights = [(dab, da * db) for da, db, dab in zip(
+        table_a.denominators, table_b.denominators, table_ab.denominators)]
+    ea, eb, eab = table_a.entries, table_b.entries, table_ab.entries
+    top = {}
     diagonal = 0
     for J in words:
         if J and not ckwords.followers(composite, J, J):
             continue
-        first = tuple(halves[u][0] for u in J)
-        second = tuple(halves[u][1] for u in J)
-        gap = (table_a[first] * table_b[second]).distance_sup(table_ab[J])
+        alo, ahi = ea[tuple(halves[u][0] for u in J)]
+        blo, bhi = eb[tuple(halves[u][1] for u in J)]
+        clo, chi = eab[J]
+        wl, wr = weights[len(J)]
+        gap = max(abs(ahi * bhi * wl - clo * wr), abs(chi * wr - alo * blo * wl))
         diagonal += 1
-        if gap > max_residual:
-            max_residual = gap
+        if gap > top.get(len(J), -1):
+            top[len(J)] = gap
+    max_residual = max((Q(gap, weights[m][0] * weights[m][1])
+                        for m, gap in top.items()), default=Q(0))
     return TensorReport(max_residual <= tolerance, max_residual, tolerance,
                         diagonal, max_len)
 

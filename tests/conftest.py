@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from ckkms import perron
 from ckkms.matrix01 import ZeroOneMatrix
 
 FULL2 = ZeroOneMatrix.full(2)
@@ -18,6 +19,22 @@ POOL = (FULL2, FULL3, GOLDEN, CYCLE3)
 @pytest.fixture(scope="session")
 def pool():
     return POOL
+
+
+@pytest.fixture
+def certified_pf_calls(monkeypatch) -> list:
+    """The arguments of every certified Perron computation, recorded below
+    pf_data's memo, which starts empty."""
+    perron._pf_memo.cache_clear()
+    calls = []
+    inner = perron._certified_pf
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(perron, "_certified_pf", counting)
+    return calls
 
 
 def random_rational(rng: random.Random, lo=1, hi=6, den=7) -> Fraction:

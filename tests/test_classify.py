@@ -243,6 +243,16 @@ class TestPowerType:
         with pytest.raises(DomainError):
             classify.power_type_direct((Q(1, 2), Q(1, 2)), 0)
 
+    def test_one_float_entry_below_the_float_range_is_a_resource_limit(self):
+        # 0.5^4096 is 0.0 as a float, but the entry 0.5 is a valid one
+        with pytest.raises(ResourceLimitError, match="smallest positive float"):
+            classify.power_type_direct((0.5,), 4096)
+        label = classify.power_type_direct((0.5,), 3)
+        assert label.mode == "heuristic"
+        assert abs(scalars.to_float(label.lam) - 0.125) < 1e-15
+        with pytest.raises(DomainError, match="strictly between 0 and 1"):
+            classify.power_type_direct((-0.5,), 4096)
+
     def test_one_entry_power_is_the_entry_power(self):
         assert classify.power_type_direct((Q(1, 2),), 3).lam == Rat(Q(1, 8))
         label = classify.power_type_direct(PowerForm(golden_base(), (2,)), 3)

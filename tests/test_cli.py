@@ -453,6 +453,31 @@ class TestOtherCommands:
         assert code == 0
         assert doc["result"]["lambda"] == "1/8"
 
+    def test_one_float_entry_underflow_is_a_resource_limit(self):
+        code, out, err = run_cli("power-type", "--a", "[0.5]", "--k", "4096")
+        assert code == 2
+        assert not out and "below the smallest positive float" in err
+        code, doc = run_json("power-type", "--a", "[0.5]", "--k", "3")
+        cube = {"type": "float", "value": 0.12500000000000003}
+        assert code == 0 and doc["mode"] == "heuristic"
+        assert doc["result"] == {
+            "decomposition": {"base": cube, "exponents": [1]},
+            "lambda": "0.125", "lambda_float": "0.125", "lambda_form": cube,
+            "mode": "heuristic"}
+
+    def test_power_far_below_the_float_range_prints_zero_fast(self):
+        golden = {"type": "algebraic", "poly": [-1, 1, 1], "interval": ["0", "1"]}
+        power = {"type": "power", "base": golden, "exp": 20000}
+        start = time.monotonic()
+        code, doc = run_json("classify", "--vector", json.dumps([power]))
+        assert time.monotonic() - start < 1.0
+        assert code == 0
+        assert (doc["mode"], doc["residual"], doc["warnings"]) == ("exact", None, [])
+        assert doc["result"] == {
+            "decomposition": {"base": power, "exponents": [1]},
+            "lambda": "0", "lambda_float": "0", "lambda_form": power,
+            "mode": "exact"}
+
     @pytest.mark.parametrize("flag", ["--p", "--q"])
     def test_exponent_rule_needs_both_exponents(self, flag):
         code, out, err = run_cli("power-type", "--a", GOLDEN_POWER_FORM,

@@ -198,6 +198,43 @@ class TestPfData:
                     assert end.denominator & (end.denominator - 1) == 0
 
 
+class TestPfMemo:
+    def test_equal_inputs_return_the_identical_result(self, certified_pf_calls):
+        calls = certified_pf_calls
+        a = [Rat(Q(1, 2)), Rat(Q(1, 2))]
+        first = perron.pf_data(FULL2, a, Q(1, 10**12))
+        assert perron.pf_data(FULL2, tuple(a), Fraction(2, 2 * 10**12)) is first
+        assert perron.pf_data(FULL2, (Q(1, 2), Q(1, 2)), Q(1, 10**12)) is first
+        ones = perron.pf_data(GOLDEN)
+        assert perron.pf_data(GOLDEN, [1, 1]) is ones
+        assert perron.pf_data(GOLDEN, (scalars.ONE, scalars.ONE),
+                              perron.DEFAULT_PRECISION) is ones
+        assert len(calls) == 2
+        assert perron._pf_memo.cache_info().maxsize == perron.PF_MEMO_SIZE
+
+    def test_another_precision_computes_anew(self, certified_pf_calls):
+        calls = certified_pf_calls
+        coarse = perron.pf_data(CYCLE3, None, Q(1, 10**6))
+        fine = perron.pf_data(CYCLE3, None, Q(1, 10**15))
+        assert len(calls) == 2
+        assert (coarse.precision, fine.precision) == (Q(1, 10**6), Q(1, 10**15))
+        assert fine.eigenvalue.width <= Q(1, 10**15)
+
+    def test_float_and_rational_entries_are_different_inputs(self, certified_pf_calls):
+        calls = certified_pf_calls
+        perron.pf_data(FULL2, (Rat(Q(1, 2)), Rat(Q(1, 2))))
+        perron.pf_data(FULL2, (Flt(0.5), Flt(0.5)))
+        assert len(calls) == 2
+
+    def test_failures_are_not_remembered(self, certified_pf_calls):
+        calls = certified_pf_calls
+        reducible = ZeroOneMatrix(((1, 1), (0, 1)))
+        for _ in range(2):
+            with pytest.raises(PreconditionError):
+                perron.pf_data(reducible)
+        assert len(calls) == 2
+
+
 class TestMembership:
     def test_uniform_accepted_on_full(self):
         param = perron.in_lambda(FULL2, (Rat(Q(1, 2)), Rat(Q(1, 2))))
@@ -244,7 +281,7 @@ class TestMembership:
         assert enc.lo**2 + 5 * enc.lo - 5 <= 0 <= enc.hi**2 + 5 * enc.hi - 5
         assert enc.width <= Q(1, 4 * 10**9)
 
-    def test_tight_tolerance_is_decided_at_its_own_precision(self):
+    def test_tight_tolerance_is_decided_at_its_own_precision(self, monkeypatch):
         # a = (x, x) on the golden-mean matrix with x * phi = 1 + 2e-13 lies
         # outside the band, and with 1 + 0.5e-13 inside it; the float value
         # of sqrt 5 is off by far less than either margin
@@ -256,9 +293,18 @@ class TestMembership:
         with pytest.raises(MembershipRejected) as info:
             perron.in_lambda(GOLDEN, golden_vector(1 + Q(2, 10**13)), tolerance)
         assert info.value.enclosure.lo > 1 + tolerance
-        param = perron.in_lambda(GOLDEN, golden_vector(1 + Q(1, 2 * 10**13)), tolerance)
-        assert param.pf.precision == tolerance / 4
-        assert param.pf.eigenvalue.width <= tolerance / 4
+        asked = []
+        inner = perron.pf_data
+
+        def spy(matrix, a, precision):
+            asked.append((precision, inner(matrix, a, precision)))
+            return asked[-1][1]
+
+        monkeypatch.setattr(perron, "pf_data", spy)
+        perron.in_lambda(GOLDEN, golden_vector(1 + Q(1, 2 * 10**13)), tolerance)
+        [(precision, data)] = asked
+        assert precision == data.precision == tolerance / 4
+        assert data.eigenvalue.width <= tolerance / 4
 
 
 # the entry of this matrix's canonical point is the root of x^3 + x^2 + x - 1

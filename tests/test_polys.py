@@ -152,6 +152,86 @@ class TestIsolation:
         assert hi - lo <= Fraction(1, 10**12)
 
 
+def fraction_refine_root(p, lo, hi, width):
+    """Bisection of a sign-change bracket with Fraction evaluation at every
+    midpoint, the oracle for refine_root's integer bisection."""
+    flo = polys.eval_at(p, lo)
+    fhi = polys.eval_at(p, hi)
+    if flo == 0:
+        return lo, lo
+    if fhi == 0:
+        return hi, hi
+    if (flo > 0) == (fhi > 0):
+        raise ArithmeticError("bracket endpoints must straddle a sign change")
+    while hi - lo > width:
+        mid = (lo + hi) / 2
+        fmid = polys.eval_at(p, mid)
+        if fmid == 0:
+            return mid, mid
+        if (fmid > 0) == (flo > 0):
+            lo, flo = mid, fmid
+        else:
+            hi, fhi = mid, fmid
+    return lo, hi
+
+
+def refine_both(p, lo, hi, width):
+    """(integer result, Fraction result), each a bracket or the exception
+    type it raised."""
+    out = []
+    for refine in (polys.refine_root, fraction_refine_root):
+        try:
+            out.append(refine(p, lo, hi, width))
+        except ArithmeticError as exc:
+            out.append(type(exc))
+    return out
+
+
+NON_DYADIC = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([3, 5, 6, 7, 9, 11]))
+
+
+class TestRefineRoot:
+    """The integer bisection against the Fraction one: the same brackets,
+    endpoint types included, on the same inputs."""
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(-20, 20), min_size=1, max_size=6), NON_DYADIC,
+           st.integers(0, 1), NON_DYADIC.map(abs).filter(bool),
+           NON_DYADIC.map(abs).filter(bool),
+           st.sampled_from([Fraction(1, 3), Fraction(1, 10**6), Fraction(1, 10**40)]))
+    def test_matches_fraction_bisection(self, q, root, shift, below, above, width):
+        # q(x) (d x - n) + shift for root = n/d: a rational root inside the
+        # bracket [root - below, root + above], or one moved off it
+        p = polys.add(polys.mul(q, [-root.numerator, root.denominator]), [shift])
+        new, old = refine_both(p, root - below, root + above, width)
+        assert new == old
+        if isinstance(old, tuple):
+            assert [type(v) for v in new] == [type(v) for v in old]
+
+    def test_root_at_a_midpoint(self):
+        # 3x - 1 on [0, 2/3] has its root at the first midpoint, and
+        # 6x - 5 on [1/3, 1] at the second
+        for p, lo, hi in (([-1, 3], Fraction(0), Fraction(2, 3)),
+                          ([-5, 6], Fraction(1, 3), Fraction(1))):
+            new, old = refine_both(p, lo, hi, Fraction(1, 10**9))
+            assert new == old
+            assert new[0] == new[1] and polys.eval_at(p, new[0]) == 0
+
+    def test_bracket_already_narrow_is_returned_as_passed(self):
+        for lo, hi in ((Fraction(1, 3), Fraction(2, 3)), (0, 1)):
+            for p in ([-1, 2], [-1, 1, 1]):
+                new, old = refine_both(p, lo, hi, Fraction(1))
+                assert new == old == (lo, hi)
+                assert new[0] is lo and new[1] is hi
+
+    def test_rational_coefficients(self):
+        p = [Fraction(-1, 3), Fraction(1, 7), Fraction(5, 2)]
+        new, old = refine_both(p, Fraction(0), Fraction(1), Fraction(1, 10**30))
+        assert new == old
+        assert new[1] - new[0] <= Fraction(1, 10**30)
+        assert polys.eval_at(p, new[0]) < 0 < polys.eval_at(p, new[1])
+
+
 class TestPolymatDet:
     def test_matches_leibniz_after_substitution(self):
         rng = random.Random(7)

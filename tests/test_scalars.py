@@ -256,3 +256,22 @@ class TestRendering:
                   scalars.mul(Rat(Q(1, 2)), golden())):
             iv = scalars.refine(s, Q(1, 10**13))
             assert float(iv.lo) - 1e-12 <= scalars.to_float(s) <= float(iv.hi) + 1e-12
+
+    def test_power_far_below_the_float_range_is_zero_without_its_enclosure(self):
+        start = time.monotonic()
+        assert scalars.to_float(scalars.make_power(golden(), 20000)) == 0.0
+        tiny = scalars.mul(Rat(Q(-3, 7)), scalars.make_power(cubic_root(), 50000))
+        value = scalars.to_float(tiny)
+        assert value == 0.0 and math.copysign(1.0, value) == -1.0
+        assert time.monotonic() - start < 1.0
+
+    def test_powers_near_the_smallest_float_keep_the_enclosure_path(self):
+        # r = 1/sqrt 3 on its own isolating interval, so that no other test
+        # has narrowed its bracket: r^e = 2^(-0.79248 e) is a subnormal float
+        # up to e = 1355, and the shortcut may only fire once e passes 1366
+        r = scalars.make_algebraic([-1, 0, 3], Q(0), Q(1))
+        for e in range(1330, 1400, 2):
+            s = scalars.make_power(r, e)
+            expected = float(scalars.refine(s, Q(1, 10**17)).mid)
+            assert scalars.to_float(s) == expected, e
+        assert scalars.to_float(scalars.make_power(r, 1355)) > 0

@@ -176,11 +176,11 @@ class TestDiagonalTable:
         words = ckwords.enumerate_admissible(matrix, 3)
         table = states.diagonal_table(spec, words)
         assert list(table) == words
-        assert table[()] == Interval.point(1)
+        assert table.interval(()) == Interval.point(1)
         for J in words:
             value = states.eval_monomial(spec, Monomial(J, J))
             deep = scalars.refine(value, Q(1, 10**30))
-            entry = table[J]
+            entry = table.interval(J)
             if scalars.is_exact(value):
                 # full matrices evaluate exactly: the entry holds the value
                 assert entry.lo <= deep.lo and deep.hi <= entry.hi, J
@@ -220,7 +220,8 @@ class TestStateSpecInvariants:
 
 
 class TestMembershipCertificate:
-    """state_spec reuses the pf_data that in_lambda decided membership with."""
+    """state_spec reuses the pf_data that in_lambda decided membership with,
+    through pf_data's memo."""
 
     @staticmethod
     def pf_data_calls(monkeypatch) -> list:
@@ -234,10 +235,10 @@ class TestMembershipCertificate:
         monkeypatch.setattr(perron, "pf_data", counting)
         return calls
 
-    def test_one_perron_computation_per_state(self, monkeypatch):
+    def test_one_perron_computation_per_state(self, certified_pf_calls):
         golden = perron.canonical_point(GOLDEN).entries
         full = (golden[0], scalars.make_power(golden[0], 2))  # g + g^2 = 1
-        calls = self.pf_data_calls(monkeypatch)
+        calls = certified_pf_calls
         states.state_spec(perron.in_lambda(GOLDEN, golden))
         assert len(calls) == 1
         states.state_spec(perron.in_lambda(FULL2, full))
@@ -247,10 +248,13 @@ class TestMembershipCertificate:
         entries = perron.canonical_point(GOLDEN).entries
         tolerance = Q(1, 10**9)
         # both sides start from one enclosure history of the algebraic entries
+        # and from an empty Perron memo
         scalars._alg_bracket.cache_clear()
+        perron._pf_memo.cache_clear()
         param = perron.in_lambda(GOLDEN, entries, tolerance)
         reused = states.state_spec(param)
         scalars._alg_bracket.cache_clear()
+        perron._pf_memo.cache_clear()
         fresh = states.state_spec(
             perron.ParamVector(GOLDEN, entries, "verified", tolerance))
         for field in dataclasses.fields(states.StateSpec):

@@ -3,6 +3,7 @@ homomorphism verifier, and combined gauge frequencies, cross-checked against
 numpy's kron and exact rational evaluation."""
 
 import dataclasses
+import itertools
 import math
 import random
 
@@ -11,12 +12,13 @@ import pytest
 
 from ckkms import ckwords, perron, scalars, states, tensorops
 from ckkms.ckwords import Monomial
-from ckkms.errors import DimensionError, DomainError
+from ckkms.errors import DimensionError, DomainError, PreconditionError
+from ckkms.intervals import Interval
 from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
 from ckkms.scalars import Q, Rat
 from ckkms.tensorops import IndexSplit
 
-from conftest import CYCLE3, FULL2, FULL3, GOLDEN, random_positive_rationals
+from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL, random_positive_rationals
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -281,6 +283,89 @@ def record_tables(monkeypatch) -> list:
     return calls
 
 
+def fraction_diagonal_table(spec, words) -> dict:
+    """states.diagonal_table in Fraction interval arithmetic, the oracle for
+    its integer tables: the same refinements, and one interval product per
+    prefix and per value."""
+    width = scalars.ENCLOSURE_WIDTH
+    entries = [scalars.refine(a, width) for a in spec.param.entries]
+    if spec.exact_vector is None:
+        x = spec.eigenvector
+    else:
+        x = [scalars.refine(v, width) for v in spec.exact_vector]
+    prefix = {(): Interval.point(1)}
+    table = dict(prefix)
+    for J in words:
+        if J:
+            head = prefix[J[:-1]]
+            prefix[J] = head * entries[J[-1] - 1]
+            table[J] = head * x[J[-1] - 1]
+    return table
+
+
+def fraction_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9)):
+    """verify_tensor_identity on Fraction tables, compared word by word
+    with interval products and distance_sup; it makes the same calls in
+    the same order, so from the same enclosure history it refines the same
+    values to the same enclosures."""
+    spec_ab = composite_spec(spec_a, spec_b, tolerance)
+    composite = spec_ab.matrix
+    words = ckwords.enumerate_admissible(composite, max_len)
+    table_a = fraction_diagonal_table(
+        spec_a, ckwords.enumerate_admissible(spec_a.matrix, max_len))
+    table_b = fraction_diagonal_table(
+        spec_b, ckwords.enumerate_admissible(spec_b.matrix, max_len))
+    table_ab = fraction_diagonal_table(spec_ab, words)
+    split = IndexSplit(spec_a.matrix.n, spec_b.matrix.n)
+    max_residual, diagonal = Q(0), 0
+    for J in words:
+        if J and not ckwords.followers(composite, J, J):
+            continue
+        first, second = tensorops.embed_monomial(split, Monomial(J, J))
+        gap = (table_a[first.J] * table_b[second.J]).distance_sup(table_ab[J])
+        diagonal += 1
+        max_residual = max(max_residual, gap)
+    return tensorops.TensorReport(max_residual <= tolerance, max_residual,
+                                  tolerance, diagonal, max_len)
+
+
+# every pool matrix under every permutation of its benchmark frequencies
+POOL_OMEGAS = [(m, omega) for m in POOL
+               for omega in sorted(set(itertools.permutations(
+                   (1, 2) if m.n == 2 else (1, 1, 2))))]
+
+
+class TestIntegerTables:
+    @pytest.mark.parametrize("max_len", range(4))
+    def test_reports_equal_the_fraction_loop(self, max_len):
+        # each side starts from empty enclosure and Perron memos and builds
+        # its factor states the same way, so they see one call history
+        for (a, omega_a), (b, omega_b) in itertools.product(POOL_OMEGAS, repeat=2):
+            reports = []
+            for verify in (tensorops.verify_tensor_identity, fraction_report):
+                scalars._alg_bracket.cache_clear()
+                perron._pf_memo.cache_clear()
+                spec_a = states.state_spec(perron.solve_beta(a, omega_a).param)
+                spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
+                reports.append(verify(spec_a, spec_b, max_len))
+            assert reports[0] == reports[1], (a, omega_a, b, omega_b)
+
+    def test_entry_without_a_positive_enclosure_raises(self):
+        # an Enc entry whose enclosure reaches 0 cannot take the product of
+        # lower endpoints; a fixed enclosure cannot be refined further
+        spec = spec_for(GOLDEN)
+        loose = scalars.Enc(Interval(Q(0), Q(1, 2)))
+        bad = dataclasses.replace(spec, param=dataclasses.replace(
+            spec.param, entries=(loose,) + spec.param.entries[1:]))
+        words = ckwords.enumerate_admissible(GOLDEN, 2)
+        with pytest.raises(PreconditionError, match="sign"):
+            states.diagonal_table(bad, words)
+        bad = dataclasses.replace(spec, eigenvector=(
+            Interval(Q(0), Q(1)),) + spec.eigenvector[1:])
+        with pytest.raises(PreconditionError, match="not positive"):
+            states.diagonal_table(bad, words)
+
+
 class TestVerifyTensorIdentity:
     @pytest.mark.parametrize("a, omega_a, b, omega_b", [
         (GOLDEN, (1, 2), CYCLE3, (1, 1, 2)),
@@ -307,10 +392,10 @@ class TestVerifyTensorIdentity:
         for J in table_ab:
             mono = Monomial(J, J)
             first, second = tensorops.embed_monomial(split, mono)
-            lhs = table_a[first.J] * table_b[second.J]
+            lhs = table_a.interval(first.J) * table_b.interval(second.J)
             assert lhs.intersects(scalars.refine(
                 tensorops.tensor_state_eval(spec_a, spec_b, mono), deep)), J
-            assert table_ab[J].intersects(scalars.refine(
+            assert table_ab.interval(J).intersects(scalars.refine(
                 states.eval_state(spec_ab, mono), deep)), J
 
     def test_full2_pair(self):
