@@ -117,23 +117,22 @@ def parse_omega(text: str) -> FrequencyVector:
 # rendering
 
 
-def _short_bound(x: Fraction, direction: str) -> str:
-    """Readable decimal bound; rounds outward so enclosures stay valid."""
-    if abs(x.numerator) < 10**15 and x.denominator < 10**15:
-        return str(x)
-    with decimal.localcontext() as ctx:
-        ctx.prec = 20
-        ctx.rounding = (decimal.ROUND_FLOOR if direction == "down"
-                        else decimal.ROUND_CEILING)
-        d = decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
-    return str(d)
+def _bounds(iv: Interval) -> list[str]:
+    """The ends of an enclosure in one form: two fractions when both fit
+    under 10^15, else two 20-digit decimals rounded outward, so that the
+    enclosure stays valid."""
+    ends = (iv.lo, iv.hi)
+    if all(abs(x.numerator) < 10**15 and x.denominator < 10**15 for x in ends):
+        return [str(x) for x in ends]
+    return [str(decimal.Context(prec=20, rounding=r).divide(x.numerator, x.denominator))
+            for x, r in zip(ends, (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))]
 
 
 def render_scalar(s: scalars.Scalar, precision=Q(1, 10**15)) -> dict:
     iv = scalars.refine(s, precision)
     out = {
         "float": fmt15(scalars.to_float(s)),
-        "enclosure": [_short_bound(iv.lo, "down"), _short_bound(iv.hi, "up")],
+        "enclosure": _bounds(iv),
         "exact": scalars.is_exact(s),
     }
     if isinstance(s, Rat):
@@ -144,9 +143,10 @@ def render_scalar(s: scalars.Scalar, precision=Q(1, 10**15)) -> dict:
 
 
 def render_interval(iv: Interval) -> dict:
+    lo, hi = _bounds(iv)
     return {
-        "lo": _short_bound(iv.lo, "down"),
-        "hi": _short_bound(iv.hi, "up"),
+        "lo": lo,
+        "hi": hi,
         "float": fmt15(float(iv.mid)),
         "width": fmt15(float(iv.width)),
     }

@@ -12,7 +12,6 @@ one process, so that order is part of the report.
 from __future__ import annotations
 
 import math
-from functools import lru_cache
 
 from . import ckwords, classify, perron, scalars, states, tensorops
 from .ckwords import Monomial
@@ -33,16 +32,6 @@ def _golden_base() -> scalars.Scalar:
 
 def _close(value, expected: float, tol: float = 1e-9) -> bool:
     return abs(scalars.to_float(value) - expected) <= tol
-
-
-@lru_cache(maxsize=1)
-def _golden_state(precision):
-    """solve_beta on the golden-mean matrix at unit frequencies, and its
-    state.  The three golden checks share one computation: a second one
-    would narrow the memoised brackets of the golden ratio again and move
-    the printed enclosures of the checks after it."""
-    solution = perron.solve_beta(FIB, [Q(1), Q(1)], precision=precision)
-    return solution, states.state_spec(solution.param, precision=precision)
 
 
 # ---------------------------------------------------------------------------
@@ -209,7 +198,7 @@ def afd_rule_values(precision, tolerance):
 
 
 def beta_golden_spec(precision, tolerance):
-    solution, _ = _golden_state(precision)
+    solution = perron.solve_beta(FIB, [Q(1), Q(1)], precision=precision)
     return (solution.mode == "exact"
             and abs(float(solution.beta.mid) - math.log((1 + ROOT5) / 2)) < 1e-9
             and scalars.same_value(solution.base, _golden_base()),
@@ -217,14 +206,16 @@ def beta_golden_spec(precision, tolerance):
 
 
 def kms_golden_check(precision, tolerance):
-    solution, spec = _golden_state(precision)
+    solution = perron.solve_beta(FIB, [Q(1), Q(1)], precision=precision)
+    spec = states.state_spec(solution.param, precision=precision)
     check = states.kms_check(spec, [Q(1), Q(1)], solution, "s1", "s1*",
                              tolerance=tolerance)
     return check.ok, {"residual": check.residual}
 
 
 def state_eval_golden(precision, tolerance):
-    _, spec = _golden_state(precision)
+    solution = perron.solve_beta(FIB, [Q(1), Q(1)], precision=precision)
+    spec = states.state_spec(solution.param, precision=precision)
     val = states.eval_state(
         spec, ckwords.normalize(FIB, ckwords.parse_word("s1 s2 s2* s1*")))
     return _close(val, ((ROOT5 - 1) / 2) ** 3), {"value": val}

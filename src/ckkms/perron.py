@@ -367,12 +367,10 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=DEFAULT_TOLERANCE) -> 
     computed enclosure.
 
     A full matrix has radius sum(a), since (diag a) F_n a = sum(a) a,
-    whatever the entry type; each entry is refined to tolerance/(32n) and
-    no finer, as an algebraic entry keeps and later prints the narrowest
-    enclosure asked of it.  Any other matrix
-    takes one pf_data at min(DEFAULT_PRECISION, tolerance/4), eigenvector
-    included; pf_data's memo hands that result to states.state_spec when
-    it asks for the same precision.
+    whatever the entry type; each entry is refined to tolerance/(32n).  Any
+    other matrix takes one pf_data at min(DEFAULT_PRECISION, tolerance/4),
+    eigenvector included; pf_data's memo hands that result to
+    states.state_spec when it asks for the same precision.
     """
     tolerance = Q(tolerance)
     if tolerance <= 0:

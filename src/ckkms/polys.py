@@ -206,15 +206,7 @@ def isolate_smallest_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction
     return lo, hi
 
 
-def _integer_multiple(p: Poly) -> list:
-    """p times the lcm of its coefficient denominators: a positive multiple
-    of p with integer coefficients, trimmed."""
-    coeffs = [Q(c) for c in trim(p)]
-    den = lcm(*(c.denominator for c in coeffs))
-    return [c.numerator * (den // c.denominator) for c in coeffs]
-
-
-def _sign_at(c: list, n: int, d: int) -> int:
+def sign_at(c: list, n: int, d: int) -> int:
     """Sign of p(n/d) for d > 0 and integer coefficients c of p: the sign of
     d^deg p(n/d) = sum_i c_i n^i d^(deg-i), by homogeneous Horner."""
     acc = 0
@@ -228,17 +220,18 @@ def _sign_at(c: list, n: int, d: int) -> int:
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
     """Bisect a sign-change bracket of p down to the requested width.
 
-    The bisection runs on integers: p is scaled to integer coefficients,
-    lo and hi are held as numerators over one denominator that doubles at
-    every halving, and the sign at a midpoint n/D is that of the
-    homogeneous form sum_i c_i n^i D^(d-i).  An endpoint that never moves
+    The bisection runs on integers: p is scaled to primitive integer
+    coefficients (a sign flip there is harmless, as every sign is compared
+    with the one at lo), lo and hi are held as numerators over one
+    denominator that doubles at every halving, and the sign at a midpoint
+    n/D is that of the homogeneous form sum_i c_i n^i D^(d-i).  An endpoint that never moves
     is returned as it was passed; a root hit at a midpoint returns that
     point twice.
     """
-    c = _integer_multiple(p)
+    c = content_primitive(p)[1]
     qlo, qhi, width = Q(lo), Q(hi), Q(width)
-    slo = _sign_at(c, qlo.numerator, qlo.denominator)
-    shi = _sign_at(c, qhi.numerator, qhi.denominator)
+    slo = sign_at(c, qlo.numerator, qlo.denominator)
+    shi = sign_at(c, qhi.numerator, qhi.denominator)
     if slo == 0:
         return lo, lo
     if shi == 0:
@@ -253,7 +246,7 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
     while (nhi - nlo) * width.denominator > width.numerator * den:
         mid = nlo + nhi
         nlo, nhi, den = nlo << 1, nhi << 1, den << 1
-        smid = _sign_at(c, mid, den)
+        smid = sign_at(c, mid, den)
         if smid == 0:
             return Q(mid, den), Q(mid, den)
         if smid == slo:

@@ -13,6 +13,10 @@ Construction goes through make_algebraic / make_power / mul, which normalize:
 rational roots collapse to Rat, x^k that is congruent to a constant modulo
 the defining polynomial collapses to a rational power, empty products unwrap
 and x^1 unwraps to x.
+
+refine encloses an Alg in the cell of a dyadic grid that holds its root.
+The root of an Alg is irrational, so the cell is a function of the value and
+the requested width alone; its one memo saves time and changes no output.
 """
 
 from __future__ import annotations
@@ -161,29 +165,38 @@ def make_power(base: Scalar, exp: int) -> Scalar:
 # enclosures
 
 
-@lru_cache(maxsize=1024)
-def _alg_bracket(a: Alg) -> list:
-    """The narrowest isolating bracket [lo, hi] found so far for `a`.
+@lru_cache(maxsize=4096)
+def _alg_cell(a: Alg, k: int) -> Interval:
+    """The cell [m, m+1]/2^k of the grid 2^-k that holds the root of `a`.
 
-    _alg_interval narrows the returned list in place, so the next request
-    resumes the bisection where the last one stopped.  An evicted entry
-    restarts from the isolating interval, which costs time, not soundness.
+    The root is irrational, so exactly one cell holds it.  A sign-change
+    bracket of width at most 2^-k has at most one grid point inside, and
+    the sign there, against the sign at a.lo, picks the cell.
     """
-    return [a.lo, a.hi]
+    step = Q(2) ** -k
+    lo, hi = polys.refine_root(a.poly, a.lo, a.hi, step)
+    m = math.floor(lo / step)
+    cut = (m + 1) * step
+    if cut < hi and (polys.sign_at(a.poly, cut.numerator, cut.denominator)
+                     == polys.sign_at(a.poly, a.lo.numerator, a.lo.denominator)):
+        m += 1
+    return Interval(m * step, (m + 1) * step)
 
 
 def _alg_interval(a: Alg, width: Fraction) -> Interval:
-    bracket = _alg_bracket(a)
-    lo, hi = bracket
-    if hi - lo > width:
-        lo, hi = polys.refine_root(list(a.poly), lo, hi, width)
-        bracket[:] = lo, hi
-    return Interval(lo, hi)
+    """_alg_cell for the least k with 2^-k <= width = n/d: for n <= d the
+    least k with 2^k >= ceil(d/n), else minus the largest j with 2^j <= n/d."""
+    n, d = width.numerator, width.denominator
+    return _alg_cell(a, ((d - 1) // n).bit_length() if n <= d else 1 - (n // d).bit_length())
 
 
 def refine(s: Scalar, precision) -> Interval:
     """Rational-endpoint enclosure of width at most `precision` where the
-    representation permits; Enc returns its fixed interval."""
+    representation permits; Enc returns its fixed interval.
+
+    An Alg gives the cell [m, m+1]/2^k of the grid 2^-k that holds its
+    root, for the least k with 2^-k <= precision.  The enclosure depends
+    only on the value and the precision, never on earlier calls."""
     precision = Q(precision)
     if precision <= 0:
         raise DomainError("precision must be positive")
@@ -385,8 +398,6 @@ def compare_rational(s: Scalar, c: Fraction) -> int:
         return (s.value > c) - (s.value < c)
     if isinstance(s, Flt):
         return (s.value > c) - (s.value < c)
-    if isinstance(s, Alg) and s.lo <= c <= s.hi and polys.eval_at(list(s.poly), c) == 0:
-        return 0
     width = Q(1, 16)
     for _ in range(600):
         iv = refine(s, width)

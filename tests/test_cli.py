@@ -514,10 +514,8 @@ class TestReproduceSuite:
         assert out == REPRODUCE_ENVELOPE.read_text(encoding="utf-8")
 
     # The rows of the registry, rendered in a fresh process: reversed, or in
-    # order after refining a golden ratio to 1e-300.  The bracket memo of an
-    # algebraic number is keyed by its isolating interval and narrowed in
-    # place, so a golden ratio refined earlier in the process moves the
-    # printed enclosures of the golden checks.
+    # order after refining a golden ratio to 1e-300.  Each printed enclosure
+    # depends only on its value and width, so neither changes a row.
     ROWS_SCRIPT = """
 import json
 from ckkms import cli, paper, perron, scalars
@@ -529,18 +527,13 @@ print(json.dumps([cli.render_check(check_id, *check(perron.DEFAULT_PRECISION,
                   for check_id, check in {checks}]))
 """
 
-    # only a row mismatch is the expected failure; a crashed run raises
-    # CalledProcessError and fails
-    ALG_HISTORY = pytest.mark.xfail(strict=True, raises=AssertionError,
-                                    reason="direction 1")
-
     @pytest.mark.parametrize("setup, checks", [
-        pytest.param("", "paper.CHECKS[::-1]", id="reversed", marks=ALG_HISTORY),
+        pytest.param("", "paper.CHECKS[::-1]", id="reversed"),
         pytest.param("scalars.refine(scalars.make_algebraic([-1, 1, 1], Q(1, 2), Q(1)),"
                      " Q(1, 10**300))", "paper.CHECKS", id="warmed-isolated"),
         pytest.param("scalars.refine(perron.solve_beta(ZeroOneMatrix(((1, 1), (1, 0))),"
                      " [Q(1), Q(1)]).base, Q(1, 10**300))", "paper.CHECKS",
-                     id="warmed-solved", marks=ALG_HISTORY),
+                     id="warmed-solved"),
     ])
     def test_rows_do_not_depend_on_order_or_history(self, setup, checks):
         proc = subprocess.run(

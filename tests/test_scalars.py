@@ -6,10 +6,10 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckkms import scalars
+from ckkms import polys, scalars
 from ckkms.errors import DomainError, InvalidScalarError
 from ckkms.scalars import Alg, Enc, Flt, Product, Q, Rat
 
@@ -86,6 +86,45 @@ class TestConstruction:
         # (x^2 + x - 1)(x + 2) = -2 + x + 3x^2 + x^3, same isolated root
         other = scalars.make_algebraic([-2, 1, 3, 1], Q(0), Q(1))
         assert scalars.same_value(other, golden())
+
+
+@st.composite
+def irrational_roots(draw) -> Alg:
+    """The smallest real root of a random integer quadratic or cubic, when it
+    is irrational; every root lies in (-10, 10), as the coefficients do."""
+    degree = draw(st.sampled_from([2, 3]))
+    coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+    poly = coeffs + [draw(st.integers(1, 9))]
+    try:
+        lo, hi = polys.isolate_smallest_root(poly, Q(-10), Q(10))
+    except ArithmeticError:
+        assume(False)
+    a = scalars.make_algebraic(poly, lo, hi)
+    assume(isinstance(a, Alg))
+    return a
+
+
+class TestEnclosureCells:
+    @given(irrational_roots(),
+           st.fractions(min_value=Q(1, 2**100), max_value=Q(2**12)),
+           st.integers(3, 80), st.integers(1, 300))
+    @settings(max_examples=150, deadline=None)
+    def test_refine_is_the_grid_cell_of_the_value(self, a, width, bits, deeper):
+        iv = scalars.refine(a, width)
+        k = -20
+        while Q(2) ** -k > width:
+            k += 1
+        step = Q(2) ** -k
+        assert iv.hi - iv.lo == step and (iv.lo / step).denominator == 1
+        # the part of the cell inside the isolating interval straddles the root
+        lo, hi = max(iv.lo, a.lo), min(iv.hi, a.hi)
+        assert polys.eval_at(list(a.poly), lo) * polys.eval_at(list(a.poly), hi) < 0
+        # the same value under a second isolating interval, refined deeper
+        other = scalars.make_algebraic(
+            a.poly, *polys.refine_root(list(a.poly), a.lo, a.hi, Q(1, 2**bits)))
+        assert isinstance(other, Alg) and other.poly == a.poly
+        scalars.refine(other, width / 2**deeper)
+        assert scalars.refine(a, width) == iv == scalars.refine(other, width)
 
 
 class TestArithmetic:

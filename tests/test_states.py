@@ -247,13 +247,11 @@ class TestMembershipCertificate:
     def test_reused_certificate_matches_a_fresh_computation(self, monkeypatch):
         entries = perron.canonical_point(GOLDEN).entries
         tolerance = Q(1, 10**9)
-        # both sides start from one enclosure history of the algebraic entries
-        # and from an empty Perron memo
-        scalars._alg_bracket.cache_clear()
+        # both sides start from an empty Perron memo, so the fresh side
+        # computes its Perron data again
         perron._pf_memo.cache_clear()
         param = perron.in_lambda(GOLDEN, entries, tolerance)
         reused = states.state_spec(param)
-        scalars._alg_bracket.cache_clear()
         perron._pf_memo.cache_clear()
         fresh = states.state_spec(
             perron.ParamVector(GOLDEN, entries, "verified", tolerance))

@@ -305,9 +305,8 @@ def fraction_diagonal_table(spec, words) -> dict:
 
 def fraction_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9)):
     """verify_tensor_identity on Fraction tables, compared word by word
-    with interval products and distance_sup; it makes the same calls in
-    the same order, so from the same enclosure history it refines the same
-    values to the same enclosures."""
+    with interval products and distance_sup; it refines the same values to
+    the same widths, so it sees the same enclosures."""
     spec_ab = composite_spec(spec_a, spec_b, tolerance)
     composite = spec_ab.matrix
     words = ckwords.enumerate_admissible(composite, max_len)
@@ -338,17 +337,11 @@ POOL_OMEGAS = [(m, omega) for m in POOL
 class TestIntegerTables:
     @pytest.mark.parametrize("max_len", range(4))
     def test_reports_equal_the_fraction_loop(self, max_len):
-        # each side starts from empty enclosure and Perron memos and builds
-        # its factor states the same way, so they see one call history
         for (a, omega_a), (b, omega_b) in itertools.product(POOL_OMEGAS, repeat=2):
-            reports = []
-            for verify in (tensorops.verify_tensor_identity, fraction_report):
-                scalars._alg_bracket.cache_clear()
-                perron._pf_memo.cache_clear()
-                spec_a = states.state_spec(perron.solve_beta(a, omega_a).param)
-                spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
-                reports.append(verify(spec_a, spec_b, max_len))
-            assert reports[0] == reports[1], (a, omega_a, b, omega_b)
+            spec_a = states.state_spec(perron.solve_beta(a, omega_a).param)
+            spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
+            assert tensorops.verify_tensor_identity(spec_a, spec_b, max_len) == \
+                fraction_report(spec_a, spec_b, max_len), (a, omega_a, b, omega_b)
 
     def test_entry_without_a_positive_enclosure_raises(self):
         # an Enc entry whose enclosure reaches 0 cannot take the product of
