@@ -12,6 +12,9 @@ A_{k_last, r} = 1 gives s_J s_K* back.  A final contraction pass folds such
 complete equal-coefficient families onto the shorter monomial, which makes
 the normal form canonical (the unit is kept as the empty monomial and is
 never expanded into sum_i s_i s_i*).
+
+Coefficients are rational, as the rewrite rule only sums 0-1 entries: a
+normal form holds Fractions, and scalars enter only where a state evaluates it.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from __future__ import annotations
 import operator
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import scalars
 from .errors import DimensionError, DomainError, ResourceLimitError
@@ -92,21 +96,20 @@ def _monomial(J: tuple, K: tuple) -> Monomial:
     return mono
 
 
-UNIT = Monomial((), ())
-
-
 @dataclass(frozen=True)
 class NormalForm:
-    terms: tuple  # tuple[(Monomial, Scalar)], sorted, no zero coefficients
+    terms: tuple  # tuple[(Monomial, Fraction)], sorted, no zero coefficients
 
     @staticmethod
     def from_dict(d: dict) -> "NormalForm":
+        """The form of a Monomial -> coefficient dict; a coefficient other
+        than an int or a Fraction (a bool, a float, a Scalar) raises DomainError."""
         items = []
-        for mono, coeff in d.items():
-            c = scalars._as_scalar(coeff)
-            if isinstance(c, Rat) and c.value == 0:
-                continue
-            items.append((mono, c))
+        for mono, c in d.items():
+            if isinstance(c, bool) or not isinstance(c, (int, Fraction)):
+                raise DomainError(f"coefficient {c!r} is not an int or a Fraction")
+            if c:
+                items.append((mono, c if isinstance(c, Fraction) else Fraction(c)))
         items.sort(key=lambda t: t[0].sort_key())
         return NormalForm(tuple(items))
 
@@ -117,15 +120,9 @@ class NormalForm:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def scaled(self, factor) -> "NormalForm":
-        factor = scalars._as_scalar(factor)
-        if isinstance(factor, Rat) and factor.value == 0:
-            return NormalForm(())
-        return NormalForm(tuple((m, scalars.mul(c, factor)) for m, c in self.terms))
-
 
 ZERO_FORM = NormalForm(())
-UNIT_FORM = NormalForm(((UNIT, scalars.ONE),))
+UNIT_FORM = NormalForm(((Monomial((), ()), Q(1)),))
 
 
 # ---------------------------------------------------------------------------
@@ -366,7 +363,7 @@ def as_normal_form(matrix: ZeroOneMatrix, x) -> NormalForm:
             raise DimensionError("monomial uses letters beyond the matrix size")
         if monomial_is_zero(matrix, x):
             return ZERO_FORM
-        return NormalForm(((x, scalars.ONE),))
+        return NormalForm(((x, Q(1)),))
     if isinstance(x, str):
         return normalize(matrix, parse_word(x))
     return normalize(matrix, x)
@@ -379,28 +376,10 @@ def multiply(matrix: ZeroOneMatrix, x, y) -> NormalForm:
     combo: dict = {}
     for mx, cx in xf.terms:
         for my, cy in yf.terms:
-            word = mx.letters() + my.letters()
-            part = rewrite(matrix, word)
-            if not part:
-                continue
-            factor = scalars.mul(cx, cy)
-            for mono, q in part.items():
-                prev = combo.get(mono)
-                contrib = scalars.mul(factor, Rat(q))
-                combo[mono] = contrib if prev is None else scalars.add(prev, contrib)
-    cleaned = {}
-    rational = {}
-    for mono, c in combo.items():
-        if isinstance(c, Rat):
-            if c.value == 0:
-                continue
-            rational[mono] = c.value
-        else:
-            cleaned[mono] = c
-    contracted = _contract(matrix, rational)
-    for mono, q in contracted.items():
-        cleaned[mono] = Rat(q)
-    return NormalForm.from_dict(cleaned)
+            factor = cx * cy
+            for mono, q in rewrite(matrix, mx.letters() + my.letters()).items():
+                combo[mono] = combo.get(mono, 0) + factor * q
+    return NormalForm.from_dict(_contract(matrix, {m: c for m, c in combo.items() if c}))
 
 
 def adjoint(x: NormalForm) -> NormalForm:
@@ -410,7 +389,7 @@ def adjoint(x: NormalForm) -> NormalForm:
 def unit_sum_form(matrix: ZeroOneMatrix) -> NormalForm:
     """sum_i s_i s_i* as a normal form (equal to the unit as an operator)."""
     return NormalForm.from_dict(
-        {Monomial((i,), (i,)): scalars.ONE for i in range(1, matrix.n + 1)})
+        {Monomial((i,), (i,)): Q(1) for i in range(1, matrix.n + 1)})
 
 
 def enumerate_admissible(matrix: ZeroOneMatrix, max_len: int, cap: int = 10**5):
@@ -438,7 +417,7 @@ def enumerate_admissible(matrix: ZeroOneMatrix, max_len: int, cap: int = 10**5):
 
 def normal_form_to_json(x: NormalForm) -> list:
     return [
-        {"J": list(m.J), "K": list(m.K), "coeff": scalars.scalar_to_json(c)}
+        {"J": list(m.J), "K": list(m.K), "coeff": scalars.scalar_to_json(Rat(c))}
         for m, c in x.terms
     ]
 
@@ -450,6 +429,7 @@ def normal_form_from_json(obj) -> NormalForm:
     for entry in obj:
         mono = Monomial(tuple(entry["J"]), tuple(entry["K"]))
         c = scalars.scalar_from_json(entry.get("coeff", 1))
-        prev = combo.get(mono)
-        combo[mono] = c if prev is None else scalars.add(prev, c)
+        if not isinstance(c, Rat):
+            raise DomainError(f"normal-form coefficient {c!r} is not rational")
+        combo[mono] = combo.get(mono, 0) + c.value
     return NormalForm.from_dict(combo)

@@ -316,9 +316,10 @@ def power_type_ck2(p: int, q: int, k: int) -> int:
     return math.gcd(abs(p - q), k)
 
 
-def afd_tensor_rule(lam, mu) -> Scalar:
+def afd_tensor_label(lam, mu) -> TypeLabel:
     """The label of the tensor of two injective type-III factors: tau when
-    (lambda, mu) = (tau^p, tau^q) with coprime p, q, and 1 otherwise."""
+    (lambda, mu) = (tau^p, tau^q) with coprime p, q, and 1 otherwise.  A
+    float input gives detect_lambda's heuristic label and its warnings."""
     lam = scalars._as_scalar(lam)
     mu = scalars._as_scalar(mu)
     for s in (lam, mu):
@@ -327,17 +328,25 @@ def afd_tensor_rule(lam, mu) -> Scalar:
             raise DomainError("labels must lie in (0, 1]")
     if scalars.compare_rational(lam, Q(1)) == 0 or \
             scalars.compare_rational(mu, Q(1)) == 0:
-        return scalars.ONE
-    return detect_lambda((lam, mu)).lam
+        return LABEL_ONE
+    return detect_lambda((lam, mu))
 
 
-def iii1_family(n: int) -> tuple:
+def afd_tensor_rule(lam, mu) -> Scalar:
+    """The value of afd_tensor_label."""
+    return afd_tensor_label(lam, mu).lam
+
+
+def iii1_family(n: int, dimension_cap: int = DEFAULT_DIMENSION_CAP) -> tuple:
     """A rational vector in the full-matrix parameter simplex with label 1:
     (n-1 copies of 1/(n+1), then 2/(n+1)) for even n, and (n-2 copies of
-    1/(n+2), then two copies of 2/(n+2)) for odd n."""
+    1/(n+2), then two copies of 2/(n+2)) for odd n.  Raises
+    ResourceLimitError when n exceeds dimension_cap."""
     n = int(n)
     if n < 2:
         raise DomainError("need n >= 2")
+    if n > dimension_cap:
+        raise ResourceLimitError(f"a family of {n} entries exceeds the cap {dimension_cap}")
     if n % 2 == 0:
         return tuple([Q(1, n + 1)] * (n - 1) + [Q(2, n + 1)])
     return tuple([Q(1, n + 2)] * (n - 2) + [Q(2, n + 2)] * 2)

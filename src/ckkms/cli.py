@@ -209,12 +209,12 @@ def _parse_scalar_arg(text: str) -> scalars.Scalar:
 def _cmd_afd_rule(args, config: RunConfig):
     lam = _parse_scalar_arg(args.lam)
     mu = _parse_scalar_arg(args.mu)
-    out = classify.afd_tensor_rule(lam, mu)
-    return {"label": render_scalar(out)}, "exact", None, [], 0
+    label = classify.afd_tensor_label(lam, mu)
+    return {"label": render_scalar(label.lam)}, label.mode, None, list(label.warnings), 0
 
 
 def _cmd_iii1_family(args, config: RunConfig):
-    entries = classify.iii1_family(args.n)
+    entries = classify.iii1_family(args.n, config.dimension_cap)
     label = classify.detect_lambda([Rat(e) for e in entries])
     return ({"vector": [str(e) for e in entries], **render_lambda(label)},
             label.mode, None, [], 0)

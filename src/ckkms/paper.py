@@ -41,15 +41,15 @@ def _close(value, expected: float, tol: float = 1e-9) -> bool:
 def relation_expansion_full2(precision, tolerance):
     nf = ckwords.normalize(F2, ckwords.parse_word("s1* s1"))
     expected = ckwords.NormalForm.from_dict({
-        Monomial((1,), (1,)): scalars.ONE,
-        Monomial((2,), (2,)): scalars.ONE,
+        Monomial((1,), (1,)): 1,
+        Monomial((2,), (2,)): 1,
     })
     return nf == expected, {"normal_form": ckwords.normal_form_to_json(nf)}
 
 
 def normalize_mixed_word(precision, tolerance):
     nf = ckwords.normalize(FIB, ckwords.parse_word("s1 s1* s1 s2"))
-    expected = ckwords.NormalForm.from_dict({Monomial((1, 2), ()): scalars.ONE})
+    expected = ckwords.NormalForm.from_dict({Monomial((1, 2), ()): 1})
     return nf == expected, {"normal_form": ckwords.normal_form_to_json(nf)}
 
 

@@ -391,21 +391,27 @@ def add(*values) -> Scalar:
 # ---------------------------------------------------------------------------
 # comparisons
 
+def _doubling_widths(first: int, last: int):
+    """2^-k for k = first, 2 first, 4 first, ... up to last: each refine of an
+    Alg bisects from its isolating interval, so a loop over these is O(last)."""
+    k = first
+    while k < last:
+        yield Q(1, 2**k)
+        k *= 2
+    yield Q(1, 2**last)
+
+
 def compare_rational(s: Scalar, c: Fraction) -> int:
     """Sign of s - c; exact for exact scalars, raises if undecidable."""
     c = Q(c)
-    if isinstance(s, Rat):
+    if isinstance(s, (Rat, Flt)):
         return (s.value > c) - (s.value < c)
-    if isinstance(s, Flt):
-        return (s.value > c) - (s.value < c)
-    width = Q(1, 16)
-    for _ in range(600):
+    for width in _doubling_widths(4, 2400):
         iv = refine(s, width)
         if iv.lo > c:
             return 1
         if iv.hi < c:
             return -1
-        width /= 16
     raise InvalidScalarError(f"cannot separate scalar from {c}")
 
 
@@ -434,8 +440,7 @@ def same_value(a: Scalar, b: Scalar) -> bool:
         g = polys.poly_gcd(list(a.poly), list(b.poly))
         if polys.degree(g) < 1:
             return False
-        width = Q(1, 2)
-        for _ in range(60):
+        for width in _doubling_widths(1, 237):
             ia, ib = refine(a, width), refine(b, width)
             if not ia.intersects(ib):
                 return False
@@ -445,7 +450,6 @@ def same_value(a: Scalar, b: Scalar) -> bool:
                 and polys.count_roots(list(b.poly), hull.lo, hull.hi) == 1
             ):
                 return True
-            width /= 16
         return False
     if is_exact(a) and is_exact(b):
         # when every base cancels, the ratio is an exact rational

@@ -145,3 +145,18 @@ def test_the_paper_checks_do_not_import_the_cli():
         elif isinstance(node, ast.Import):
             imported.update(alias.name for alias in node.names)
     assert not any(name.split(".")[-1] == "cli" for name in imported)
+
+
+def test_the_word_layer_does_no_scalar_arithmetic():
+    # normal forms hold Fractions; scalar values enter where a state
+    # evaluates a form, never inside ckwords
+    tree = ast.parse((PACKAGE / "ckwords.py").read_text(encoding="utf-8"))
+    banned = {"mul", "add", "inv", "refine"}
+    used = set()
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id == "scalars"):
+            used.add(node.attr)
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalars"):
+            used.update(alias.name for alias in node.names)
+    assert not used & banned

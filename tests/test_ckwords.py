@@ -11,6 +11,7 @@ compared by dict equality.
 """
 
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -70,7 +71,7 @@ def combo_action(matrix: ZeroOneMatrix, terms, x: tuple) -> dict:
 
 def as_fraction_terms(obj) -> list:
     if isinstance(obj, NormalForm):
-        return [(m, scalars.to_fraction(c)) for m, c in obj.terms]
+        return list(obj.terms)
     return list(obj.items())
 
 
@@ -280,7 +281,7 @@ class TestNormalizeExamples:
     def test_domain_projection_full2(self):
         nf = ckwords.normalize(FULL2, ckwords.parse_word("s1* s1"))
         assert nf.as_dict().keys() == {Monomial((1,), (1,)), Monomial((2,), (2,))}
-        assert all(scalars.to_fraction(c) == 1 for _, c in nf.terms)
+        assert [c for _, c in nf.terms] == [Q(1), Q(1)]
 
     def test_orthogonal_ranges_vanish(self):
         for m in POOL:
@@ -299,7 +300,7 @@ class TestNormalizeExamples:
 
     def test_unit_not_expanded(self):
         nf = ckwords.normalize(FULL2, ())
-        assert nf.as_dict() == {Monomial((), ()): scalars.ONE}
+        assert nf.as_dict() == {Monomial((), ()): Q(1)}
 
     def test_unit_sum_stays_expanded(self):
         # the contraction pass must not fold sum_i s_i s_i* onto the unit
@@ -373,9 +374,9 @@ class TestAdjoint:
         assert ckwords.adjoint(ckwords.UNIT_FORM) == ckwords.UNIT_FORM
 
     def test_scalar_carried(self):
-        x = ckwords.as_normal_form(FULL2, Monomial((1,), (2,))).scaled(Rat(Q(2)))
+        x = NormalForm.from_dict({Monomial((1,), (2,)): Q(2)})
         y = ckwords.adjoint(x)
-        assert y.as_dict() == {Monomial((2,), (1,)): Rat(Q(2))}
+        assert y.as_dict() == {Monomial((2,), (1,)): Q(2)}
 
     def test_involution_and_antihomomorphism(self):
         rng = random.Random(11)
@@ -426,7 +427,7 @@ class TestRewriteEngine:
             for mono, coeff in nf.terms:
                 assert not ckwords.monomial_is_zero(matrix, mono)
                 assert not ref_is_zero(matrix, mono.J, mono.K)
-                assert not (isinstance(coeff, Rat) and coeff.value == 0)
+                assert type(coeff) is Fraction and coeff != 0
 
     def test_representation_agreement(self):
         # the heart of the module: words, their raw rewrites, and their
@@ -457,6 +458,7 @@ class TestRewriteEngine:
             prod = ckwords.multiply(matrix, ckwords.normalize(matrix, wx),
                                     ckwords.normalize(matrix, wy))
             assert_same_action(matrix, tuple(wx) + tuple(wy), prod)
+            assert prod == ckwords.normalize(matrix, tuple(wx) + tuple(wy))
 
     def test_multiply_associative(self):
         rng = random.Random(53)
@@ -511,8 +513,50 @@ class TestJson:
                {"J": [1], "K": [1], "coeff": {"type": "rational", "num": 1,
                                               "den": 2}}]
         nf = ckwords.normal_form_from_json(obj)
-        assert nf.as_dict() == {Monomial((1,), (1,)): scalars.ONE}
+        assert nf.as_dict() == {Monomial((1,), (1,)): Q(1)}
 
     def test_rejects_non_list(self):
         with pytest.raises(DomainError):
             ckwords.normal_form_from_json({"J": [1]})
+
+
+class TestRationalCoefficients:
+    """Normal forms hold Fractions; a coefficient that is not an int or a
+    Fraction is refused where a form is built, and in its JSON."""
+
+    GOLDEN_RATIO = scalars.make_algebraic([-1, -1, 1], Q(1), Q(2))
+    NON_RATIONAL = {
+        "alg": GOLDEN_RATIO,
+        "enc": scalars.Enc(scalars.refine(GOLDEN_RATIO, Q(1, 1000))),
+        "float": 0.5,
+        "rat": Rat(Q(1, 2)),
+        "bool": True,
+    }
+
+    @pytest.mark.parametrize("kind", sorted(NON_RATIONAL))
+    def test_from_dict_refuses(self, kind):
+        with pytest.raises(DomainError):
+            NormalForm.from_dict({Monomial((1,), (1,)): self.NON_RATIONAL[kind]})
+
+    @pytest.mark.parametrize("kind", ["alg", "enc", "float"])
+    def test_json_refuses(self, kind):
+        coeff = self.NON_RATIONAL[kind]
+        obj = [{"J": [1], "K": [1], "coeff": (coeff if isinstance(coeff, float)
+                                              else scalars.scalar_to_json(coeff))}]
+        with pytest.raises(DomainError):
+            ckwords.normal_form_from_json(obj)
+
+    def test_ints_become_fractions(self):
+        nf = NormalForm.from_dict({Monomial((1,), (1,)): 3, Monomial((2,), (2,)): 0})
+        assert nf.terms == ((Monomial((1,), (1,)), Q(3)),)
+        assert type(nf.terms[0][1]) is Fraction
+
+    def test_products_stay_fractions(self):
+        rng = random.Random(71)
+        for _ in range(40):
+            matrix = POOL[rng.randrange(len(POOL))]
+            x = ckwords.normalize(matrix, random_word(rng, matrix.n, 3))
+            y = NormalForm.from_dict({m: Q(rng.randint(-3, 3), rng.randint(1, 4))
+                                      for m, _ in x.terms})
+            prod = ckwords.multiply(matrix, y, ckwords.adjoint(y))
+            assert all(type(c) is Fraction and c for _, c in prod.terms)

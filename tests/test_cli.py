@@ -489,6 +489,26 @@ class TestOtherCommands:
         code, doc = run_json("afd-rule", "--lam", "1/4", "--mu", "1/8")
         assert code == 0
         assert doc["result"]["label"]["rational"] == "1/2"
+        assert (doc["mode"], doc["warnings"]) == ("exact", [])
+
+    def test_afd_rule_float_guess_is_heuristic(self):
+        code, doc = run_json("afd-rule", "--lam", "0.3", "--mu", "0.7")
+        assert code == 0
+        assert doc["result"]["label"]["rational"] == "1"
+        assert doc["mode"] == "heuristic" and doc["warnings"]
+
+    @pytest.mark.parametrize("args, code", [
+        (("iii1-family", "--n", "100000000"), 2),
+        (("--dimension-cap", "10", "iii1-family", "--n", "11"), 2),
+        (("iii1-family", "--n", "4096"), 0),
+    ], ids=["1e8", "cap-10", "4096"])
+    def test_iii1_family_size_cap(self, args, code):
+        start = time.monotonic()
+        got, out, err = run_cli(*args)
+        assert time.monotonic() - start < 1.0
+        assert got == code, err
+        if code == 2:
+            assert not out and "exceeds the cap" in err
 
     def test_tensor_type(self):
         code, doc = run_json("tensor-type", "--a", '["1/2","1/2"]',

@@ -221,6 +221,23 @@ class TestSameValue:
         assert scalars.same_value(p, scalars.mul(g, r))
         assert not scalars.same_value(p, scalars.mul(Rat(1 + Q(1, 10**45)), p))
 
+    def test_one_root_under_two_isolations_is_compared_fast(self):
+        # the ratio keeps both bases and is refined to the full depth of
+        # compare_rational; each narrower width doubles the bits, so the
+        # call stays fast (its verdict is not asserted: it reads False,
+        # though the value is exactly 1)
+        g = scalars.make_algebraic([-1, 1, 1], Q(1, 2), Q(1))
+        start = time.monotonic()
+        scalars.same_value(scalars.mul(g, scalars.inv(golden())), Rat(1))
+        assert time.monotonic() - start < 1.0
+
+    def test_compare_rational_keeps_its_full_depth(self):
+        # a dyadic within 2^-2300 below the root still separates from it
+        g = golden()
+        lo = scalars.refine(g, Q(1, 2**2300)).lo
+        assert scalars.compare_rational(g, lo) == 1
+        assert scalars.compare_rational(g, lo + Q(1, 2**2300)) == -1
+
 
 class TestLogRatio:
     def test_rational_pair(self):

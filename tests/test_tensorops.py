@@ -222,20 +222,20 @@ class TestTensorStateEval:
             return inner(spec, mono)
 
         monkeypatch.setattr(states, "eval_monomial", recording)
-        nf = ckwords.NormalForm.from_dict({m: Rat(c) for m, c in coeffs.items()})
+        nf = ckwords.NormalForm.from_dict(coeffs)
         got = tensorops.tensor_state_eval(spec_a, spec_b, nf)
         assert scalars.to_fraction(got) == expected != 0
         assert evaluated and all(mono.J == mono.K for mono in evaluated)
 
     def test_letter_beyond_composite_raises(self):
         spec_a, spec_b = spec_for(GOLDEN), spec_for(FULL3)
-        beyond = ckwords.NormalForm.from_dict({Monomial((1,), (2,)): scalars.ONE,
-                                               Monomial((7,), (7,)): scalars.ONE})
+        beyond = ckwords.NormalForm.from_dict({Monomial((1,), (2,)): 1,
+                                               Monomial((7,), (7,)): 1})
         with pytest.raises(DimensionError):
             tensorops.tensor_state_eval(spec_a, spec_b, beyond)
         with pytest.raises(DimensionError):
             tensorops.tensor_state_eval(spec_a, spec_b, Monomial((1, 7), (2,)))
-        below = ckwords.NormalForm.from_dict({Monomial((0,), (1,)): scalars.ONE})
+        below = ckwords.NormalForm.from_dict({Monomial((0,), (1,)): 1})
         with pytest.raises(DomainError):
             tensorops.tensor_state_eval(spec_a, spec_b, below)
 
