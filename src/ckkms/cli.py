@@ -210,7 +210,9 @@ def _cmd_afd_rule(args, config: RunConfig):
     lam = _parse_scalar_arg(args.lam)
     mu = _parse_scalar_arg(args.mu)
     label = classify.afd_tensor_label(lam, mu)
-    return {"label": render_scalar(label.lam)}, label.mode, None, list(label.warnings), 0
+    # a guessed label may be an exact scalar, but only a proved one is exact
+    rendered = dict(render_scalar(label.lam), exact=label.mode == "exact")
+    return {"label": rendered}, label.mode, None, list(label.warnings), 0
 
 
 def _cmd_iii1_family(args, config: RunConfig):

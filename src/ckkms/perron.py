@@ -470,10 +470,12 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
 
 def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
                       precision: Fraction) -> BetaSolution:
-    det = _det_poly(matrix, reduced)
-    lo, hi = polys.isolate_smallest_root(det, Q(0), Q(1))
-    lo, hi = polys.refine_root(det, lo, hi, precision)
-    base = Rat(lo) if lo == hi else scalars.make_algebraic(det, lo, hi)
+    # one squarefree part and one Sturm chain serve the isolation, the
+    # bisection and the algebraic number
+    chain = polys.sturm_chain(polys.squarefree_part(_det_poly(matrix, reduced)))
+    lo, hi = polys.isolate_smallest_root(chain, Q(0), Q(1))
+    lo, hi = polys.refine_root(chain[0], lo, hi, precision)
+    base = Rat(lo) if lo == hi else scalars.algebraic_from_chain(chain, lo, hi)
     entries = tuple(scalars.make_power(base, e) for e in reduced)
     # t >= 1/n, as 1 = PFE(diag(t^m) A) <= t n: an enclosure of width 1/(2n)
     # has lo > 0, and one of width w lo inside it has ln hi - ln lo <= w

@@ -1,12 +1,24 @@
-"""Dense univariate polynomial helpers over exact rationals.
+"""Dense univariate polynomial helpers on integers.
 
 Coefficient lists are constant-first: coeffs[k] is the coefficient of x^k.
 The zero polynomial is the empty list.  These routines back the algebraic
 scalar type (root isolation via Sturm chains) and the spectral solvers
-(characteristic and determinant polynomials).  refine_root, the bisection
-behind every algebraic enclosure, runs on integers: a scaled copy of p with
-integer coefficients, evaluated homogeneously at integer numerators over
-one power-of-two-scaled denominator.
+(determinant polynomials), and run fraction-free:
+
+- polymat_det is Bareiss elimination, whose division by the previous pivot
+  is exact in Z[t] and done by integer long division (div_exact);
+- poly_gcd and squarefree_part take gcds by primitive pseudo-remainder
+  sequences;
+- sturm_chain builds each member from a pseudo-remainder whose sign makes
+  it a positive multiple of the member the rational remainder sequence
+  gives, reduced to its primitive part, so every sign-variation count is
+  the rational chain's;
+- every sign is that of an integer homogeneous form at a rational point
+  n/d (sign_at), and refine_root bisects on numerators over one
+  power-of-two denominator.
+
+divmod_exact, long division over the rationals, remains for reducing
+powers modulo a defining polynomial.
 """
 
 from __future__ import annotations
@@ -86,10 +98,25 @@ def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
 
 
 def div_exact(p: Poly, q: Poly) -> Poly:
-    quot, rem = divmod_exact(p, q)
-    if rem:
+    """The quotient p / q of integer polynomials, by integer long division;
+    raises ArithmeticError unless it is exact with integer coefficients."""
+    q = trim(q)
+    if not q:
+        raise ZeroDivisionError("division by the zero polynomial")
+    rem = list(trim(p))
+    nq, lead = len(q), q[-1]
+    quot = [0] * max(0, len(rem) - nq + 1)
+    for shift in range(len(quot) - 1, -1, -1):
+        c, r = divmod(rem[shift + nq - 1], lead)
+        if r:
+            raise ArithmeticError("inexact polynomial division")
+        if c:
+            quot[shift] = c
+            for i, b in enumerate(q):
+                rem[shift + i] -= c * b
+    if any(rem):
         raise ArithmeticError("inexact polynomial division")
-    return quot
+    return trim(quot)
 
 
 def derivative(p: Poly) -> Poly:
@@ -113,97 +140,64 @@ def content_primitive(p: Poly) -> tuple[Fraction, Poly]:
     return Q(sign * g, den), ints
 
 
+def _primitive(p: Poly) -> Poly:
+    """p divided by the gcd of its integer coefficients, sign kept."""
+    g = gcd(*p)
+    return [c // g for c in p] if g > 1 else p
+
+
+def _prem(a: Poly, b: Poly) -> Poly:
+    """Pseudo-remainder of integer polynomials: lc(b)^(deg a - deg b + 1) a
+    reduced modulo b, with no division."""
+    r = list(a)
+    nb, lb = len(b), b[-1]
+    for top in range(len(r) - 1, nb - 2, -1):
+        c = r.pop()
+        r = [lb * x for x in r]
+        for i in range(nb - 1):
+            r[top - nb + 1 + i] -= c * b[i]
+    return trim(r)
+
+
 def poly_gcd(p: Poly, q: Poly) -> Poly:
-    """Monic gcd over the rationals."""
-    a, b = trim(p), trim(q)
+    """The gcd of p and q as a primitive integer polynomial with positive
+    leading coefficient, by a primitive pseudo-remainder sequence."""
+    a, b = content_primitive(p)[1], content_primitive(q)[1]
+    if len(a) < len(b):
+        a, b = b, a
     while b:
-        _, r = divmod_exact(a, b)
-        a, b = b, r
-    if not a:
-        return []
-    lead = Q(a[-1])
-    return [Q(c) / lead for c in a]
+        a, b = b, _primitive(_prem(a, b))
+    return content_primitive(a)[1]
 
 
 def squarefree_part(p: Poly) -> Poly:
-    """Primitive integer polynomial with the same distinct roots as p."""
+    """Primitive integer polynomial with the same distinct roots as p and a
+    positive leading coefficient."""
     p = trim(p)
     if degree(p) <= 0:
         return p
-    g = poly_gcd(p, derivative(p))
-    if degree(g) <= 0:
-        _, prim = content_primitive(p)
-        return prim
-    _, prim = content_primitive(div_exact(p, g))
-    return prim
+    prim = content_primitive(p)[1]
+    return div_exact(prim, poly_gcd(prim, derivative(prim)))
 
 
 def sturm_chain(p: Poly) -> list[Poly]:
-    chain = [trim(p), derivative(p)]
-    while chain[-1]:
-        _, r = divmod_exact(chain[-2], chain[-1])
-        chain.append(neg(r))
-    chain.pop()
+    """Sturm chain of p on integers.  Member k is a positive multiple of
+    member k of the rational chain p, p', -rem(p, p'), ...: the positive
+    primitive multiples of p and p' first, then each pseudo-remainder
+    times -sign(lc)^(delta + 1) (lc the leading coefficient of the divisor,
+    delta the degree drop), reduced to its primitive part."""
+    c, a = content_primitive(p)
+    chain = [neg(a) if c < 0 else a]
+    r = derivative(chain[0])
+    while r:
+        b = _primitive(r)
+        a = chain[-1]
+        chain.append(b)
+        r = _prem(a, b)
+        # -sign(lc)^(delta + 1) is +1 only for lc < 0 and delta even
+        if not (b[-1] < 0 and (len(a) - len(b)) % 2 == 0):
+            r = neg(r)
     return chain
-
-
-def _sign_variations(chain: list[Poly], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = eval_at(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
-    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
-
-
-def count_roots(p: Poly, lo: Fraction, hi: Fraction) -> int:
-    """Number of distinct real roots of p in the half-open interval (lo, hi]:
-    Sturm's count, exact for any p whose ends are not roots of it, and for a
-    squarefree p (the form its callers pass) also when they are."""
-    if degree(p) <= 0:
-        return 0
-    chain = sturm_chain(p)
-    return _sign_variations(chain, lo) - _sign_variations(chain, hi)
-
-
-def isolate_smallest_root(p: Poly, lo: Fraction, hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Isolating interval (a, b) for the smallest root of p in (lo, hi).
-
-    Returns endpoints with p(a) != 0, p(b) != 0, exactly one distinct root
-    inside.  Raises if p has no root there.
-    """
-    sf = squarefree_part(p)
-    chain = sturm_chain(sf)
-    lo, hi = Q(lo), Q(hi)
-    # nudge endpoints off roots
-    while eval_at(sf, lo) == 0:
-        lo += (hi - lo) / 1024
-    while eval_at(sf, hi) == 0:
-        hi -= (hi - lo) / 1024
-    total = _sign_variations(chain, lo) - _sign_variations(chain, hi)
-    if total <= 0:
-        raise ArithmeticError("no root in the requested interval")
-    while True:
-        mid = (lo + hi) / 2
-        if eval_at(sf, mid) == 0:
-            mid += (hi - lo) / 1024  # rational root at midpoint; shift the cut
-        left = _sign_variations(chain, lo) - _sign_variations(chain, mid)
-        if left >= 1:
-            hi = mid
-            if left == 1:
-                break
-        else:
-            lo = mid
-    # now exactly one root in (lo, hi]; shrink until the sign changes strictly
-    while eval_at(sf, lo) * eval_at(sf, hi) > 0 or (hi - lo) > Q(1, 4):
-        mid = (lo + hi) / 2
-        if eval_at(sf, mid) == 0:
-            mid += (hi - lo) / 1024
-        if _sign_variations(chain, lo) - _sign_variations(chain, mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def sign_at(c: list, n: int, d: int) -> int:
@@ -215,6 +209,73 @@ def sign_at(c: list, n: int, d: int) -> int:
         acc = acc * n + ci * dpow
         dpow *= d
     return (acc > 0) - (acc < 0)
+
+
+def sign_variations(chain: list[Poly], x: Fraction) -> int:
+    """Sign changes along the integer chain at x, zeros skipped."""
+    n, d = x.numerator, x.denominator
+    count = last = 0
+    for p in chain:
+        s = sign_at(p, n, d)
+        if s:
+            count += last == -s
+            last = s
+    return count
+
+
+def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
+    """Number of distinct real roots of p = chain[0] in the half-open
+    interval (lo, hi], given its Sturm chain: Sturm's count, exact for any p
+    whose ends are not roots of it, and for a squarefree p (the form its
+    callers pass) also when they are."""
+    return sign_variations(chain, lo) - sign_variations(chain, hi)
+
+
+def isolate_smallest_root(chain: list[Poly], lo: Fraction,
+                          hi: Fraction) -> tuple[Fraction, Fraction]:
+    """Isolating interval (a, b) for the smallest root in (lo, hi) of the
+    squarefree polynomial chain[0], given its Sturm chain.
+
+    Returns endpoints with p(a) != 0, p(b) != 0, exactly one distinct root
+    inside.  Raises if p has no root there.  A cut that lands on a rational
+    root moves by 1/1024 of the bracket.
+    """
+    p = chain[0]
+
+    def sign(x):
+        return sign_at(p, x.numerator, x.denominator)
+
+    lo, hi = Q(lo), Q(hi)
+    # nudge endpoints off roots
+    while sign(lo) == 0:
+        lo += (hi - lo) / 1024
+    while sign(hi) == 0:
+        hi -= (hi - lo) / 1024
+    vlo = sign_variations(chain, lo)
+    if vlo - sign_variations(chain, hi) <= 0:
+        raise ArithmeticError("no root in the requested interval")
+    while True:
+        mid = (lo + hi) / 2
+        if sign(mid) == 0:
+            mid += (hi - lo) / 1024
+        vmid = sign_variations(chain, mid)
+        if vlo - vmid >= 1:
+            hi = mid
+            if vlo - vmid == 1:
+                break
+        else:
+            lo, vlo = mid, vmid
+    # now exactly one root in (lo, hi]; shrink until the sign changes strictly
+    while sign(lo) * sign(hi) > 0 or (hi - lo) > Q(1, 4):
+        mid = (lo + hi) / 2
+        if sign(mid) == 0:
+            mid += (hi - lo) / 1024
+        vmid = sign_variations(chain, mid)
+        if vlo - vmid >= 1:
+            hi = mid
+        else:
+            lo, vlo = mid, vmid
+    return lo, hi
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:
@@ -257,11 +318,14 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
 
 
 def polymat_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant of a matrix of integer polynomials (Bareiss elimination)."""
+    """Determinant of a matrix of integer polynomials by Bareiss
+    elimination: each new entry is a 2x2 minor divided by the previous
+    pivot, a division that is exact in Z[t] (Sylvester's identity), so
+    every entry stays an integer polynomial."""
     n = len(mat)
     m = [[trim(list(p)) for p in row] for row in mat]
     sign = 1
-    prev = [1]  # previous pivot, divides exactly at each step
+    prev = [1]  # previous pivot
     for k in range(n - 1):
         if not m[k][k]:
             swap = next((r for r in range(k + 1, n) if m[r][k]), None)

@@ -97,30 +97,38 @@ def make_algebraic(poly, lo, hi) -> Scalar:
     Collapses to Rat when the isolated root is rational.  Raises
     InvalidScalarError unless the interval isolates exactly one root with a
     sign change of the squarefree part.
-
-    A rational root p/q of the primitive squarefree part has q | a_n, its
-    leading coefficient, so it is a multiple of 1/a_n.  A copy of the
-    interval refined to width 1/(2 a_n) holds at most one such multiple, and
-    an exact evaluation there decides rationality without factoring any
-    coefficient.
     """
-    lo, hi = Q(lo), Q(hi)
     sf = polys.squarefree_part(list(poly))
     if polys.degree(sf) < 1:
         raise InvalidScalarError("polynomial has no roots to isolate")
-    flo, fhi = polys.eval_at(sf, lo), polys.eval_at(sf, hi)
-    if lo <= hi and (flo == 0 or fhi == 0):
-        if lo < hi and polys.count_roots(sf, lo, hi) > 1:
+    return algebraic_from_chain(polys.sturm_chain(sf), lo, hi)
+
+
+def algebraic_from_chain(chain, lo, hi) -> Scalar:
+    """make_algebraic for the primitive squarefree part chain[0], of degree
+    at least 1, given with its Sturm chain.
+
+    A rational root p/q of chain[0] has q | a_n, its leading coefficient,
+    so it is a multiple of 1/a_n.  A copy of the interval refined to width
+    1/(2 a_n) holds at most one such multiple, and an exact sign test there
+    decides rationality without factoring any coefficient.
+    """
+    lo, hi = Q(lo), Q(hi)
+    sf = chain[0]
+    slo = polys.sign_at(sf, lo.numerator, lo.denominator)
+    shi = polys.sign_at(sf, hi.numerator, hi.denominator)
+    if lo <= hi and (slo == 0 or shi == 0):
+        if lo < hi and polys.count_roots(chain, lo, hi) > 1:
             raise InvalidScalarError("interval does not isolate a single root")
-        return Rat(lo if flo == 0 else hi)
-    if flo == 0 or fhi == 0 or (flo > 0) == (fhi > 0):
+        return Rat(lo if slo == 0 else hi)
+    if slo == 0 or shi == 0 or slo == shi:
         raise InvalidScalarError("interval endpoints must straddle a sign change")
-    if polys.count_roots(sf, lo, hi) != 1:
+    if polys.count_roots(chain, lo, hi) != 1:
         raise InvalidScalarError("interval does not isolate a single root")
     lead = sf[-1]
     a, b = polys.refine_root(sf, lo, hi, Q(1, 2 * lead))
     r = Q(math.ceil(a * lead), lead)
-    if r <= b and polys.eval_at(sf, r) == 0:
+    if r <= b and polys.sign_at(sf, r.numerator, r.denominator) == 0:
         return Rat(r)
     return Alg(tuple(sf), lo, hi)
 
@@ -422,9 +430,33 @@ def in_open_unit_interval(s: Scalar) -> bool:
         return False
 
 
+def _merge_shared_roots(s: Scalar) -> Scalar:
+    """s with the Product bases that are one root under two isolations
+    merged.  Each base isolates one root of its polynomial, so two bases
+    with the same polynomial are the same number exactly when the hull of
+    their intervals holds one root of it, by an integer Sturm count."""
+    if not isinstance(s, Product):
+        return s
+    merged: list = []  # [base, exponent, merged with another base]
+    for b, e in s.factors:
+        for entry in merged:
+            o = entry[0]
+            if o.poly == b.poly and polys.count_roots(
+                    polys.sturm_chain(list(b.poly)), min(o.lo, b.lo), max(o.hi, b.hi)) == 1:
+                entry[1] += e
+                entry[2] = True
+                break
+        else:
+            merged.append([b, e, False])
+    if len(merged) == len(s.factors):
+        return s
+    return _build_product(s.rational, (tuple(entry) for entry in merged))
+
+
 def same_value(a: Scalar, b: Scalar) -> bool:
-    """Exact value equality where decidable, else a deep-enclosure criterion."""
-    a, b = _as_scalar(a), _as_scalar(b)
+    """Exact value equality where decidable, else a deep-enclosure criterion.
+    A product's bases that isolate one root twice are merged first."""
+    a, b = _merge_shared_roots(_as_scalar(a)), _merge_shared_roots(_as_scalar(b))
     if a == b:
         return True
     if isinstance(a, Rat) and isinstance(b, Rat):
@@ -440,20 +472,18 @@ def same_value(a: Scalar, b: Scalar) -> bool:
         g = polys.poly_gcd(list(a.poly), list(b.poly))
         if polys.degree(g) < 1:
             return False
+        chains = [polys.sturm_chain(p) for p in (g, list(a.poly), list(b.poly))]
         for width in _doubling_widths(1, 237):
             ia, ib = refine(a, width), refine(b, width)
             if not ia.intersects(ib):
                 return False
             hull = ia.hull(ib)
-            if polys.count_roots(g, hull.lo, hull.hi) == 1 and (
-                polys.count_roots(list(a.poly), hull.lo, hull.hi) == 1
-                and polys.count_roots(list(b.poly), hull.lo, hull.hi) == 1
-            ):
+            if all(polys.count_roots(c, hull.lo, hull.hi) == 1 for c in chains):
                 return True
         return False
     if is_exact(a) and is_exact(b):
         # when every base cancels, the ratio is an exact rational
-        q = mul(a, inv(b))
+        q = _merge_shared_roots(mul(a, inv(b)))
         if isinstance(q, Rat):
             return q.value == 1
     # other powers/products: compare by deep refinement

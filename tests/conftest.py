@@ -1,6 +1,8 @@
 """Shared fixtures: the matrix pool and seeded rational generators."""
 
 import random
+import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -14,6 +16,15 @@ GOLDEN = ZeroOneMatrix(((1, 1), (1, 0)))
 CYCLE3 = ZeroOneMatrix(((1, 1, 0), (0, 1, 1), (1, 0, 1)))
 
 POOL = (FULL2, FULL3, GOLDEN, CYCLE3)
+
+
+@contextmanager
+def budget(seconds):
+    """Assert that the block takes less than `seconds` of wall-clock time."""
+    start = time.monotonic()
+    yield
+    elapsed = time.monotonic() - start
+    assert elapsed < seconds, f"wall-clock budget {seconds}s exceeded: {elapsed:.2f}s"
 
 
 @pytest.fixture(scope="session")

@@ -9,8 +9,6 @@ their bound explicitly.
 import itertools
 import math
 import random
-import time
-from contextlib import contextmanager
 
 from ckkms import ckwords, classify, paper, perron, scalars, states, tensorops
 from ckkms.ckwords import Letter, Monomial
@@ -20,18 +18,10 @@ from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
 from ckkms.scalars import Q, Rat
 from ckkms.tensorops import IndexSplit
 
-from conftest import FULL2, FULL3, POOL
+from conftest import FULL2, FULL3, POOL, budget
 
 TOL9 = Q(1, 10**9)
 TOL10 = Q(1, 10**10)
-
-
-@contextmanager
-def budget(seconds):
-    start = time.monotonic()
-    yield
-    elapsed = time.monotonic() - start
-    assert elapsed < seconds, f"wall-clock budget {seconds}s exceeded: {elapsed:.2f}s"
 
 
 def run_check(check_id):

@@ -489,6 +489,7 @@ class TestOtherCommands:
         code, doc = run_json("afd-rule", "--lam", "1/4", "--mu", "1/8")
         assert code == 0
         assert doc["result"]["label"]["rational"] == "1/2"
+        assert doc["result"]["label"]["exact"] is True
         assert (doc["mode"], doc["warnings"]) == ("exact", [])
 
     def test_afd_rule_float_guess_is_heuristic(self):
@@ -496,6 +497,16 @@ class TestOtherCommands:
         assert code == 0
         assert doc["result"]["label"]["rational"] == "1"
         assert doc["mode"] == "heuristic" and doc["warnings"]
+        # the guess is the exact scalar 1, but the label is not proved
+        assert doc["result"]["label"]["exact"] is False
+
+    def test_afd_rule_float_inputs_keep_their_label(self):
+        code, doc = run_json("afd-rule", "--lam", "0.5", "--mu", "0.25")
+        assert code == 0
+        assert (doc["mode"], doc["warnings"]) == ("heuristic", [])
+        assert doc["result"]["label"] == {
+            "enclosure": ["1/2", "1/2"], "exact": False, "float": "0.5",
+            "form": {"type": "float", "value": 0.5}}
 
     @pytest.mark.parametrize("args, code", [
         (("iii1-family", "--n", "100000000"), 2),

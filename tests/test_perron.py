@@ -20,7 +20,7 @@ from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
 from ckkms.intervals import Interval, exp_interval
 from ckkms.scalars import Enc, Flt, Q, Rat
 
-from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
+from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget
 
 PHI = (1 + math.sqrt(5)) / 2
 POOL_AND_PRODUCTS = POOL + tuple(kronecker_matrix(a, b) for a in POOL for b in POOL)
@@ -419,6 +419,19 @@ class TestSolveBeta:
         # the parameter vector is identical (gauge-scaling invariance)
         for a, b in zip(sol_small.param.entries, sol_big.param.entries):
             assert scalars.same_value(a, b)
+
+    def test_exact_solve_of_a_25x25_composite(self):
+        # the Kronecker product of two random 5x5 matrices, frequencies in
+        # {1, 2, 3}: a determinant of degree sum(omega) = 43 for this seed
+        rng = random.Random(1)
+        m = kronecker_matrix(random_irreducible(rng, 5), random_irreducible(rng, 5))
+        omega = [rng.choice((1, 2, 3)) for _ in range(m.n)]
+        with budget(2.0):
+            sol = perron.solve_beta(m, [Q(w) for w in omega])
+        assert sol.mode == "exact"
+        assert sol.beta.width <= perron.DEFAULT_PRECISION
+        oracle = bisect_radius_beta(m.rows, omega)
+        assert float(sol.beta.lo) <= oracle <= float(sol.beta.hi)
 
     def test_irrational_frequencies_fall_back(self):
         w2 = scalars.Flt(math.sqrt(2))

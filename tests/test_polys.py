@@ -1,5 +1,6 @@
 """Polynomial layer: root counting and isolation against a numpy oracle,
-exact division, and determinants of polynomial matrices.
+the integer Sturm chain, isolation and exact division against their
+Fraction forms, and determinants of polynomial matrices.
 
 Coefficient lists are constant-first throughout.
 """
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ckkms import polys
@@ -57,6 +58,98 @@ def det_by_permutations(mat_values):
     return total
 
 
+def count(p, lo, hi):
+    """count_roots on the Sturm chain of p."""
+    return polys.count_roots(polys.sturm_chain(p), lo, hi)
+
+
+def isolate(p, lo, hi):
+    """isolate_smallest_root on the squarefree part of p and its chain."""
+    return polys.isolate_smallest_root(
+        polys.sturm_chain(polys.squarefree_part(p)), lo, hi)
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracles: the rational remainder sequence, division and isolation
+# that the integer kernel replaces
+
+
+def fraction_div_exact(p, q):
+    quot, rem = polys.divmod_exact(p, q)
+    if rem:
+        raise ArithmeticError("inexact polynomial division")
+    return quot
+
+
+def fraction_squarefree_part(p):
+    """p / gcd(p, p') over the rationals, made primitive."""
+    a, b = polys.trim(p), polys.derivative(p)
+    while b:
+        a, b = b, polys.divmod_exact(a, b)[1]
+    return polys.content_primitive(fraction_div_exact(p, a))[1]
+
+
+def fraction_sturm_chain(p):
+    chain = [polys.trim(p), polys.derivative(p)]
+    while chain[-1]:
+        chain.append(polys.neg(polys.divmod_exact(chain[-2], chain[-1])[1]))
+    chain.pop()
+    return chain
+
+
+def fraction_variations(chain, x):
+    signs = [v > 0 for v in (polys.eval_at(p, x) for p in chain) if v != 0]
+    return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
+
+
+def fraction_isolate_smallest_root(p, lo, hi):
+    """Bisection on Sturm counts with Fraction evaluation throughout."""
+    sf = fraction_squarefree_part(p)
+    chain = fraction_sturm_chain(sf)
+
+    def between(a, b):
+        return fraction_variations(chain, a) - fraction_variations(chain, b)
+
+    while polys.eval_at(sf, lo) == 0:
+        lo += (hi - lo) / 1024
+    while polys.eval_at(sf, hi) == 0:
+        hi -= (hi - lo) / 1024
+    if between(lo, hi) <= 0:
+        raise ArithmeticError("no root in the requested interval")
+    while True:
+        mid = (lo + hi) / 2
+        if polys.eval_at(sf, mid) == 0:
+            mid += (hi - lo) / 1024
+        left = between(lo, mid)
+        if left >= 1:
+            hi = mid
+            if left == 1:
+                break
+        else:
+            lo = mid
+    while polys.eval_at(sf, lo) * polys.eval_at(sf, hi) > 0 or hi - lo > Fraction(1, 4):
+        mid = (lo + hi) / 2
+        if polys.eval_at(sf, mid) == 0:
+            mid += (hi - lo) / 1024
+        if between(lo, mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def isolate_both(p, lo, hi):
+    """(integer result, Fraction result), each an interval or the exception
+    type it raised."""
+    out = []
+    for iso in (isolate, fraction_isolate_smallest_root):
+        try:
+            out.append(iso(p, lo, hi))
+        except ArithmeticError as exc:
+            out.append(type(exc))
+    return out
+
+
 # ---------------------------------------------------------------------------
 # basic operations
 
@@ -99,11 +192,11 @@ class TestBasicOps:
 class TestRootCounting:
     def test_known_counts(self):
         golden = [-1, 1, 1]  # x^2 + x - 1
-        assert polys.count_roots(golden, Fraction(0), Fraction(1)) == 1
-        assert polys.count_roots(golden, Fraction(-2), Fraction(0)) == 1
+        assert count(golden, Fraction(0), Fraction(1)) == 1
+        assert count(golden, Fraction(-2), Fraction(0)) == 1
         cubic = [-1, 1, 0, 1]  # x^3 + x - 1
-        assert polys.count_roots(cubic, Fraction(0), Fraction(1)) == 1
-        assert polys.count_roots([-2, 0, 1], Fraction(3), Fraction(4)) == 0
+        assert count(cubic, Fraction(0), Fraction(1)) == 1
+        assert count([-2, 0, 1], Fraction(3), Fraction(4)) == 0
 
     @given(st.lists(st.integers(-6, 6), min_size=3, max_size=6))
     @settings(max_examples=80, deadline=None)
@@ -116,7 +209,7 @@ class TestRootCounting:
         lo, hi = Fraction(-7, 3), Fraction(7, 3)
         if polys.eval_at(sf, lo) == 0 or polys.eval_at(sf, hi) == 0:
             return
-        got = polys.count_roots(p, lo, hi)
+        got = count(p, lo, hi)
         oracle = np_real_roots_in(sf, float(lo), float(hi))
         # count distinct oracle roots (cluster within 1e-6)
         distinct = []
@@ -146,7 +239,7 @@ class TestIsolation:
     def test_smallest_root_in_unit_interval(self, coeffs, expected):
         oracle = bisect_root(lambda x: polys.eval_at(coeffs, x), 0.0, 1.0)
         assert abs(oracle - expected) < 1e-12
-        iv = polys.isolate_smallest_root(coeffs, Fraction(0), Fraction(1))
+        iv = isolate(coeffs, Fraction(0), Fraction(1))
         lo, hi = polys.refine_root(coeffs, iv[0], iv[1], Fraction(1, 10**12))
         assert float(lo) <= expected <= float(hi)
         assert hi - lo <= Fraction(1, 10**12)
@@ -230,6 +323,77 @@ class TestRefineRoot:
         assert new == old
         assert new[1] - new[0] <= Fraction(1, 10**30)
         assert polys.eval_at(p, new[0]) < 0 < polys.eval_at(p, new[1])
+
+
+@st.composite
+def kernel_polynomials(draw):
+    """q r^k times a nonzero rational c: integer polynomials with a repeated
+    factor, and rational coefficients when c is not an integer.  A sparse q
+    gives remainder sequences that drop two degrees at once."""
+    p = draw(st.lists(st.integers(-6, 6), min_size=1, max_size=4)
+             | st.lists(st.sampled_from([-2, -1, 0, 0, 0, 1, 2]), min_size=4, max_size=7))
+    r = draw(st.lists(st.integers(-4, 4), min_size=2, max_size=3))
+    for _ in range(draw(st.integers(0, 2))):
+        p = polys.mul(p, r)
+    c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
+    p = polys.scale(p, c)
+    assume(polys.degree(p) >= 1)
+    return p
+
+
+POINTS = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+
+
+class TestIntegerKernel:
+    """The integer chain, squarefree part and isolation against the Fraction
+    remainder sequence they replace."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kernel_polynomials(), st.lists(POINTS, min_size=1, max_size=6))
+    def test_chain_is_a_positive_multiple_of_the_fraction_chain(self, p, xs):
+        chain, oracle = polys.sturm_chain(p), fraction_sturm_chain(p)
+        assert len(chain) == len(oracle)
+        for member, ref in zip(chain, oracle):
+            assert all(isinstance(c, int) for c in member)
+            assert len(member) == len(ref) and member[-1] * ref[-1] > 0
+            assert polys.scale(member, ref[-1]) == polys.scale(ref, member[-1])
+        for x in xs:
+            assert polys.sign_variations(chain, x) == fraction_variations(oracle, x)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(kernel_polynomials(), POINTS, POINTS)
+    def test_squarefree_part_and_isolation_match(self, p, a, b):
+        assume(a != b)
+        assert polys.squarefree_part(p) == fraction_squarefree_part(p)
+        new, old = isolate_both(p, min(a, b), max(a, b))
+        assert new == old
+
+    def test_degree_gap_under_a_negative_leading_coefficient(self):
+        # x^5 + x^2 - 2: the chain drops two degrees below a divisor with a
+        # negative leading coefficient, where -sign(lc)^(delta + 1) is +1
+        p = [-2, 0, 1, 0, 0, 1]
+        chain, oracle = polys.sturm_chain(p), fraction_sturm_chain(p)
+        assert [len(m) for m in chain] == [len(m) for m in oracle] == [6, 5, 3, 2, 1]
+        assert [m[-1] > 0 for m in chain] == [m[-1] > 0 for m in oracle]
+        for x in (Fraction(-2), Fraction(0), Fraction(1), Fraction(3, 2)):
+            assert polys.sign_variations(chain, x) == fraction_variations(oracle, x)
+
+    def test_rational_root_at_a_midpoint_takes_the_nudge(self):
+        # (2x - 1)(x^2 + x - 1): the first cut of (0, 1) is the root 1/2
+        p = polys.mul([-1, 2], [-1, 1, 1])
+        new, old = isolate_both(p, Fraction(0), Fraction(1))
+        assert new == old
+        lo, hi = new
+        assert lo < Fraction(1, 2) < hi and hi - lo <= Fraction(1, 4)
+        assert count(p, lo, hi) == 1
+
+    def test_inexact_division_raises(self):
+        assert polys.div_exact([-1, 0, 1], [-1, 1]) == [1, 1]
+        for p, q in (([1, 0, 1], [1, 1]),   # remainder 2
+                     ([0, 1], [0, 2]),      # quotient 1/2
+                     ([3], [0, 1])):        # divisor of higher degree
+            with pytest.raises(ArithmeticError):
+                polys.div_exact(p, q)
 
 
 class TestPolymatDet:

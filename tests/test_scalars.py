@@ -96,7 +96,8 @@ def irrational_roots(draw) -> Alg:
     coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
     poly = coeffs + [draw(st.integers(1, 9))]
     try:
-        lo, hi = polys.isolate_smallest_root(poly, Q(-10), Q(10))
+        lo, hi = polys.isolate_smallest_root(
+            polys.sturm_chain(polys.squarefree_part(poly)), Q(-10), Q(10))
     except ArithmeticError:
         assume(False)
     a = scalars.make_algebraic(poly, lo, hi)
@@ -222,14 +223,29 @@ class TestSameValue:
         assert not scalars.same_value(p, scalars.mul(Rat(1 + Q(1, 10**45)), p))
 
     def test_one_root_under_two_isolations_is_compared_fast(self):
-        # the ratio keeps both bases and is refined to the full depth of
-        # compare_rational; each narrower width doubles the bits, so the
-        # call stays fast (its verdict is not asserted: it reads False,
-        # though the value is exactly 1)
+        # mul keeps both bases of the ratio, as their intervals differ;
+        # same_value merges them, since the hull [0, 1] of the two intervals
+        # holds one root of x^2 + x - 1, and reads the ratio as exactly 1
         g = scalars.make_algebraic([-1, 1, 1], Q(1, 2), Q(1))
+        ratio = scalars.mul(g, scalars.inv(golden()))
+        assert isinstance(ratio, Product) and len(ratio.factors) == 2
         start = time.monotonic()
-        scalars.same_value(scalars.mul(g, scalars.inv(golden())), Rat(1))
+        assert scalars.same_value(ratio, Rat(1))
+        assert scalars.same_value(Rat(1), ratio)
+        assert scalars.same_value(scalars.make_power(g, 3),
+                                  scalars.make_power(golden(), 3))
         assert time.monotonic() - start < 1.0
+
+    def test_two_roots_of_one_polynomial_are_not_merged(self):
+        # g and h are the two roots of x^2 + x - 1, so g h = -1 while
+        # g^2 = 1 - g: merging h into g would read g h as g^2 and g / h as 1
+        g = golden()
+        h = scalars.make_algebraic([-1, 1, 1], Q(-2), Q(-1))
+        p = scalars.mul(g, h)
+        assert isinstance(p, Product) and len(p.factors) == 2
+        assert not scalars.same_value(p, scalars.make_power(g, 2))
+        assert not scalars.same_value(scalars.mul(g, scalars.inv(h)), Rat(1))
+        assert abs(scalars.to_float(p) + 1) < 1e-15
 
     def test_compare_rational_keeps_its_full_depth(self):
         # a dyadic within 2^-2300 below the root still separates from it
