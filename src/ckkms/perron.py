@@ -17,7 +17,9 @@ The inverse-temperature solver has an exact branch for rational frequency
 vectors: with omega_i = m_i / L the parameter entries are powers t^{m_i} of
 a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
-no eigenvalue can reach 1 earlier.  Other frequency vectors take a bisection
+no eigenvalue can reach 1 earlier.  The polynomial is read off one integer
+determinant at t = 2^k (Kronecker substitution), large enough that its
+base-2^k digits are the coefficients.  Other frequency vectors take a bisection
 whose sign test runs the same integer Collatz-Wielandt loop as pf_data, on
 entry bounds from exp_neg_grid.  Consecutive sign tests differ only slightly
 in beta, so each starts from the iterate the previous one ended on, which
@@ -427,18 +429,39 @@ def solve_power_equation(exponents) -> Scalar:
 
 
 def _det_poly(matrix: ZeroOneMatrix, exps) -> list:
-    """det(diag(t^m_i) A - I) as an integer polynomial in t."""
+    """det(diag(t^m_i) A - I) as an integer polynomial in t, read off one
+    integer determinant at t = 2^k.
+
+    Each coefficient of D(t) is at most max |D| on |t| = 1, where row i has
+    squared norm at most r_i + 3 (r_i the row sum of A), so Hadamard's
+    inequality bounds it by B = prod_i sqrt(r_i + 3).  With 2^(k-1) > B
+    the coefficients are the balanced base-2^k digits of D(2^k).
+
+    The determinant is a Bareiss elimination on integers, each entry a 2x2
+    minor divided exactly by the previous pivot, with no row swaps.  The
+    pivots are the leading principal minors at 2^k, and each such minor is
+    a polynomial of the same form: it is +-1 at t = 0, so not zero, and its
+    coefficients are at most B, so 2^k >= 2B lies beyond its Cauchy root
+    bound 1 + B.
+    """
     n = matrix.n
-    mat = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            p = [0] * exps[i] + [1] if matrix.rows[i][j] else []
-            if i == j:
-                p = polys.sub(p, [1])
-            row.append(p)
-        mat.append(row)
-    return polys.polymat_det(mat)
+    bound = math.isqrt(math.prod(sum(row) + 3 for row in matrix.rows)) + 1  # > B
+    k = bound.bit_length() + 1
+    m = [[(a << k * e) - (i == j) for j, a in enumerate(row)]
+         for i, (row, e) in enumerate(zip(matrix.rows, exps))]
+    prev = 1
+    for p in range(n - 1):
+        pivot = m[p][p]
+        for i in range(p + 1, n):
+            for j in range(p + 1, n):
+                m[i][j] = (m[i][j] * pivot - m[i][p] * m[p][j]) // prev
+        prev = pivot
+    det, coeffs, half = m[-1][-1], [], 1 << k - 1
+    while det:
+        c = (det + half) % (1 << k) - half
+        coeffs.append(c)
+        det = (det - c) >> k
+    return coeffs
 
 
 def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> BetaSolution:

@@ -2,13 +2,12 @@
 
 Coefficient lists are constant-first: coeffs[k] is the coefficient of x^k.
 The zero polynomial is the empty list.  These routines back the algebraic
-scalar type (root isolation via Sturm chains) and the spectral solvers
-(determinant polynomials), and run fraction-free:
+scalar type and the exact spectral solver (root isolation via Sturm chains),
+and run fraction-free:
 
-- polymat_det is Bareiss elimination, whose division by the previous pivot
-  is exact in Z[t] and done by integer long division (div_exact);
 - poly_gcd and squarefree_part take gcds by primitive pseudo-remainder
-  sequences;
+  sequences, and squarefree_part divides out the gcd by integer long
+  division (div_exact);
 - sturm_chain builds each member from a pseudo-remainder whose sign makes
   it a positive multiple of the member the rational remainder sequence
   gives, reduced to its primitive part, so every sign-variation count is
@@ -17,7 +16,7 @@ scalar type (root isolation via Sturm chains) and the spectral solvers
   n/d (sign_at), and refine_root bisects on numerators over one
   power-of-two denominator.
 
-divmod_exact, long division over the rationals, remains for reducing
+mul and divmod_exact, long division over the rationals, remain for reducing
 powers modulo a defining polynomial.
 """
 
@@ -41,24 +40,8 @@ def degree(p: Poly) -> int:
     return len(p) - 1 if p else -1
 
 
-def eval_at(p: Poly, x: Fraction) -> Fraction:
-    acc = Q(0)
-    for c in reversed(p):
-        acc = acc * x + c
-    return acc
-
-
-def add(p: Poly, q: Poly) -> Poly:
-    n = max(len(p), len(q))
-    return trim([(p[i] if i < len(p) else 0) + (q[i] if i < len(q) else 0) for i in range(n)])
-
-
 def neg(p: Poly) -> Poly:
     return [-c for c in p]
-
-
-def sub(p: Poly, q: Poly) -> Poly:
-    return add(p, neg(q))
 
 
 def mul(p: Poly, q: Poly) -> Poly:
@@ -71,10 +54,6 @@ def mul(p: Poly, q: Poly) -> Poly:
         for j, b in enumerate(q):
             out[i + j] += a * b
     return trim(out)
-
-
-def scale(p: Poly, c) -> Poly:
-    return trim([a * c for a in p])
 
 
 def divmod_exact(p: Poly, q: Poly) -> tuple[Poly, Poly]:
@@ -315,29 +294,3 @@ def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[F
         else:
             nhi, moved_hi = mid, True
     return (Q(nlo, den) if moved_lo else lo), (Q(nhi, den) if moved_hi else hi)
-
-
-def polymat_det(mat: list[list[Poly]]) -> Poly:
-    """Determinant of a matrix of integer polynomials by Bareiss
-    elimination: each new entry is a 2x2 minor divided by the previous
-    pivot, a division that is exact in Z[t] (Sylvester's identity), so
-    every entry stays an integer polynomial."""
-    n = len(mat)
-    m = [[trim(list(p)) for p in row] for row in mat]
-    sign = 1
-    prev = [1]  # previous pivot
-    for k in range(n - 1):
-        if not m[k][k]:
-            swap = next((r for r in range(k + 1, n) if m[r][k]), None)
-            if swap is None:
-                return []  # whole column vanishes below row k: singular
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = sub(mul(m[i][j], m[k][k]), mul(m[i][k], m[k][j]))
-                m[i][j] = div_exact(num, prev) if num else []
-            m[i][k] = []
-        prev = m[k][k] if m[k][k] else [1]
-    det = m[n - 1][n - 1]
-    return scale(det, sign) if sign < 0 else det

@@ -420,13 +420,16 @@ class TestSolveBeta:
         for a, b in zip(sol_small.param.entries, sol_big.param.entries):
             assert scalars.same_value(a, b)
 
-    def test_exact_solve_of_a_25x25_composite(self):
-        # the Kronecker product of two random 5x5 matrices, frequencies in
-        # {1, 2, 3}: a determinant of degree sum(omega) = 43 for this seed
+    @pytest.mark.parametrize("n, seconds", [(5, 2.0), (6, 0.5), (7, 1.0)],
+                             ids=["25x25", "36x36", "49x49"])
+    def test_exact_solve_of_a_kronecker_composite(self, n, seconds):
+        # the Kronecker product of two random n x n matrices, frequencies in
+        # {1, 2, 3}: for this seed the determinant has degree 43, 65 and 76
+        # (frequency sums 43, 79 and 90) for n = 5, 6 and 7
         rng = random.Random(1)
-        m = kronecker_matrix(random_irreducible(rng, 5), random_irreducible(rng, 5))
+        m = kronecker_matrix(random_irreducible(rng, n), random_irreducible(rng, n))
         omega = [rng.choice((1, 2, 3)) for _ in range(m.n)]
-        with budget(2.0):
+        with budget(seconds):
             sol = perron.solve_beta(m, [Q(w) for w in omega])
         assert sol.mode == "exact"
         assert sol.beta.width <= perron.DEFAULT_PRECISION

@@ -1,6 +1,7 @@
 """Polynomial layer: root counting and isolation against a numpy oracle,
 the integer Sturm chain, isolation and exact division against their
-Fraction forms, and determinants of polynomial matrices.
+Fraction forms, and the determinant polynomial of the exact beta solver
+against Fraction elimination and the Leibniz formula.
 
 Coefficient lists are constant-first throughout.
 """
@@ -14,7 +15,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckkms import polys
+from ckkms import perron, polys
+from ckkms.matrix01 import ZeroOneMatrix
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -70,8 +72,16 @@ def isolate(p, lo, hi):
 
 
 # ---------------------------------------------------------------------------
-# Fraction oracles: the rational remainder sequence, division and isolation
-# that the integer kernel replaces
+# Fraction oracles: evaluation, and the rational remainder sequence,
+# division and isolation that the integer kernel replaces
+
+
+def eval_at(p, x):
+    """p(x) for a constant-first coefficient list, by Horner over Fraction."""
+    acc = Fraction(0)
+    for c in reversed(p):
+        acc = acc * x + c
+    return acc
 
 
 def fraction_div_exact(p, q):
@@ -98,7 +108,7 @@ def fraction_sturm_chain(p):
 
 
 def fraction_variations(chain, x):
-    signs = [v > 0 for v in (polys.eval_at(p, x) for p in chain) if v != 0]
+    signs = [v > 0 for v in (eval_at(p, x) for p in chain) if v != 0]
     return sum(1 for a, b in zip(signs, signs[1:]) if a != b)
 
 
@@ -110,15 +120,15 @@ def fraction_isolate_smallest_root(p, lo, hi):
     def between(a, b):
         return fraction_variations(chain, a) - fraction_variations(chain, b)
 
-    while polys.eval_at(sf, lo) == 0:
+    while eval_at(sf, lo) == 0:
         lo += (hi - lo) / 1024
-    while polys.eval_at(sf, hi) == 0:
+    while eval_at(sf, hi) == 0:
         hi -= (hi - lo) / 1024
     if between(lo, hi) <= 0:
         raise ArithmeticError("no root in the requested interval")
     while True:
         mid = (lo + hi) / 2
-        if polys.eval_at(sf, mid) == 0:
+        if eval_at(sf, mid) == 0:
             mid += (hi - lo) / 1024
         left = between(lo, mid)
         if left >= 1:
@@ -127,9 +137,9 @@ def fraction_isolate_smallest_root(p, lo, hi):
                 break
         else:
             lo = mid
-    while polys.eval_at(sf, lo) * polys.eval_at(sf, hi) > 0 or hi - lo > Fraction(1, 4):
+    while eval_at(sf, lo) * eval_at(sf, hi) > 0 or hi - lo > Fraction(1, 4):
         mid = (lo + hi) / 2
-        if polys.eval_at(sf, mid) == 0:
+        if eval_at(sf, mid) == 0:
             mid += (hi - lo) / 1024
         if between(lo, mid) >= 1:
             hi = mid
@@ -157,7 +167,7 @@ def isolate_both(p, lo, hi):
 class TestBasicOps:
     def test_eval_constant_first_convention(self):
         # 1 - x - x^2 at x = 2 is 1 - 2 - 4 = -5
-        assert polys.eval_at([1, -1, -1], Fraction(2)) == -5
+        assert eval_at([1, -1, -1], Fraction(2)) == -5
 
     def test_degree_and_trim(self):
         assert polys.degree([3, 0, 0]) == 0
@@ -168,11 +178,8 @@ class TestBasicOps:
            st.lists(st.integers(-9, 9), min_size=1, max_size=6),
            st.fractions(min_value=-5, max_value=5, max_denominator=12))
     @settings(max_examples=60, deadline=None)
-    def test_mul_add_agree_with_pointwise(self, p, q, x):
-        fp, fq = polys.eval_at(p, x), polys.eval_at(q, x)
-        assert polys.eval_at(polys.mul(p, q), x) == fp * fq
-        assert polys.eval_at(polys.add(p, q), x) == fp + fq
-        assert polys.eval_at(polys.sub(p, q), x) == fp - fq
+    def test_mul_agrees_with_pointwise(self, p, q, x):
+        assert eval_at(polys.mul(p, q), x) == eval_at(p, x) * eval_at(q, x)
 
     @given(st.lists(st.integers(-9, 9), min_size=2, max_size=5),
            st.lists(st.integers(-9, 9), min_size=2, max_size=5))
@@ -207,7 +214,7 @@ class TestRootCounting:
         sf = polys.squarefree_part(p)
         # avoid oracle ambiguity when a root sits on the window edge
         lo, hi = Fraction(-7, 3), Fraction(7, 3)
-        if polys.eval_at(sf, lo) == 0 or polys.eval_at(sf, hi) == 0:
+        if eval_at(sf, lo) == 0 or eval_at(sf, hi) == 0:
             return
         got = count(p, lo, hi)
         oracle = np_real_roots_in(sf, float(lo), float(hi))
@@ -223,8 +230,8 @@ class TestRootCounting:
         p = polys.mul(polys.mul([-1, 1], [-1, 1]), [2, 1])
         sf = polys.squarefree_part(p)
         assert polys.degree(sf) == 2
-        assert polys.eval_at(sf, Fraction(1)) == 0
-        assert polys.eval_at(sf, Fraction(-2)) == 0
+        assert eval_at(sf, Fraction(1)) == 0
+        assert eval_at(sf, Fraction(-2)) == 0
 
 
 class TestIsolation:
@@ -237,7 +244,7 @@ class TestIsolation:
         ],
     )
     def test_smallest_root_in_unit_interval(self, coeffs, expected):
-        oracle = bisect_root(lambda x: polys.eval_at(coeffs, x), 0.0, 1.0)
+        oracle = bisect_root(lambda x: eval_at(coeffs, x), 0.0, 1.0)
         assert abs(oracle - expected) < 1e-12
         iv = isolate(coeffs, Fraction(0), Fraction(1))
         lo, hi = polys.refine_root(coeffs, iv[0], iv[1], Fraction(1, 10**12))
@@ -248,8 +255,8 @@ class TestIsolation:
 def fraction_refine_root(p, lo, hi, width):
     """Bisection of a sign-change bracket with Fraction evaluation at every
     midpoint, the oracle for refine_root's integer bisection."""
-    flo = polys.eval_at(p, lo)
-    fhi = polys.eval_at(p, hi)
+    flo = eval_at(p, lo)
+    fhi = eval_at(p, hi)
     if flo == 0:
         return lo, lo
     if fhi == 0:
@@ -258,7 +265,7 @@ def fraction_refine_root(p, lo, hi, width):
         raise ArithmeticError("bracket endpoints must straddle a sign change")
     while hi - lo > width:
         mid = (lo + hi) / 2
-        fmid = polys.eval_at(p, mid)
+        fmid = eval_at(p, mid)
         if fmid == 0:
             return mid, mid
         if (fmid > 0) == (flo > 0):
@@ -295,7 +302,8 @@ class TestRefineRoot:
     def test_matches_fraction_bisection(self, q, root, shift, below, above, width):
         # q(x) (d x - n) + shift for root = n/d: a rational root inside the
         # bracket [root - below, root + above], or one moved off it
-        p = polys.add(polys.mul(q, [-root.numerator, root.denominator]), [shift])
+        p = polys.mul(q, [-root.numerator, root.denominator]) or [0]
+        p = polys.trim([p[0] + shift] + p[1:])
         new, old = refine_both(p, root - below, root + above, width)
         assert new == old
         if isinstance(old, tuple):
@@ -308,7 +316,7 @@ class TestRefineRoot:
                           ([-5, 6], Fraction(1, 3), Fraction(1))):
             new, old = refine_both(p, lo, hi, Fraction(1, 10**9))
             assert new == old
-            assert new[0] == new[1] and polys.eval_at(p, new[0]) == 0
+            assert new[0] == new[1] and eval_at(p, new[0]) == 0
 
     def test_bracket_already_narrow_is_returned_as_passed(self):
         for lo, hi in ((Fraction(1, 3), Fraction(2, 3)), (0, 1)):
@@ -322,7 +330,7 @@ class TestRefineRoot:
         new, old = refine_both(p, Fraction(0), Fraction(1), Fraction(1, 10**30))
         assert new == old
         assert new[1] - new[0] <= Fraction(1, 10**30)
-        assert polys.eval_at(p, new[0]) < 0 < polys.eval_at(p, new[1])
+        assert eval_at(p, new[0]) < 0 < eval_at(p, new[1])
 
 
 @st.composite
@@ -336,7 +344,7 @@ def kernel_polynomials(draw):
     for _ in range(draw(st.integers(0, 2))):
         p = polys.mul(p, r)
     c = draw(st.fractions(min_value=-5, max_value=5, max_denominator=7).filter(bool))
-    p = polys.scale(p, c)
+    p = polys.trim([a * c for a in p])
     assume(polys.degree(p) >= 1)
     return p
 
@@ -356,7 +364,7 @@ class TestIntegerKernel:
         for member, ref in zip(chain, oracle):
             assert all(isinstance(c, int) for c in member)
             assert len(member) == len(ref) and member[-1] * ref[-1] > 0
-            assert polys.scale(member, ref[-1]) == polys.scale(ref, member[-1])
+            assert [a * ref[-1] for a in member] == [a * member[-1] for a in ref]
         for x in xs:
             assert polys.sign_variations(chain, x) == fraction_variations(oracle, x)
 
@@ -396,28 +404,74 @@ class TestIntegerKernel:
                 polys.div_exact(p, q)
 
 
-class TestPolymatDet:
+def fraction_det(mat):
+    """Determinant of a Fraction matrix by Gaussian elimination with row
+    swaps."""
+    m = [[Fraction(v) for v in row] for row in mat]
+    n, det = len(m), Fraction(1)
+    for k in range(n):
+        pivot = next((r for r in range(k, n) if m[r][k]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            det = -det
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k, n):
+                m[i][j] -= f * m[k][j]
+    return det
+
+
+def substituted(rows, exps, t):
+    """diag(t^m) A - I at the point t."""
+    return [[a * t ** e - (i == j) for j, a in enumerate(row)]
+            for i, (row, e) in enumerate(zip(rows, exps))]
+
+
+@st.composite
+def det_inputs(draw):
+    """Any 0-1 matrix up to 6x6 (zero diagonals, reducible and permutation
+    matrices included) and exponents 1-4."""
+    n = draw(st.integers(2, 6))
+    row = st.lists(st.integers(0, 1), min_size=n, max_size=n)
+    permutation = st.permutations(range(n)).map(
+        lambda p: [[int(j == k) for j in range(n)] for k in p])
+    rows = draw(st.lists(row, min_size=n, max_size=n) | permutation)
+    exps = draw(st.lists(st.integers(1, 4), min_size=n, max_size=n))
+    return rows, exps
+
+
+class TestDetPoly:
+    """perron._det_poly, det(diag(t^m) A - I) read off one integer
+    determinant, against determinants of the substituted matrix."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(det_inputs())
+    def test_matches_fraction_elimination(self, case):
+        # two polynomials of degree <= sum(m) that agree at sum(m) + 1
+        # points are identical
+        rows, exps = case
+        det = perron._det_poly(ZeroOneMatrix(rows), exps)
+        assert all(isinstance(c, int) for c in det)
+        assert det[0] == (-1) ** len(rows)
+        assert polys.degree(det) <= sum(exps)
+        for j in range(sum(exps) + 1):
+            t = Fraction(j, 7) - 1
+            assert eval_at(det, t) == fraction_det(substituted(rows, exps, t))
+
     def test_matches_leibniz_after_substitution(self):
         rng = random.Random(7)
         for _ in range(25):
-            n = rng.randint(1, 3)
-            mat = [[[rng.randint(-3, 3) for _ in range(rng.randint(1, 3))]
-                    for _ in range(n)] for _ in range(n)]
-            det = polys.polymat_det(mat)
+            n = rng.randint(2, 3)
+            rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
+            exps = [rng.randint(1, 3) for _ in range(n)]
+            det = perron._det_poly(ZeroOneMatrix(rows), exps)
             for t in (Fraction(0), Fraction(1, 2), Fraction(2), Fraction(-3, 5)):
-                values = [[polys.eval_at(p, t) for p in row] for row in mat]
-                assert polys.eval_at(det, t) == det_by_permutations(values)
-
-    def test_singular_matrix_gives_zero_polynomial(self):
-        # second row is twice the first
-        mat = [[[0, 1], [1]], [[0, 0, 2], [0, 2]]]
-        assert polys.polymat_det(mat) == []
-
-    def test_zero_column_gives_zero_polynomial(self):
-        mat = [[[], [1]], [[], [0, 1]]]
-        assert polys.polymat_det(mat) == []
+                assert eval_at(det, t) == det_by_permutations(
+                    substituted(rows, exps, t))
 
     def test_golden_determinant(self):
-        # det of [[t-1, t], [t, -1]] = 1 - t - t^2... built from entries
-        mat = [[[-1, 1], [0, 1]], [[0, 1], [-1]]]
-        assert polys.trim(polys.polymat_det(mat)) == [1, -1, -1]
+        # det [[t - 1, t], [t, -1]] = 1 - t - t^2
+        assert perron._det_poly(ZeroOneMatrix(((1, 1), (1, 0))), (1, 1)) == [1, -1, -1]

@@ -119,7 +119,8 @@ class TestEnclosureCells:
         assert iv.hi - iv.lo == step and (iv.lo / step).denominator == 1
         # the part of the cell inside the isolating interval straddles the root
         lo, hi = max(iv.lo, a.lo), min(iv.hi, a.hi)
-        assert polys.eval_at(list(a.poly), lo) * polys.eval_at(list(a.poly), hi) < 0
+        assert (polys.sign_at(a.poly, lo.numerator, lo.denominator)
+                * polys.sign_at(a.poly, hi.numerator, hi.denominator)) < 0
         # the same value under a second isolating interval, refined deeper
         other = scalars.make_algebraic(
             a.poly, *polys.refine_root(list(a.poly), a.lo, a.hi, Q(1, 2**bits)))
