@@ -31,6 +31,7 @@ from .matrix01 import ZeroOneMatrix
 from .scalars import Rat
 
 TERM_CAP = 10**5
+WORD_CAP = 10**5
 
 
 @dataclass(frozen=True)
@@ -392,7 +393,7 @@ def unit_sum_form(matrix: ZeroOneMatrix) -> NormalForm:
         {Monomial((i,), (i,)): Q(1) for i in range(1, matrix.n + 1)})
 
 
-def enumerate_admissible(matrix: ZeroOneMatrix, max_len: int, cap: int = 10**5):
+def enumerate_admissible(matrix: ZeroOneMatrix, max_len: int, cap: int = WORD_CAP):
     """All admissible index words with length <= max_len, shortest first."""
     out = [()]
     frontier = [()]

@@ -5,9 +5,9 @@ A state is determined by its parameter vector a and the eigenvector x of
 |J| = m the value is a_{j_1} ... a_{j_{m-1}} x_{j_m}; off the diagonal the
 value is 0.  For full matrices x = a exactly, so those states evaluate in
 exact arithmetic; otherwise the eigenvector is carried as a certified
-interval enclosure.  diagonal_table encloses the diagonal values of many
-words at once, as integer endpoint pairs over one denominator per word
-length, with two integer products per word.
+interval enclosure.  letter_data gives the enclosures of both per letter,
+as integer endpoint pairs over one denominator each, so that a walk along
+the admissible words encloses their diagonal values by integer products.
 """
 
 from __future__ import annotations
@@ -88,30 +88,6 @@ def eval_monomial(spec: StateSpec, mono: Monomial) -> Scalar:
     return scalars.mul(*(spec.param.entries[j - 1] for j in J[:-1]), x_last)
 
 
-class DiagonalTable:
-    """Enclosures of rho_a(s_J s_J*) held as integers: the enclosure of a
-    word J of length m is [lo, hi] / denominators[m] for (lo, hi) =
-    entries[J].  Iterating gives the words in table order."""
-
-    # a plain class: as a dataclass it added about 1 ms to each import of
-    # the package
-
-    def __init__(self, entries, denominators):
-        self.entries = entries
-        self.denominators = denominators
-
-    def interval(self, J) -> Interval:
-        lo, hi = self.entries[J]
-        d = self.denominators[len(J)]
-        return Interval(Q(lo, d), Q(hi, d))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 def _common_numerators(intervals) -> tuple:
     """([(lo, hi), ...], d): the endpoints of `intervals` as integer
     numerators over d, the lcm of their denominators."""
@@ -120,26 +96,22 @@ def _common_numerators(intervals) -> tuple:
              iv.hi.numerator * (d // iv.hi.denominator)) for iv in intervals], d
 
 
-def diagonal_table(spec: StateSpec, words) -> DiagonalTable:
-    """Enclosures of rho_a(s_J s_J*) for the unit and the admissible words
-    J of `words`, keyed by J; `words` lists every prefix of a word before
-    the word, as ckwords.enumerate_admissible does.
+def letter_data(spec: StateSpec) -> tuple:
+    """(e, d_e, x, d_x): enclosures of the parameter entries as integer
+    endpoint pairs e[i - 1] = (lo, hi) over d_e, and of the eigenvector
+    entries as pairs x[i - 1] over d_x (each d the lcm of its entries'
+    denominators).
 
     Each parameter entry, and each entry of an exact eigenvector, is refined
     once to ENCLOSURE_WIDTH, the width to which scalars.mul refines the
     operands of eval_monomial, and further if its lower endpoint is not yet
     positive; a power-iteration eigenvector is used as it is and must have
-    positive lower endpoints.  The endpoints become integers over d_e (the
-    lcm of the entries' denominators) and d_x (that of x's), so the prefix
-    product a_{j_1} ... a_{j_k} of a word is a pair of integers over
-    d_e^k: its parent's pair times one entry's, lower times lower and upper
-    times upper, which is the interval product of positive intervals.  The
-    value of a word of length m is its parent's prefix times x_{j_m}, over
-    d_e^(m-1) d_x.  Every entry contains the positive value eval_monomial
-    gives exactly or encloses, so distances between entries bound distances
-    between values.
+    positive lower endpoints.  All endpoints are positive, so the products
+    of lower and of upper endpoints along an admissible word J of length m,
+    e[j_1] ... e[j_{m-1}] x[j_m] over d_e^(m-1) d_x, enclose the value that
+    eval_monomial gives exactly or encloses for s_J s_J*.
     """
-    e_ints, d_e = _common_numerators(
+    e, d_e = _common_numerators(
         [perron.positive_enclosure(a, ENCLOSURE_WIDTH) for a in spec.param.entries])
     if spec.exact_vector is None:
         x = spec.eigenvector
@@ -147,20 +119,8 @@ def diagonal_table(spec: StateSpec, words) -> DiagonalTable:
             raise PreconditionError("eigenvector enclosure is not positive")
     else:
         x = [perron.positive_enclosure(v, ENCLOSURE_WIDTH) for v in spec.exact_vector]
-    x_ints, d_x = _common_numerators(x)
-    depth = max(map(len, words), default=0)
-    prefix = {(): (1, 1)}
-    table = {(): (1, 1)}
-    for J in words:
-        if J:
-            plo, phi = prefix[J[:-1]]
-            xlo, xhi = x_ints[J[-1] - 1]
-            table[J] = (plo * xlo, phi * xhi)
-            if len(J) < depth:
-                elo, ehi = e_ints[J[-1] - 1]
-                prefix[J] = (plo * elo, phi * ehi)
-    return DiagonalTable(table, (1,) + tuple(d_e ** (m - 1) * d_x
-                                              for m in range(1, depth + 1)))
+    x, d_x = _common_numerators(x)
+    return e, d_e, x, d_x
 
 
 def eval_state(spec: StateSpec, x) -> Scalar:

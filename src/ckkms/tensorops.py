@@ -12,10 +12,13 @@ composite eigenvector recomputed independently by power iteration.  A state
 of this class vanishes on every s_J s_K* with J != K (the state formula of
 Enomoto, Fujii and Watatani), and the letterwise split of such a monomial
 has unequal sequences in at least one half, so both sides vanish there and
-the identity can only fail on the diagonal.  There the verifier reads both
-sides from per-state tables of value enclosures (states.diagonal_table),
-built once per call by integer prefix products along the admissible words,
-and compares them in integers, one common denominator per word length.
+the identity can only fail on the diagonal.  There each side is enclosed
+by prefix products of per-letter data (states.letter_data): the tensor
+side's data are the Kronecker product of the two factors', the composite
+side's those of the composite state.  The verifier walks the composite
+words once, carrying both sides as integer prefix products, and compares
+them in integers, one pair of common denominators per word length.  Like
+ckwords.enumerate_admissible, it refuses more than ckwords.WORD_CAP words.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from fractions import Fraction
 
 from . import ckwords, scalars, states
 from .ckwords import Monomial
-from .errors import DimensionError, DomainError
+from .errors import DimensionError, DomainError, ResourceLimitError
 from .intervals import Q
 from .matrix01 import kronecker_matrix
 from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, FrequencyVector,
@@ -131,64 +134,93 @@ class TensorReport:
     max_len: int
 
 
+def _kronecker_letters(data_a, data_b) -> tuple:
+    """The letter data of the tensor side, from the two factors' data of
+    states.letter_data: letter u = m(i-1) + j gets the endpoint products of
+    letter i of the first factor and letter j of the second, over the
+    product of their denominators."""
+    (ea, d_ea, xa, d_xa), (eb, d_eb, xb, d_xb) = data_a, data_b
+    e = [(alo * blo, ahi * bhi) for alo, ahi in ea for blo, bhi in eb]
+    x = [(alo * blo, ahi * bhi) for alo, ahi in xa for blo, bhi in xb]
+    return e, d_ea * d_eb, x, d_xa * d_xb
+
+
 def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
                            tolerance=DEFAULT_TOLERANCE) -> TensorReport:
     """Compare the tensor evaluation with the state of the Kronecker
     parameter over the Kronecker matrix.
 
     Every admissible diagonal monomial s_J s_J* with |J| <= max_len is
-    checked on enclosures from states.diagonal_table: one table per factor
-    state over its words of length <= max_len, one for the composite state
-    over the composite words.  The tensor side of s_J s_J* is the product
-    of the factor entries of the two halves of J, split letter by letter,
-    and its distance bound to the composite entry is the residual.  The
-    comparison cross-multiplies the tables' integer endpoints, and one
-    Fraction per word length gives the exact max_residual.  Every
-    entry contains its true value, so max_residual bounds
+    checked on enclosures built from states.letter_data.  The tensor side
+    of s_J s_J* is the product of the factor values of the two halves of J,
+    split letter by letter, which is the diagonal value of the Kronecker
+    letter data (_kronecker_letters); the composite side takes the letter
+    data of the composite state.  One walk over the composite words, level
+    by level from the unit, extends each word's two prefix products by one
+    letter: a word's entry is its parent's prefix times the letter's x, and
+    its own prefix its parent's times the letter's e.  The comparison
+    cross-multiplies integer endpoints over one pair of denominators per
+    word length, and one Fraction per length gives the exact max_residual.
+    Every entry contains its true value, so max_residual bounds
     |rho_a tensor rho_b - rho_{a kron b}| on every checked monomial, and
     so on all of the span of the words up to max_len: both sides vanish on
     every s_J s_K* with J != K (module docstring).
 
-    The composite state takes one power iteration on the Kronecker matrix;
-    when its eigenvalue bracket misses 1 +- `tolerance` that raises
-    MembershipRejected.
+    `max_len` is an int >= 0 and `tolerance` is positive, else DomainError.
+    More than ckwords.WORD_CAP composite words up to max_len raise
+    ResourceLimitError before any word is walked.  The composite state
+    takes one power iteration on the Kronecker matrix; when its eigenvalue
+    bracket misses 1 +- `tolerance` that raises MembershipRejected.
     """
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 0:
+        raise DomainError(f"max_len must be an integer >= 0, not {max_len!r}")
     tolerance = Q(tolerance)
+    if tolerance <= 0:
+        raise DomainError(f"tolerance must be positive, not {tolerance}")
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
     ab = kronecker_vector(spec_a.param.entries, spec_b.param.entries)
     spec_ab = state_spec(ParamVector(composite, ab, "verified", tolerance),
                          precision=min(spec_a.precision, spec_b.precision,
                                        tolerance / 64),
                          independent_pf=True)
-    split = IndexSplit(spec_a.matrix.n, spec_b.matrix.n)
-    words = ckwords.enumerate_admissible(composite, max_len)
-    table_a = states.diagonal_table(
-        spec_a, ckwords.enumerate_admissible(spec_a.matrix, max_len))
-    table_b = states.diagonal_table(
-        spec_b, ckwords.enumerate_admissible(spec_b.matrix, max_len))
-    table_ab = states.diagonal_table(spec_ab, words)
-    halves = {u: split.split_index(u) for u in range(1, split.size + 1)}
-    # a word of length m has its tensor side over da_m db_m and its
-    # composite entry over dab_m, so both are compared over da_m db_m dab_m;
-    # top[m] is the largest distance numerator among the words of length m
-    weights = [(dab, da * db) for da, db, dab in zip(
-        table_a.denominators, table_b.denominators, table_ab.denominators)]
-    ea, eb, eab = table_a.entries, table_b.entries, table_ab.entries
-    top = {}
-    diagonal = 0
-    for J in words:
-        if J and not ckwords.followers(composite, J, J):
-            continue
-        alo, ahi = ea[tuple(halves[u][0] for u in J)]
-        blo, bhi = eb[tuple(halves[u][1] for u in J)]
-        clo, chi = eab[J]
-        wl, wr = weights[len(J)]
-        gap = max(abs(ahi * bhi * wl - clo * wr), abs(chi * wr - alo * blo * wl))
-        diagonal += 1
-        if gap > top.get(len(J), -1):
-            top[len(J)] = gap
-    max_residual = max((Q(gap, weights[m][0] * weights[m][1])
-                        for m, gap in top.items()), default=Q(0))
+    # after[v]: the 0-based followers of letter v + 1, after[-1] those of
+    # the unit; a word is diagonal when its last letter has a follower
+    after = [tuple(w - 1 for w in sorted(f))
+             for f in composite.follower_sets[1:] + composite.follower_sets[:1]]
+    ends, words = [1] * composite.n, 1
+    for _ in range(max_len):
+        words += sum(ends)
+        if words > ckwords.WORD_CAP:
+            raise ResourceLimitError("admissible word enumeration exceeded "
+                                     f"{ckwords.WORD_CAP} entries")
+        ends = [sum(c for c, f in zip(ends, composite.follower_sets[1:]) if w in f)
+                for w in range(1, composite.n + 1)]
+    diagonal_after = [tuple(w for w in f if after[w]) for f in after]
+    te, d_te, tx, d_tx = _kronecker_letters(states.letter_data(spec_a),
+                                            states.letter_data(spec_b))
+    ce, d_ce, cx, d_cx = states.letter_data(spec_ab)
+    # a node is (last letter, tensor prefix lo, hi, composite prefix lo, hi)
+    frontier = [(-1, 1, 1, 1, 1)]
+    diagonal, max_residual = 1, Q(0)
+    for length in range(1, max_len + 1):
+        # a word of this length has its tensor side over dt and its
+        # composite entry over dc, so both are compared over dt dc
+        dt, dc = d_te ** (length - 1) * d_tx, d_ce ** (length - 1) * d_cx
+        xs = [(tlo * dc, thi * dc, clo * dt, chi * dt)
+              for (tlo, thi), (clo, chi) in zip(tx, cx)]
+        top = -1
+        for v, tlo, thi, clo, chi in frontier:
+            for w in diagonal_after[v]:
+                xtlo, xthi, xclo, xchi = xs[w]
+                gap = max(abs(thi * xthi - clo * xclo), abs(chi * xchi - tlo * xtlo))
+                if gap > top:
+                    top = gap
+            diagonal += len(diagonal_after[v])
+        if top >= 0:
+            max_residual = max(max_residual, Q(top, dt * dc))
+        if length < max_len:
+            frontier = [(w, tlo * te[w][0], thi * te[w][1], clo * ce[w][0], chi * ce[w][1])
+                        for v, tlo, thi, clo, chi in frontier for w in after[v]]
     return TensorReport(max_residual <= tolerance, max_residual, tolerance,
                         diagonal, max_len)
 

@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 
 from ckkms import perron
-from ckkms.matrix01 import ZeroOneMatrix
+from ckkms.intervals import Interval
+from ckkms.matrix01 import ZeroOneMatrix, is_irreducible, is_nondegenerate
 
 FULL2 = ZeroOneMatrix.full(2)
 FULL3 = ZeroOneMatrix.full(3)
@@ -46,6 +47,31 @@ def certified_pf_calls(monkeypatch) -> list:
 
     monkeypatch.setattr(perron, "_certified_pf", counting)
     return calls
+
+
+def random_irreducible(rng: random.Random, n: int) -> ZeroOneMatrix:
+    while True:
+        rows = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
+        m = ZeroOneMatrix(rows)
+        if is_nondegenerate(m) and is_irreducible(m):
+            return m
+
+
+def prefix_table(data, words) -> dict:
+    """The diagonal values that letter data (e, d_e, x, d_x) of
+    states.letter_data enclose, as intervals keyed by word: the prefix
+    products e[j_1] ... e[j_{m-1}] x[j_m] over d_e^(m-1) d_x along `words`,
+    which lists every prefix of a word before the word."""
+    e, d_e, x, d_x = data
+    prefix, table = {(): (1, 1)}, {(): Interval.point(1)}
+    for J in words:
+        if J:
+            (plo, phi), (xlo, xhi) = prefix[J[:-1]], x[J[-1] - 1]
+            d = d_e ** (len(J) - 1) * d_x
+            table[J] = Interval(Fraction(plo * xlo, d), Fraction(phi * xhi, d))
+            elo, ehi = e[J[-1] - 1]
+            prefix[J] = (plo * elo, phi * ehi)
+    return table
 
 
 def random_rational(rng: random.Random, lo=1, hi=6, den=7) -> Fraction:

@@ -330,6 +330,15 @@ class TestTensorCommands:
         assert float(doc["residual"]) <= 1e-9
         assert doc["result"]["diagonal_monomials"] == 1 + 4 + 16
 
+    def test_verify_homomorphism_word_cap_is_a_usage_error(self):
+        # F3 tensor F3 has 9^0 + ... + 9^6 > 10^5 words up to length 6
+        code, out, err = run_cli("verify-homomorphism", "--matrix-a", "F3",
+                                 "--vector-a", "canonical", "--matrix-b", "F3",
+                                 "--vector-b", "canonical", "--max-word-len", "6")
+        assert code == 2
+        assert not out
+        assert err == "error: admissible word enumeration exceeded 100000 entries\n"
+
     def test_coassoc(self):
         code, doc = run_json("coassoc", "--dims", "2,3,2")
         assert code == 0

@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 from ckkms import perron, scalars
 from ckkms.errors import (DomainError, MembershipRejected, NumericalFailureError,
                           PreconditionError, ResourceLimitError)
-from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
-                            kronecker_matrix)
+from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
 from ckkms.intervals import Interval, exp_interval
 from ckkms.scalars import Enc, Flt, Q, Rat
 
-from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget
+from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget,
+                      random_irreducible)
 
 PHI = (1 + math.sqrt(5)) / 2
 POOL_AND_PRODUCTS = POOL + tuple(kronecker_matrix(a, b) for a in POOL for b in POOL)
@@ -61,14 +61,6 @@ def np_radius(rows, omega, beta: float) -> float:
 def bisect_radius_beta(rows, omega) -> float:
     """The beta where the numpy spectral radius crosses 1, by float bisection."""
     return bisect_beta(omega, lambda b: np_radius(rows, omega, b))
-
-
-def random_irreducible(rng: random.Random, n: int) -> ZeroOneMatrix:
-    while True:
-        rows = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
-        m = ZeroOneMatrix(rows)
-        if is_nondegenerate(m) and is_irreducible(m):
-            return m
 
 
 class TestPfData:

@@ -17,7 +17,8 @@ from ckkms.intervals import Interval
 from ckkms.matrix01 import ZeroOneMatrix
 from ckkms.scalars import Flt, Q, Rat
 
-from conftest import CYCLE3, FULL2, FULL3, GOLDEN, random_positive_rationals
+from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, prefix_table,
+                      random_positive_rationals)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -165,7 +166,8 @@ class TestEvalState:
 
 
 class TestDiagonalTable:
-    """diagonal_table against eval_monomial, word by word."""
+    """The diagonal values of letter_data against eval_monomial, word by
+    word."""
 
     @pytest.mark.parametrize("matrix, omega", [
         (FULL2, (1, 2)), (FULL3, (2, 1, 1)), (GOLDEN, (1, 2)),
@@ -174,13 +176,14 @@ class TestDiagonalTable:
     def test_entries_enclose_eval_monomial(self, matrix, omega):
         spec = states.state_spec(perron.solve_beta(matrix, omega).param)
         words = ckwords.enumerate_admissible(matrix, 3)
-        table = states.diagonal_table(spec, words)
+        e, d_e, x, d_x = data = states.letter_data(spec)
+        assert len(e) == len(x) == matrix.n
+        table = prefix_table(data, words)
         assert list(table) == words
-        assert table.interval(()) == Interval.point(1)
         for J in words:
             value = states.eval_monomial(spec, Monomial(J, J))
             deep = scalars.refine(value, Q(1, 10**30))
-            entry = table.interval(J)
+            entry = table[J]
             if scalars.is_exact(value):
                 # full matrices evaluate exactly: the entry holds the value
                 assert entry.lo <= deep.lo and deep.hi <= entry.hi, J

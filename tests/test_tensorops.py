@@ -12,13 +12,15 @@ import pytest
 
 from ckkms import ckwords, perron, scalars, states, tensorops
 from ckkms.ckwords import Monomial
-from ckkms.errors import DimensionError, DomainError, PreconditionError
+from ckkms.errors import (DimensionError, DomainError, PreconditionError,
+                          ResourceLimitError)
 from ckkms.intervals import Interval
-from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
+from ckkms.matrix01 import ZeroOneMatrix, is_permutation, kronecker_matrix
 from ckkms.scalars import Q, Rat
 from ckkms.tensorops import IndexSplit
 
-from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL, random_positive_rationals
+from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget, prefix_table,
+                      random_irreducible, random_positive_rationals)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -269,24 +271,24 @@ def reference_report(spec_a, spec_b, max_len, tolerance=Q(1, 10**9)):
 EDGE_PAIRS = ((FULL2, FULL2), (GOLDEN, CYCLE3), (FULL3, GOLDEN))
 
 
-def record_tables(monkeypatch) -> list:
-    """(spec, table) for every diagonal_table call, in call order: the
-    verifier builds the two factor tables, then the composite one."""
+def record_letter_data(monkeypatch) -> list:
+    """(spec, data) for every letter_data call, in call order: the verifier
+    takes the two factors' data, then the composite state's."""
     calls = []
-    inner = states.diagonal_table
+    inner = states.letter_data
 
-    def recording(spec, words):
-        calls.append((spec, inner(spec, words)))
+    def recording(spec):
+        calls.append((spec, inner(spec)))
         return calls[-1][1]
 
-    monkeypatch.setattr(states, "diagonal_table", recording)
+    monkeypatch.setattr(states, "letter_data", recording)
     return calls
 
 
 def fraction_diagonal_table(spec, words) -> dict:
-    """states.diagonal_table in Fraction interval arithmetic, the oracle for
-    its integer tables: the same refinements, and one interval product per
-    prefix and per value."""
+    """The diagonal values of states.letter_data in Fraction interval
+    arithmetic, the oracle for the verifier's integer walk: the same
+    refinements, and one interval product per prefix and per value."""
     width = scalars.ENCLOSURE_WIDTH
     entries = [scalars.refine(a, width) for a in spec.param.entries]
     if spec.exact_vector is None:
@@ -350,13 +352,12 @@ class TestIntegerTables:
         loose = scalars.Enc(Interval(Q(0), Q(1, 2)))
         bad = dataclasses.replace(spec, param=dataclasses.replace(
             spec.param, entries=(loose,) + spec.param.entries[1:]))
-        words = ckwords.enumerate_admissible(GOLDEN, 2)
         with pytest.raises(PreconditionError, match="sign"):
-            states.diagonal_table(bad, words)
+            states.letter_data(bad)
         bad = dataclasses.replace(spec, eigenvector=(
             Interval(Q(0), Q(1)),) + spec.eigenvector[1:])
         with pytest.raises(PreconditionError, match="not positive"):
-            states.diagonal_table(bad, words)
+            states.letter_data(bad)
 
 
 class TestVerifyTensorIdentity:
@@ -372,23 +373,30 @@ class TestVerifyTensorIdentity:
         # verifier compares meets the value the public evaluators give.
         spec_a = states.state_spec(perron.solve_beta(a, omega_a).param)
         spec_b = states.state_spec(perron.solve_beta(b, omega_b).param)
-        tables = record_tables(monkeypatch)
+        calls = record_letter_data(monkeypatch)
         report = tensorops.verify_tensor_identity(spec_a, spec_b, max_len=2)
         residual, diagonal = reference_report(spec_a, spec_b, max_len=2)
         assert report.diagonal_count == diagonal
         assert report.passed and residual <= report.tolerance
 
-        (_, table_a), (_, table_b), (spec_ab, table_ab) = tables
-        assert len(table_ab) == report.diagonal_count
+        # the verifier walks the tensor side on the Kronecker letter data
+        # and the composite side on the composite state's
+        (_, data_a), (_, data_b), (spec_ab, data_ab) = calls
+        words = ckwords.enumerate_admissible(spec_ab.matrix, 2)
+        assert len(words) == report.diagonal_count
+        table_a = prefix_table(data_a, ckwords.enumerate_admissible(a, 2))
+        table_b = prefix_table(data_b, ckwords.enumerate_admissible(b, 2))
+        tensor = prefix_table(tensorops._kronecker_letters(data_a, data_b), words)
+        table_ab = prefix_table(data_ab, words)
         split = IndexSplit(a.n, b.n)
         deep = Q(1, 10**30)
-        for J in table_ab:
+        for J in words:
             mono = Monomial(J, J)
             first, second = tensorops.embed_monomial(split, mono)
-            lhs = table_a.interval(first.J) * table_b.interval(second.J)
-            assert lhs.intersects(scalars.refine(
+            assert tensor[J] == table_a[first.J] * table_b[second.J], J
+            assert tensor[J].intersects(scalars.refine(
                 tensorops.tensor_state_eval(spec_a, spec_b, mono), deep)), J
-            assert table_ab.interval(J).intersects(scalars.refine(
+            assert table_ab[J].intersects(scalars.refine(
                 states.eval_state(spec_ab, mono), deep)), J
 
     def test_full2_pair(self):
@@ -473,13 +481,12 @@ class TestVerifyTensorIdentity:
         assert report.passed is False
 
     def test_factor_table_of_the_wrong_state_fails(self, monkeypatch):
-        # the first factor's table comes from another state on its matrix
+        # the first factor's letter data come from another state on its matrix
         right = states.state_spec(perron.solve_beta(FULL2, (1, 2)).param)
         wrong = spec_for(FULL2)
-        inner = states.diagonal_table
-        monkeypatch.setattr(
-            states, "diagonal_table",
-            lambda spec, words: inner(wrong if spec is right else spec, words))
+        inner = states.letter_data
+        monkeypatch.setattr(states, "letter_data",
+                            lambda spec: inner(wrong if spec is right else spec))
         report = tensorops.verify_tensor_identity(right, spec_for(GOLDEN),
                                                   max_len=2)
         assert report.passed is False
@@ -496,6 +503,72 @@ class TestVerifyTensorIdentity:
         report = tensorops.verify_tensor_identity(spec_for(CYCLE3),
                                                   spec_for(FULL2), max_len=2)
         assert report.passed
+
+
+class TestArguments:
+    @pytest.mark.parametrize("max_len", [-1, True, 2.0])
+    def test_bad_max_len_raises(self, max_len):
+        with pytest.raises(DomainError, match="max_len"):
+            tensorops.verify_tensor_identity(spec_for(GOLDEN), spec_for(FULL2),
+                                             max_len)
+
+    @pytest.mark.parametrize("tolerance", [0, -1])
+    def test_non_positive_tolerance_raises(self, tolerance):
+        with pytest.raises(DomainError, match="tolerance"):
+            tensorops.verify_tensor_identity(spec_for(GOLDEN), spec_for(FULL2),
+                                             1, tolerance)
+
+
+class TestWordCap:
+    """More than 10^5 composite words up to max_len raise, as
+    enumerate_admissible does, before the walk; F3 tensor F3 has
+    9^0 + ... + 9^5 = 66,430 words up to length 5 and 597,871 up to 6."""
+
+    def test_above_the_cap_raises(self):
+        spec = spec_for(FULL3)
+        with budget(1.0):
+            with pytest.raises(ResourceLimitError, match="admissible word "
+                               "enumeration exceeded 100000 entries"):
+                tensorops.verify_tensor_identity(spec, spec, max_len=6)
+
+    def test_below_the_cap_passes(self):
+        spec = spec_for(FULL3)
+        report = tensorops.verify_tensor_identity(spec, spec, max_len=5)
+        assert report.passed
+        assert report.diagonal_count == sum(9 ** k for k in range(6)) == 66430
+
+
+def random_primitive(rng: random.Random, n: int) -> ZeroOneMatrix:
+    """An irreducible, aperiodic 0-1 matrix that is not a permutation:
+    by Wielandt's bound A^((n-1)^2 + 1) has no zero entry."""
+    while True:
+        m = random_irreducible(rng, n)
+        power = np.linalg.matrix_power(np.array(m.rows, dtype=np.int64),
+                                       (n - 1) ** 2 + 1)
+        if (power > 0).all() and not is_permutation(m):
+            return m
+
+
+class TestGeneratedFamily:
+    def test_pairs_of_primitive_matrices(self):
+        # three matrices of each size 2..4 with frequencies in {1, 2, 3}; the
+        # Kronecker product of primitive matrices is primitive, so every
+        # composite is irreducible
+        rng = random.Random(27)
+        family = []
+        for n in (2, 2, 2, 3, 3, 3, 4, 4, 4):
+            m = random_primitive(rng, n)
+            omega = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+            family.append((m, omega))
+        with budget(10.0):
+            specs = [states.state_spec(perron.solve_beta(m, omega).param)
+                     for m, omega in family]
+            for (ia, spec_a), (ib, spec_b) in itertools.product(
+                    enumerate(specs), repeat=2):
+                report = tensorops.verify_tensor_identity(spec_a, spec_b, 2)
+                case = (family[ia], family[ib])
+                assert report == fraction_report(spec_a, spec_b, 2), case
+                assert report.passed, case
 
 
 class TestCombinedFrequencies:
