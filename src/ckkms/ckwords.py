@@ -394,7 +394,9 @@ def unit_sum_form(matrix: ZeroOneMatrix) -> NormalForm:
 
 
 def enumerate_admissible(matrix: ZeroOneMatrix, max_len: int, cap: int = WORD_CAP):
-    """All admissible index words with length <= max_len, shortest first."""
+    """All admissible index words of length <= max_len, an int >= 0, shortest first."""
+    if isinstance(max_len, bool) or not isinstance(max_len, int) or max_len < 0:
+        raise DomainError(f"max_len must be an integer >= 0, not {max_len!r}")
     out = [()]
     frontier = [()]
     letters = range(1, matrix.n + 1)

@@ -17,6 +17,9 @@ and x^1 unwraps to x.
 refine encloses an Alg in the cell of a dyadic grid that holds its root.
 The root of an Alg is irrational, so the cell is a function of the value and
 the requested width alone; its one memo saves time and changes no output.
+Products of these cells, and the products and sums of mul and add with an
+enclosure, run on integer numerators and denominators and build one
+Interval per result, with the values of the Interval operations.
 """
 
 from __future__ import annotations
@@ -217,29 +220,68 @@ def refine(s: Scalar, precision) -> Interval:
     if isinstance(s, Alg):
         return _alg_interval(s, precision)
     if isinstance(s, Product):
-        if s.rational == 1 and len(s.factors) == 1:
-            return _power_interval(*s.factors[0], precision)
+        r = s.rational
         sub = precision
         while True:
-            out = Interval.point(s.rational)
+            out = (r.numerator, r.denominator, r.numerator, r.denominator)
             for b, e in s.factors:
-                out = out * _power_interval(b, e, sub)
-            if out.width <= precision:
-                return out
+                out = _mul_ends(out, _power_ends(b, e, sub))
+            if _within(out, precision):
+                return _interval(out)
             sub /= 16
     raise TypeError(f"not a scalar: {s!r}")
 
 
-def _power_interval(base: Alg, exp: int, precision: Fraction) -> Interval:
+def _ends(iv: Interval) -> tuple:
+    """iv = [ln/ld, hn/hd] as the ints (ln, ld, hn, hd), ld and hd > 0: the
+    form in which refine, mul and add multiply and add enclosures, unreduced
+    and with the values of the Interval operations, and which _interval
+    turns into one Interval per result."""
+    return iv.lo.numerator, iv.lo.denominator, iv.hi.numerator, iv.hi.denominator
+
+
+def _interval(ends: tuple) -> Interval:
+    ln, ld, hn, hd = ends
+    return Interval(Fraction(ln, ld), Fraction(hn, hd))
+
+
+def _within(ends: tuple, width: Fraction) -> bool:
+    ln, ld, hn, hd = ends
+    return (hn * ld - ln * hd) * width.denominator <= width.numerator * ld * hd
+
+
+def _mul_ends(x: tuple, y: tuple) -> tuple:
+    """Interval.__mul__: two products when both lower ends are >= 0, else
+    the least and the greatest of four, compared by cross-multiplying."""
+    xln, xld, xhn, xhd = x
+    yln, yld, yhn, yhd = y
+    if xln >= 0 and yln >= 0:
+        return xln * yln, xld * yld, xhn * yhn, xhd * yhd
+    lo = hi = (xln * yln, xld * yld)
+    for p in ((xln * yhn, xld * yhd), (xhn * yln, xhd * yld), (xhn * yhn, xhd * yhd)):
+        if p[0] * lo[1] < lo[0] * p[1]:
+            lo = p
+        if p[0] * hi[1] > hi[0] * p[1]:
+            hi = p
+    return lo + hi
+
+
+def _power_ends(base: Alg, exp: int, precision: Fraction) -> tuple:
+    """base^exp from the cell of base at the first of the widths precision,
+    precision/16, ... where, for exp < 0, the cell does not touch 0 and the
+    power is at most `precision` wide.  No cell [m, m+1]/2^k has 0 inside,
+    so an even power of one at or below 0 swaps its ends; a reciprocal
+    flips the signs of a cell below 0 to keep its denominators positive."""
     sub = precision
+    e = abs(exp)
     while True:
-        biv = _alg_interval(base, sub)
-        if exp < 0 and biv.lo <= 0 <= biv.hi:
-            sub /= 16
-            continue
-        out = biv**exp
-        if out.width <= precision:
-            return out
+        a, b, c, d = _ends(_alg_interval(base, sub))
+        if exp > 0 or not a <= 0 <= c:
+            if exp < 0:
+                a, b, c, d = (d, c, b, a) if a > 0 else (-d, -c, -b, -a)
+            out = (a**e, b**e, c**e, d**e) if e % 2 or a >= 0 else (c**e, d**e, a**e, b**e)
+            if _within(out, precision):
+                return out
         sub /= 16
 
 
@@ -339,10 +381,10 @@ def _build_product(rational: Fraction, factors) -> Scalar:
 def mul(*values) -> Scalar:
     scalars = [_as_scalar(v) for v in values]
     if any(isinstance(s, Enc) for s in scalars):
-        out = Interval.point(1)
+        out = (1, 1, 1, 1)
         for s in scalars:
-            out = out * refine(s, ENCLOSURE_WIDTH)
-        return Enc(out)
+            out = _mul_ends(out, _ends(refine(s, ENCLOSURE_WIDTH)))
+        return Enc(_interval(out))
     if any(isinstance(s, Flt) for s in scalars):
         out = 1.0
         for s in scalars:
@@ -390,10 +432,12 @@ def add(*values) -> Scalar:
         isinstance(s, Enc) for s in nonzero
     ):
         return Flt(sum(to_float(s) for s in nonzero))
-    out = Interval.point(0)
+    ln, ld, hn, hd = 0, 1, 0, 1
     for s in nonzero:
-        out = out + refine(s, ENCLOSURE_WIDTH)
-    return Enc(out)
+        a, b, c, d = _ends(refine(s, ENCLOSURE_WIDTH))
+        ln, ld = ln * b + a * ld, ld * b
+        hn, hd = hn * d + c * hd, hd * d
+    return Enc(_interval((ln, ld, hn, hd)))
 
 
 # ---------------------------------------------------------------------------
@@ -490,13 +534,6 @@ def same_value(a: Scalar, b: Scalar) -> bool:
     width = Q(1, 10**40)
     ia, ib = refine(a, width), refine(b, width)
     return ia.intersects(ib) and max(ia.width, ib.width) <= width
-
-
-def values_close(a: Scalar, b: Scalar, tol) -> bool:
-    tol = Q(tol)
-    ia = refine(_as_scalar(a), tol / 8)
-    ib = refine(_as_scalar(b), tol / 8)
-    return ia.distance_sup(ib) <= tol
 
 
 # ---------------------------------------------------------------------------

@@ -498,6 +498,11 @@ class TestEnumeration:
         with pytest.raises(ResourceLimitError):
             ckwords.enumerate_admissible(FULL3, 8, cap=100)
 
+    @pytest.mark.parametrize("max_len", [-1, True, 2.0])
+    def test_bad_max_len_raises(self, max_len):
+        with pytest.raises(DomainError, match="max_len"):
+            ckwords.enumerate_admissible(FULL2, max_len)
+
 
 class TestJson:
     def test_roundtrip(self):

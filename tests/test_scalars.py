@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ckkms import polys, scalars
 from ckkms.errors import DomainError, InvalidScalarError
+from ckkms.intervals import Interval
 from ckkms.scalars import Alg, Enc, Flt, Product, Q, Rat
 
 GOLDEN_FLOAT = (math.sqrt(5) - 1) / 2
@@ -176,6 +177,102 @@ class TestArithmetic:
         assert scalars.compare_rational(g, Q(1, 2)) == 1
         assert scalars.compare_rational(g, Q(2, 3)) == -1
         assert scalars.compare_rational(Rat(Q(1, 2)), Q(1, 2)) == 0
+
+
+# The Fraction Interval loops that the integer kernel of refine, mul and add
+# replaced, kept as its oracles: the kernel must give equal endpoints.
+
+
+def fraction_power_interval(base: Alg, exp: int, precision: Fraction) -> Interval:
+    sub = precision
+    while True:
+        biv = scalars._alg_interval(base, sub)
+        if exp < 0 and biv.lo <= 0 <= biv.hi:
+            sub /= 16
+            continue
+        out = biv**exp
+        if out.width <= precision:
+            return out
+        sub /= 16
+
+
+def fraction_refine(s, precision) -> Interval:
+    if not isinstance(s, Product):
+        return scalars.refine(s, precision)
+    if s.rational == 1 and len(s.factors) == 1:
+        return fraction_power_interval(*s.factors[0], precision)
+    sub = precision
+    while True:
+        out = Interval.point(s.rational)
+        for b, e in s.factors:
+            out = out * fraction_power_interval(b, e, sub)
+        if out.width <= precision:
+            return out
+        sub /= 16
+
+
+def fraction_mul(*values) -> Enc:
+    """scalars.mul of operands among which is an Enc."""
+    out = Interval.point(1)
+    for s in values:
+        out = out * fraction_refine(s, scalars.ENCLOSURE_WIDTH)
+    return Enc(out)
+
+
+def fraction_add(*values) -> Enc:
+    """scalars.add of two or more nonzero operands among which is an Enc."""
+    out = Interval.point(0)
+    for s in values:
+        out = out + fraction_refine(s, scalars.ENCLOSURE_WIDTH)
+    return Enc(out)
+
+
+SIGNED_BASES = (
+    scalars.make_algebraic([-2, 0, 1], Q(-2), Q(-1)),  # -sqrt(2)
+    scalars.make_algebraic([1, -3, 0, 1], Q(-2), Q(-1)),  # about -1.879
+    scalars.make_algebraic([1, -3, 0, 1], Q(0), Q(1)),  # about 0.347
+    scalars.make_algebraic([-1, 1, 1], Q(0), Q(1)),  # golden
+)
+
+
+@st.composite
+def products(draw) -> Product:
+    """A Product built as is, without the collapse of mul, so that even
+    powers of negative bases stay powers: 1 to 3 distinct bases, exponents
+    -3..4 but 0, and a rational among +-1, 3 and -2 over 1, 2 and 7."""
+    pool = list(SIGNED_BASES) + [draw(irrational_roots())]
+    bases = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3, unique=True))
+    exps = draw(st.lists(st.integers(-3, 4).filter(bool), min_size=len(bases),
+                         max_size=len(bases)))
+    rational = Q(draw(st.sampled_from([1, -1, 3, -2])), draw(st.sampled_from([1, 2, 7])))
+    return Product(rational, tuple(zip(bases, exps)))
+
+
+# from 4 down to 1e-40: the coarse widths give cells with an end at 0
+WIDTHS = st.one_of(st.sampled_from([Q(4), Q(1), Q(1, 2)]),
+                   st.integers(1, 40).map(lambda j: Q(1, 10**j)))
+
+ENCLOSURES = st.lists(st.fractions(-3, 3, max_denominator=1000), min_size=2,
+                      max_size=2).map(lambda ends: Enc(Interval(*sorted(ends))))
+
+OPERANDS = st.lists(st.one_of(products(), st.sampled_from(SIGNED_BASES),
+                              st.sampled_from([Rat(Q(-2, 7)), Rat(Q(3))]), ENCLOSURES),
+                    min_size=1, max_size=3)
+
+
+class TestIntegerKernel:
+    @given(products(), WIDTHS)
+    @settings(max_examples=300, deadline=None)
+    def test_refine_matches_the_fraction_loops(self, s, width):
+        assert scalars.refine(s, width) == fraction_refine(s, width)
+
+    @given(ENCLOSURES, OPERANDS, st.randoms(use_true_random=False))
+    @settings(max_examples=150, deadline=None)
+    def test_mul_and_add_match_the_fraction_loops(self, enc, others, rng):
+        values = [enc] + others
+        rng.shuffle(values)
+        assert scalars.mul(*values) == fraction_mul(*values)
+        assert scalars.add(*values) == fraction_add(*values)
 
 
 def inv_sqrt2() -> Alg:
