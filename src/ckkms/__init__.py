@@ -14,8 +14,8 @@ from .errors import (CkkmsError, DimensionError, DomainError,
 from .intervals import Interval
 from .matrix01 import ZeroOneMatrix, in_class_cdm, kronecker_matrix
 from .perron import (BetaSolution, FrequencyVector, ParamVector, PFData,
-                     canonical_point, in_lambda, pf_data, solve_beta,
-                     solve_power_equation)
+                     TensorFrequencyVector, canonical_point, in_lambda,
+                     pf_data, solve_beta, solve_power_equation)
 from .scalars import (Alg, BaseDecomposition, Enc, Flt, Product, Rat,
                       Scalar, make_algebraic, make_power, scalar_from_json,
                       scalar_to_json)

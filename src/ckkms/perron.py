@@ -103,6 +103,19 @@ class BetaSolution:
     scale: Fraction | None = None  # beta = -scale * ln(base)
 
 
+@dataclass(frozen=True)
+class TensorFrequencyVector(FrequencyVector):
+    """The frequencies beta_1 omega_i + beta_2 omega_j of the tensor of two
+    rescaled gauge actions, kept with the gauge data they come from: two
+    exact BetaSolutions whose rational omegas they match, the dimension m
+    of the second factor (composite letter u = m(i-1) + j), and the
+    Kronecker product of the two solutions' parameter entries, for which
+    a_u = t_1^e_i t_2^f_j = e^{-Omega_u} holds exactly."""
+    solutions: tuple  # (BetaSolution, BetaSolution)
+    m: int
+    kronecker: tuple  # tuple[Scalar, ...]
+
+
 # ---------------------------------------------------------------------------
 # the integer Collatz-Wielandt kernel
 

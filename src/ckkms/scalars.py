@@ -194,11 +194,16 @@ def _alg_cell(a: Alg, k: int) -> Interval:
     return Interval(m * step, (m + 1) * step)
 
 
-def _alg_interval(a: Alg, width: Fraction) -> Interval:
-    """_alg_cell for the least k with 2^-k <= width = n/d: for n <= d the
-    least k with 2^k >= ceil(d/n), else minus the largest j with 2^j <= n/d."""
+def grid_bits(width: Fraction) -> int:
+    """The least k with 2^-k <= width = n/d: for n <= d the least k with
+    2^k >= ceil(d/n), else minus the largest j with 2^j <= n/d."""
     n, d = width.numerator, width.denominator
-    return _alg_cell(a, ((d - 1) // n).bit_length() if n <= d else 1 - (n // d).bit_length())
+    return ((d - 1) // n).bit_length() if n <= d else 1 - (n // d).bit_length()
+
+
+def _alg_interval(a: Alg, width: Fraction) -> Interval:
+    """_alg_cell on the grid of `width` (grid_bits)."""
+    return _alg_cell(a, grid_bits(width))
 
 
 def refine(s: Scalar, precision) -> Interval:

@@ -22,7 +22,8 @@ from .errors import DimensionError, DomainError, PreconditionError
 from .intervals import Interval, Q, exp_interval
 from .matrix01 import ZeroOneMatrix
 from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, BetaSolution,
-                     FrequencyVector, ParamVector, _require_radius_one)
+                     FrequencyVector, ParamVector, TensorFrequencyVector,
+                     _require_radius_one)
 from .scalars import ENCLOSURE_WIDTH, Enc, Rat, Scalar
 
 
@@ -174,13 +175,21 @@ def _beta_scalar(beta) -> Scalar:
 
 
 def _matches_solution(omega: FrequencyVector, solution: BetaSolution) -> bool:
+    """True when `solution` is exact and omega_i = exponents[i] / scale, so
+    that its parameter entries are exactly e^{-beta omega_i}."""
     if solution.base is None or solution.exponents is None:
         return False
-    if not omega.is_rational():
+    if not omega.is_rational() or len(omega.entries) != len(solution.exponents):
         return False
     scale = solution.scale
     return all(w.value == Q(e, 1) / scale
                for w, e in zip(omega.entries, solution.exponents))
+
+
+def _tensor_at_one(omega: FrequencyVector, beta) -> bool:
+    """True for the frequencies of a pair of exact gauge actions
+    (tensorops.combined_frequencies) at inverse temperature exactly 1."""
+    return isinstance(omega, TensorFrequencyVector) and _beta_scalar(beta) == scalars.ONE
 
 
 def gauge_factor(omega, beta, mono: Monomial, precision=DEFAULT_PRECISION) -> Scalar:
@@ -188,7 +197,11 @@ def gauge_factor(omega, beta, mono: Monomial, precision=DEFAULT_PRECISION) -> Sc
     continued gauge action scales s_J s_K*.
 
     Exact beta solutions with matching rational frequencies give an exact
-    power of the solution's base; everything else is an enclosure.
+    power of the solution's base.  The frequencies of a pair of exact gauge
+    actions (a TensorFrequencyVector) at beta exactly 1 give the exact
+    product t_1^(delta e) t_2^(delta f) of powers of the two bases, the
+    exponent sums of J minus those of K over the split letters.  Everything
+    else is an enclosure.
     """
     precision = Q(precision)
     if not isinstance(omega, FrequencyVector):
@@ -199,6 +212,15 @@ def gauge_factor(omega, beta, mono: Monomial, precision=DEFAULT_PRECISION) -> Sc
         if exp_total == 0:
             return scalars.ONE
         return scalars.make_power(beta.base, exp_total)
+    if _tensor_at_one(omega, beta):
+        (first, second), m = omega.solutions, omega.m
+        e, f = first.exponents, second.exponents
+        de = (sum(e[(u - 1) // m] for u in mono.J)
+              - sum(e[(u - 1) // m] for u in mono.K))
+        df = (sum(f[(u - 1) % m] for u in mono.J)
+              - sum(f[(u - 1) % m] for u in mono.K))
+        return scalars.mul(scalars.make_power(first.base, de),
+                           scalars.make_power(second.base, df))
     count = max(1, len(mono.J) + len(mono.K))
     work = precision / (4 * count)
     delta_iv = Interval.point(0)
@@ -221,8 +243,17 @@ class KmsCheckResult:
     ok: bool
     lhs: Scalar
     rhs: Scalar
-    residual: Fraction  # certified upper bound on |lhs - rhs|
+    residual: Fraction  # certified upper bound on |lhs - rhs| before rounding
     tolerance: Fraction
+
+
+# kms_check rounds an enclosure side outward onto the grid of the width to
+# which mul and add refine its operands
+SIDE_BITS = scalars.grid_bits(ENCLOSURE_WIDTH)
+
+
+def _on_grid(s: Scalar) -> Scalar:
+    return Enc(s.interval.outward(SIDE_BITS)) if isinstance(s, Enc) else s
 
 
 def residual_bound(a: Scalar, b: Scalar, precision=Q(1, 10**14)) -> Fraction:
@@ -237,8 +268,20 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
     """Check rho(y . sigma_{i beta}(x)) = rho(x y) for monomials x, y.
 
     Precondition: the spec's parameter satisfies a_i = e^{-beta omega_i}
-    within the tolerance; violating that is a usage error, not a failed
-    check.
+    within the tolerance; violating that is a usage error
+    (PreconditionError), not a failed check.  The precondition holds
+    exactly, by representation, in two cases: beta is an exact BetaSolution
+    matching rational omega and the spec's entries are the solution's; or
+    omega is a TensorFrequencyVector (tensorops.combined_frequencies of two
+    exact solutions), beta is exactly 1 and the spec's entries equal its
+    stored Kronecker vector, since equal representations are equal values.
+    Any other input has it proved on enclosures, one exp_interval per
+    parameter entry.
+
+    `residual` bounds the distance of the two sides as evaluated.  The
+    returned `lhs` and `rhs` are those sides, with an enclosure rounded
+    outward onto the grid 2^-SIDE_BITS of ENCLOSURE_WIDTH, the width its
+    operands were refined to; exact sides are returned as they are.
     """
     tolerance = Q(tolerance)
     precision = Q(precision)
@@ -248,9 +291,11 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
         raise DimensionError("frequency vector length must match the matrix size")
     matrix = spec.matrix
 
-    exact_match = isinstance(beta, BetaSolution) and _matches_solution(omega, beta) \
-        and spec.param.entries == beta.param.entries
-    if not exact_match:
+    if isinstance(beta, BetaSolution) and _matches_solution(omega, beta):
+        structural = spec.param.entries == beta.param.entries
+    else:
+        structural = _tensor_at_one(omega, beta) and spec.param.entries == omega.kronecker
+    if not structural:
         biv = scalars.refine(_beta_scalar(beta), precision)
         for a_i, w in zip(spec.param.entries, omega.entries):
             wiv = scalars.refine(w, precision)
@@ -273,4 +318,4 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
     lhs = scalars.add(*lhs_terms) if lhs_terms else scalars.ZERO
     rhs = eval_state(spec, ckwords.multiply(matrix, xf, yf))
     gap = residual_bound(lhs, rhs, min(precision, tolerance / 16))
-    return KmsCheckResult(gap <= tolerance, lhs, rhs, gap, tolerance)
+    return KmsCheckResult(gap <= tolerance, _on_grid(lhs), _on_grid(rhs), gap, tolerance)

@@ -31,8 +31,8 @@ from .ckwords import Monomial
 from .errors import DimensionError, DomainError, ResourceLimitError
 from .intervals import Q
 from .matrix01 import kronecker_matrix
-from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, FrequencyVector,
-                     ParamVector)
+from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, BetaSolution,
+                     FrequencyVector, ParamVector, TensorFrequencyVector)
 from .scalars import Rat, Scalar
 from .states import StateSpec, state_spec
 
@@ -233,7 +233,16 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
                          beta2) -> FrequencyVector:
     """Frequencies of the tensor of two rescaled gauge actions:
     Omega_{m(i-1)+j} = beta1 omega_i + beta2 omega_j.  The Kronecker state
-    is KMS for this action at inverse temperature 1."""
+    is KMS for this action at inverse temperature 1.
+
+    The entries are these sums as scalars (enclosures for a BetaSolution).
+    When both betas are exact BetaSolutions matching their rational omegas,
+    the result is a TensorFrequencyVector that also keeps the two
+    solutions, m, and the Kronecker vector of their parameter entries:
+    states.kms_check at beta = 1 on a spec with exactly those entries then
+    takes its precondition as proved by representation, and
+    states.gauge_factor returns exact products of powers of the two bases.
+    """
     if not isinstance(omega1, FrequencyVector):
         omega1 = FrequencyVector(tuple(omega1))
     if not isinstance(omega2, FrequencyVector):
@@ -245,11 +254,14 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
     for b in (b1, b2):
         if scalars.refine(b, DEFAULT_PRECISION).lo <= 0:
             raise DomainError("inverse temperatures must be positive")
-    entries = []
-    for wi in omega1.entries:
-        for wj in omega2.entries:
-            entries.append(scalars.add(scalars.mul(b1, wi), scalars.mul(b2, wj)))
-    return FrequencyVector(tuple(entries))
+    entries = tuple(scalars.add(scalars.mul(b1, wi), scalars.mul(b2, wj))
+                    for wi in omega1.entries for wj in omega2.entries)
+    if (isinstance(beta1, BetaSolution) and isinstance(beta2, BetaSolution)
+            and states._matches_solution(omega1, beta1)
+            and states._matches_solution(omega2, beta2)):
+        kronecker = kronecker_vector(beta1.param.entries, beta2.param.entries)
+        return TensorFrequencyVector(entries, (beta1, beta2), split.m, kronecker)
+    return FrequencyVector(entries)
 
 
 # ---------------------------------------------------------------------------

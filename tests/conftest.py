@@ -7,9 +7,10 @@ from fractions import Fraction
 
 import pytest
 
-from ckkms import perron
+from ckkms import perron, states, tensorops
 from ckkms.intervals import Interval
-from ckkms.matrix01 import ZeroOneMatrix, is_irreducible, is_nondegenerate
+from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
+                            kronecker_matrix)
 
 FULL2 = ZeroOneMatrix.full(2)
 FULL3 = ZeroOneMatrix.full(3)
@@ -49,12 +50,40 @@ def certified_pf_calls(monkeypatch) -> list:
     return calls
 
 
+@pytest.fixture
+def exp_calls(monkeypatch) -> list:
+    """The arguments of every exp_interval call that states makes: the
+    precondition proof and the gauge factors of kms_check's enclosure
+    path."""
+    calls = []
+    inner = states.exp_interval
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(states, "exp_interval", counting)
+    return calls
+
+
 def random_irreducible(rng: random.Random, n: int) -> ZeroOneMatrix:
     while True:
         rows = tuple(tuple(rng.randint(0, 1) for _ in range(n)) for _ in range(n))
         m = ZeroOneMatrix(rows)
         if is_nondegenerate(m) and is_irreducible(m):
             return m
+
+
+def transported(a, om_a, b, om_b):
+    """(spec, omega): the Kronecker state of the exact solutions of two
+    factors over the Kronecker matrix, and the combined frequencies of the
+    pair."""
+    sol_a, sol_b = perron.solve_beta(a, om_a), perron.solve_beta(b, om_b)
+    ab = tensorops.kronecker_vector(sol_a.param.entries, sol_b.param.entries)
+    spec = states.state_spec(perron.in_lambda(kronecker_matrix(a, b), ab))
+    omega = tensorops.combined_frequencies(tensorops.IndexSplit(a.n, b.n),
+                                           om_a, sol_a, om_b, sol_b)
+    return spec, omega
 
 
 def prefix_table(data, words) -> dict:

@@ -158,12 +158,13 @@ def test_a04_tensor_homomorphism_residuals():
         assert worst <= TOL9, float(worst)
 
 
-def test_a05_kms_condition_on_pool_and_transported_states():
+def test_a05_kms_condition_on_pool_and_transported_states(exp_calls):
     """kms_check residual <= 1e-9 (i) per pool matrix at the unit frequency
     vector for every nonzero monomial with both sides of length <= 2, against
     its adjoint, and (ii) for the Kronecker-product state of every ordered
     pool pair under combined frequencies at inverse temperature 1, for every
-    nonzero composite monomial of combined length <= 2; < 30 s."""
+    nonzero composite monomial of combined length <= 2, whose precondition
+    and gauge factors are exact and take no exp enclosure; < 30 s."""
     with budget(30.0):
         checked = 0
         for matrix in POOL:
@@ -196,6 +197,7 @@ def test_a05_kms_condition_on_pool_and_transported_states():
                                 float(res.residual))
                 transported += 1
         assert transported >= 1500
+        assert exp_calls == []
 
 
 def test_a06_full_matrix_membership_iff_unit_sum():

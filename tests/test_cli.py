@@ -266,6 +266,10 @@ class TestStateCommands:
         assert doc["result"]["ok"] is True
         assert doc["mode"] == "heuristic"
         assert any("certified" in w for w in doc["warnings"])
+        # the sides are rounded outward onto the grid 2^-60; their floats
+        # are those of the unrounded sides
+        for side in ("lhs", "rhs"):
+            assert doc["result"][side]["float"] == "0.618033988749895"
 
     def test_kms_check_failing_tolerance(self):
         code, doc = run_json("kms-check", "--matrix", GOLDEN_MATRIX,

@@ -5,9 +5,13 @@ import dataclasses
 import math
 import random
 from fractions import Fraction
+from functools import lru_cache
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ckkms import ckwords, perron, scalars, states
 from ckkms.ckwords import Monomial
@@ -15,10 +19,10 @@ from ckkms.errors import (DimensionError, DomainError, MembershipRejected,
                           PreconditionError)
 from ckkms.intervals import Interval
 from ckkms.matrix01 import ZeroOneMatrix
-from ckkms.scalars import Flt, Q, Rat
+from ckkms.scalars import Enc, Flt, Q, Rat
 
 from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, prefix_table,
-                      random_positive_rationals)
+                      random_positive_rationals, transported)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -370,6 +374,77 @@ class TestKmsCheck:
                 continue
             got = scalars.to_float(states.eval_monomial(spec, Monomial(J, J)))
             assert abs(got - oracle_value(GOLDEN, a_floats, J)) < 1e-9
+
+
+@lru_cache(maxsize=None)
+def side_cases() -> tuple:
+    """(spec, omega, beta, monomials, a, x): exact factor states at their
+    own beta, with exact sides on F2 and enclosures on the others, and
+    Kronecker states under combined frequencies at beta = 1; the nonzero
+    monomials with sides of length <= 1; and the float parameter and the
+    numpy Perron vector (sum 1) of diag(a) A."""
+    cases = []
+
+    def add(spec, omega, beta):
+        matrix = spec.matrix
+        words = ckwords.enumerate_admissible(matrix, 1)
+        monos = [Monomial(J, K) for J in words for K in words
+                 if not ckwords.monomial_is_zero(matrix, Monomial(J, K))]
+        a = [scalars.to_float(e) for e in spec.param.entries]
+        vals, vecs = np.linalg.eig(np.diag(a) @ np.array(matrix.rows, dtype=float))
+        x = vecs[:, int(np.argmin(abs(vals - 1)))].real
+        cases.append((spec, omega, beta, monos, a, x / x.sum()))
+
+    for matrix, omega in ((FULL2, (1, 2)), (GOLDEN, (1, 2)), (CYCLE3, (1, 1, 2))):
+        sol = perron.solve_beta(matrix, omega)
+        add(states.state_spec(sol.param), omega, sol)
+    for (a, om_a), (b, om_b) in (((GOLDEN, (1, 1)), (CYCLE3, (1, 1, 1))),
+                                 ((CYCLE3, (1, 1, 2)), (GOLDEN, (1, 2))),
+                                 ((FULL2, (1, 2)), (GOLDEN, (1, 1)))):
+        add(*transported(a, om_a, b, om_b), Rat(Q(1)))
+    return tuple(cases)
+
+
+def numpy_value(matrix, a, x, nf) -> float:
+    """The state of parameter a and Perron vector x on a normal form."""
+    total = 0.0
+    for mono, coeff in nf.terms:
+        if mono.J == mono.K:
+            value = 1.0 if not mono.J else x[mono.J[-1] - 1]
+            for j in mono.J[:-1]:
+                value *= a[j - 1]
+            total += float(coeff) * value
+    return total
+
+
+class TestKmsCheckSides:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.data())
+    def test_sides_on_the_grid(self, data):
+        # each enclosure side is the unrounded one rounded outward onto the
+        # grid 2^-60, at most two cells wider; the verdict and the residual
+        # are those of the unrounded sides; every side holds the numpy value
+        spec, omega, beta, monos, a, x_np = data.draw(st.sampled_from(side_cases()))
+        x, y = data.draw(st.sampled_from(monos)), data.draw(st.sampled_from(monos))
+        res = states.kms_check(spec, omega, beta, x, y)
+        with mock.patch.object(states, "_on_grid", lambda s: s):
+            raw = states.kms_check(spec, omega, beta, x, y)
+        assert (res.ok, res.residual) == (raw.ok, raw.residual)
+        assert states.SIDE_BITS == 60
+        cell = Q(1, 2 ** states.SIDE_BITS)
+        want = numpy_value(spec.matrix, a, x_np, ckwords.multiply(spec.matrix, x, y))
+        for side, unrounded in ((res.lhs, raw.lhs), (res.rhs, raw.rhs)):
+            if not isinstance(side, Enc):
+                assert side == unrounded
+                assert abs(scalars.to_float(side) - want) <= 1e-12
+                continue
+            iv, ref = side.interval, unrounded.interval
+            for q in (iv.lo, iv.hi):
+                assert q.denominator & (q.denominator - 1) == 0
+                assert q.denominator <= 2 ** states.SIDE_BITS
+            assert iv.lo <= ref.lo and ref.hi <= iv.hi
+            assert iv.width <= ref.width + 2 * cell
+            assert iv.lo - 1e-12 <= want <= iv.hi + 1e-12
 
 
 class TestResidualBound:

@@ -16,11 +16,12 @@ from ckkms.errors import (DimensionError, DomainError, PreconditionError,
                           ResourceLimitError)
 from ckkms.intervals import Interval
 from ckkms.matrix01 import ZeroOneMatrix, is_permutation, kronecker_matrix
-from ckkms.scalars import Q, Rat
+from ckkms.scalars import Flt, Q, Rat
 from ckkms.tensorops import IndexSplit
 
 from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget, prefix_table,
-                      random_irreducible, random_positive_rationals)
+                      random_irreducible, random_positive_rationals,
+                      transported)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -549,17 +550,28 @@ def random_primitive(rng: random.Random, n: int) -> ZeroOneMatrix:
             return m
 
 
+def generated_family() -> list:
+    """Three seeded primitive matrices of each size 2..4, each with
+    frequencies in {1, 2, 3}; the Kronecker product of primitive matrices is
+    primitive, so every composite is irreducible."""
+    rng = random.Random(27)
+    family = []
+    for n in (2, 2, 2, 3, 3, 3, 4, 4, 4):
+        m = random_primitive(rng, n)
+        omega = tuple(rng.choice((1, 2, 3)) for _ in range(n))
+        family.append((m, omega))
+    return family
+
+
+def nonzero_monomials(matrix, max_len) -> list:
+    words = ckwords.enumerate_admissible(matrix, max_len)
+    return [Monomial(J, K) for J in words for K in words
+            if not ckwords.monomial_is_zero(matrix, Monomial(J, K))]
+
+
 class TestGeneratedFamily:
     def test_pairs_of_primitive_matrices(self):
-        # three matrices of each size 2..4 with frequencies in {1, 2, 3}; the
-        # Kronecker product of primitive matrices is primitive, so every
-        # composite is irreducible
-        rng = random.Random(27)
-        family = []
-        for n in (2, 2, 2, 3, 3, 3, 4, 4, 4):
-            m = random_primitive(rng, n)
-            omega = tuple(rng.choice((1, 2, 3)) for _ in range(n))
-            family.append((m, omega))
+        family = generated_family()
         with budget(10.0):
             specs = [states.state_spec(perron.solve_beta(m, omega).param)
                      for m, omega in family]
@@ -569,6 +581,26 @@ class TestGeneratedFamily:
                 case = (family[ia], family[ib])
                 assert report == fraction_report(spec_a, spec_b, 2), case
                 assert report.passed, case
+
+    def test_kms_check_on_kronecker_states(self):
+        # the Kronecker state of every ordered pair is KMS at beta = 1 for
+        # the combined frequencies, on seeded pairs (x, y) of composite
+        # monomials with sides of length <= 1, drawn independently
+        family = generated_family()
+        rng = random.Random(29)
+        checked = 0
+        with budget(15.0):
+            for (a, om_a), (b, om_b) in itertools.product(family, repeat=2):
+                spec, omega = transported(a, om_a, b, om_b)
+                assert isinstance(omega, perron.TensorFrequencyVector)
+                monos = nonzero_monomials(spec.matrix, 1)
+                for _ in range(3):
+                    x, y = rng.choice(monos), rng.choice(monos)
+                    res = states.kms_check(spec, omega, Rat(Q(1)), x, y)
+                    assert res.ok, (a.rows, om_a, b.rows, om_b, x, y,
+                                    float(res.residual))
+                    checked += 1
+        assert checked == 243
 
 
 class TestCombinedFrequencies:
@@ -600,6 +632,20 @@ class TestCombinedFrequencies:
                                                (Q(3), Q(5)), Rat(Q(1)))
         assert [e.value for e in omega.entries] == [4, 6, 5, 7]
 
+    def test_keeps_the_pair_only_for_matching_exact_solutions(self):
+        sol2 = perron.solve_beta(FULL2, (1, 1))
+        sol3 = perron.solve_beta(FULL3, (1, 1, 1))
+        kept = tensorops.combined_frequencies(IndexSplit(2, 2), (1, 1), sol2,
+                                              (1, 1), sol2)
+        assert isinstance(kept, perron.TensorFrequencyVector)
+        assert kept.kronecker == (Rat(Q(1, 4)),) * 4
+        # the first 2 of sol3's 3 exponents match omega = (1, 1), but sol3
+        # solves another matrix; a float beta matches no omega
+        for beta in (sol3, Flt(math.log(2))):
+            plain = tensorops.combined_frequencies(IndexSplit(2, 2), (1, 1),
+                                                   beta, (1, 1), sol2)
+            assert type(plain) is perron.FrequencyVector
+
     def test_validation(self):
         with pytest.raises(DimensionError):
             tensorops.combined_frequencies(IndexSplit(2, 2), (Q(1),),
@@ -626,6 +672,72 @@ class TestKmsTransport:
             res = states.kms_check(spec, omega, Rat(Q(1)), mono,
                                    mono.adjoint(), tolerance=Q(1, 10**9))
             assert res.ok, (mono, float(res.residual))
+
+
+class TestStructuralPrecondition:
+    """kms_check takes the precondition of a transported state as proved
+    only when the spec's entries are the stored Kronecker vector; every
+    other spec goes through the enclosure proof."""
+
+    def test_swapped_kronecker_vector_raises(self, exp_calls):
+        # F2 at (1, 2) and F3 at (1, 1, 2) are not symmetric: the Kronecker
+        # vector of the reversed pair lists other products at some indices,
+        # yet sums to 1, so it is a parameter of the full 6x6 composite
+        sol_a = perron.solve_beta(FULL2, (1, 2))
+        sol_b = perron.solve_beta(FULL3, (1, 1, 2))
+        omega = tensorops.combined_frequencies(IndexSplit(2, 3), (1, 2), sol_a,
+                                               (1, 1, 2), sol_b)
+        swapped = tensorops.kronecker_vector(sol_b.param.entries,
+                                             sol_a.param.entries)
+        assert swapped != omega.kronecker
+        spec = states.state_spec(perron.in_lambda(kronecker_matrix(FULL2, FULL3),
+                                                  swapped))
+        with pytest.raises(PreconditionError):
+            states.kms_check(spec, omega, Rat(Q(1)), "s2", "s2*")
+        assert exp_calls
+
+    def test_nearby_rational_entry_takes_the_enclosure_path(self, exp_calls):
+        spec, omega = transported(GOLDEN, (1, 1), CYCLE3, (1, 1, 1))
+        plain = perron.FrequencyVector(omega.entries)
+        for offset, passes in ((Q(1, 10**20), True), (Q(1, 10**6), False)):
+            entries = list(spec.param.entries)
+            entries[0] = Rat(scalars.refine(entries[0], Q(1, 10**24)).lo + offset)
+            # a loose membership tolerance admits the state, whose radius
+            # moves by about the offset
+            near = states.state_spec(perron.ParamVector(
+                spec.matrix, tuple(entries), "verified", Q(1, 10**4)))
+            for x, y in (("s1", "s1*"), ("s1 s2", "s2*")):
+                if not passes:
+                    with pytest.raises(PreconditionError):
+                        states.kms_check(near, omega, Rat(Q(1)), x, y)
+                    with pytest.raises(PreconditionError):
+                        states.kms_check(near, plain, Rat(Q(1)), x, y)
+                    continue
+                exp_calls.clear()
+                res = states.kms_check(near, omega, Rat(Q(1)), x, y)
+                assert len(exp_calls) >= len(entries)
+                ref = states.kms_check(near, plain, Rat(Q(1)), x, y)
+                assert res.ok == ref.ok
+
+    def test_exact_gauge_factors_lie_in_the_enclosures(self):
+        # every transported a05 monomial: the exact factor lies inside the
+        # enclosure path's, and the two checks give the same verdict
+        one = Rat(Q(1))
+        for a, b in itertools.product(POOL, repeat=2):
+            spec, omega = transported(a, (1,) * a.n, b, (1,) * b.n)
+            plain = perron.FrequencyVector(omega.entries)
+            for mono in nonzero_monomials(spec.matrix, 2):
+                if len(mono.J) + len(mono.K) > 2:
+                    continue
+                exact = states.gauge_factor(omega, one, mono)
+                assert scalars.is_exact(exact)
+                iv = scalars.refine(states.gauge_factor(plain, one, mono),
+                                    Q(1, 10**12))
+                assert scalars.compare_rational(exact, iv.lo) >= 0, mono
+                assert scalars.compare_rational(exact, iv.hi) <= 0, mono
+                got = states.kms_check(spec, omega, one, mono, mono.adjoint())
+                ref = states.kms_check(spec, plain, one, mono, mono.adjoint())
+                assert got.ok == ref.ok, mono
 
 
 class TestCoassociativity:
