@@ -1,13 +1,13 @@
 """Closed intervals with rational endpoints, plus rigorous exp/log enclosures.
 
 All endpoints are Fractions, so +, -, * and integer powers are exact.  Every
-exp enclosure comes from one integer kernel, exp_neg_grid, which brackets
-e^-t on a power-of-two grid with a Taylor series rounded outward term by
-term, and every log enclosure from a second one, _atanh_grid, which brackets
-atanh(u) the same way for 0 <= u <= 1/3.  Every function here returns an
-interval that is guaranteed to contain the true value, except the two
-kernels, which return the same guarantee as two integers on a power-of-two
-grid.
+exp enclosure comes from one integer kernel, exp_neg_grid, which takes
+t = num/den as two integers and brackets e^-t on a power-of-two grid with a
+Taylor series rounded outward term by term, and every log enclosure from a
+second one, _atanh_grid, which brackets atanh(u) the same way for
+0 <= u <= 1/3.  Every function here returns an interval that is guaranteed
+to contain the true value, except the two kernels, which return the same
+guarantee as two integers on a power-of-two grid.
 """
 
 from __future__ import annotations
@@ -141,12 +141,13 @@ def exp_interval_point(t: Fraction, precision: Fraction = Q(1, 10**15)) -> Inter
     `precision`, with a positive lower endpoint and both endpoints on the
     grid 2^-bits.
 
-    One exp_neg_grid(|t|, bits) call brackets e^-|t| * 2^bits within 2 grid
-    units.  With L = bitlen(floor(1/precision)), 2^-L < precision.  For
-    t <= 0 that bracket is the enclosure: bits = L + 1 meets the width, and
-    1.5|t| more bits put e^t * 2^bits above 2, so lo >= 1.  For t > 0 the
-    bracket is inverted outward in integers, which widens it to at most
-    4 e^2t + 2 <= 6 e^2t grid units; bits = L + 3 + 3t absorbs that.
+    One exp_neg_grid call on the numerator and denominator of |t| brackets
+    e^-|t| * 2^bits within 2 grid units.  With L = bitlen(floor(1/precision)),
+    2^-L < precision.  For t <= 0 that bracket is the enclosure: bits = L + 1
+    meets the width, and 1.5|t| more bits put e^t * 2^bits above 2, so
+    lo >= 1.  For t > 0 the bracket is inverted outward in integers, which
+    widens it to at most 4 e^2t + 2 <= 6 e^2t grid units; bits = L + 3 + 3t
+    absorbs that.
     """
     t = _to_q(t)
     precision = _to_q(precision)
@@ -155,10 +156,10 @@ def exp_interval_point(t: Fraction, precision: Fraction = Q(1, 10**15)) -> Inter
     width_bits = (precision.denominator // precision.numerator).bit_length()
     if t <= 0:
         bits = width_bits + 1 + math.ceil(-t * 3 / 2)
-        lo, hi = exp_neg_grid(-t, bits)
+        lo, hi = exp_neg_grid(-t.numerator, t.denominator, bits)
     else:
         bits = width_bits + 3 + math.ceil(3 * t)
-        lo, hi = exp_neg_grid(t, bits)
+        lo, hi = exp_neg_grid(t.numerator, t.denominator, bits)
         scale = 1 << 2 * bits
         lo, hi = scale // hi, -(-scale // lo)
     return Interval(Q(lo, 1 << bits), Q(hi, 1 << bits))
@@ -176,9 +177,10 @@ def exp_interval(t: Interval, precision: Fraction = Q(1, 10**15)) -> Interval:
 _EXP_GRID_HALVINGS = 8
 
 
-def exp_neg_grid(t: Fraction, bits: int) -> tuple[int, int]:
-    """Integers lo <= e^-t * 2^bits <= hi, with hi - lo <= 2, for rational
-    t >= 0, in integer arithmetic only.
+def exp_neg_grid(num: int, den: int, bits: int) -> tuple[int, int]:
+    """Integers lo <= e^-t * 2^bits <= hi, with hi - lo <= 2, for t = num/den
+    with integers num >= 0 and den > 0, in integer arithmetic only.  The
+    ratio need not be reduced: the bracket depends only on its value.
 
     t is halved k times into [0, 2^-8) and rounded outward onto the grid
     2^-p, p = bits + k + 16.  e^(t/2^k) is bracketed by its Taylor series with
@@ -189,14 +191,13 @@ def exp_neg_grid(t: Fraction, bits: int) -> tuple[int, int]:
     rounded outward (Brent and Zimmermann, Modern Computer Arithmetic,
     ch. 4).
     """
-    t = _to_q(t)
-    if t < 0:
-        raise DomainError("exp_neg_grid needs t >= 0")
-    if t >= bits:  # e^-t * 2^bits <= (2/e)^bits < 1
+    if num < 0 or den <= 0:
+        raise DomainError("exp_neg_grid needs num >= 0 and den > 0")
+    if num >= bits * den:  # e^-t * 2^bits <= (2/e)^bits < 1
         return 0, 1
-    k = int(t).bit_length() + _EXP_GRID_HALVINGS
+    k = (num // den).bit_length() + _EXP_GRID_HALVINGS
     p = bits + k + 16
-    x_lo, rem = divmod(t.numerator << (p - k), t.denominator)
+    x_lo, rem = divmod(num << (p - k), den)
     x_hi = x_lo + (rem != 0)
     lo = hi = term_lo = term_hi = 1 << p
     i = 0

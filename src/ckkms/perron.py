@@ -532,20 +532,24 @@ def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
     `work`, and `x` is a positive integer start vector.
 
     The Collatz-Wielandt loop of pf_data, from `x`: every entry bound comes
-    from exp_neg_grid on the grid 2^-bits (one call per row when
-    beta * omega_i is a point).  Any positive start vector gives a valid
+    from exp_neg_grid on the grid 2^-bits, called on the products of the
+    numerators and of the denominators of beta and an endpoint of omega_i
+    (one call per row when omega_i is a point), so no Interval or Fraction
+    is formed for beta * omega_i.  Any positive start vector gives a valid
     bracket, so the bisection passes each test the iterate of the one before,
     which is already close to the Perron vector.  Bisection only needs the
     sign, so the loop stops as soon as its bracket excludes 1.
     """
     bits = max(96, work.denominator.bit_length() + 48)
+    b_num, b_den = beta.numerator, beta.denominator
     rows = []
     for w in freqs:
-        t = w * beta
-        if t.lo == t.hi:
-            rows.append(exp_neg_grid(t.lo, bits))
+        at_lo = exp_neg_grid(w.lo.numerator * b_num, w.lo.denominator * b_den, bits)
+        if w.lo == w.hi:
+            rows.append(at_lo)
         else:
-            rows.append((exp_neg_grid(t.hi, bits)[0], exp_neg_grid(t.lo, bits)[1]))
+            at_hi = exp_neg_grid(w.hi.numerator * b_num, w.hi.denominator * b_den, bits)
+            rows.append((at_hi[0], at_lo[1]))
     lo, hi, mid = _shifted_bounds(matrix, rows, bits)
     two = 2 << bits
     target = (4 * work.numerator << bits) // work.denominator  # 4*work in grid units

@@ -272,7 +272,7 @@ def _grid_arguments() -> list:
 
 
 def _check_grid_bracket(t: Fraction, bits: int) -> None:
-    lo, hi = exp_neg_grid(t, bits)
+    lo, hi = exp_neg_grid(t.numerator, t.denominator, bits)
     assert lo <= hi <= lo + 2
     assert holds_exp(Fraction(lo, 2**bits), Fraction(hi, 2**bits), -t)
 
@@ -298,12 +298,24 @@ class TestExpNegGrid:
     def test_brackets_hold_the_fraction_enclosure(self, t, bits):
         _check_grid_bracket(t, bits)
 
+    @given(grid_arguments, st.integers(1, 2**64), st.sampled_from([96, 128, 160]))
+    @settings(max_examples=80, deadline=None)
+    def test_bracket_depends_only_on_the_value(self, t, c, bits):
+        # callers pass products of numerators and denominators unreduced
+        assert (exp_neg_grid(c * t.numerator, c * t.denominator, bits)
+                == exp_neg_grid(t.numerator, t.denominator, bits))
+
     def test_zero_is_exact(self):
-        assert exp_neg_grid(Fraction(0), 96) == (2**96, 2**96)
+        assert exp_neg_grid(0, 1, 96) == (2**96, 2**96)
 
     def test_negative_argument_rejected(self):
         with pytest.raises(DomainError):
-            exp_neg_grid(Fraction(-1, 2), 96)
+            exp_neg_grid(-1, 2, 96)
+
+    @pytest.mark.parametrize("den", [0, -2])
+    def test_nonpositive_denominator_rejected(self, den):
+        with pytest.raises(DomainError):
+            exp_neg_grid(1, den, 96)
 
 
 class TestAtanhGrid:

@@ -2,10 +2,12 @@
 and inverse-temperature solving, cross-checked against numpy eigensolves and
 independent float bisection."""
 
+import json
 import math
 import random
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +367,13 @@ PINNED_FLOAT_BETA = (
     ("CYCLE3", 12, 1, "402678791409/1099511627776", "201339395705/549755813888"),
 )
 
+# beta brackets and modes of 27 seeded float-frequency solves at 1e-6, 1e-9
+# and 1e-12, recorded while the sign test formed beta * omega_i as an
+# Interval before calling exp_neg_grid; the bisection must not depend on how
+# its entry bounds are computed
+FLOAT_SOLVES = json.loads(
+    (Path(__file__).parent / "data" / "solve_beta_float.json").read_text(encoding="utf-8"))
+
 
 # F_n with omega = (1, ..., 1, n/2 + 1) has a small base t, which ln t
 # spreads by about 1/t; the pool takes seeded rational frequencies
@@ -499,6 +508,15 @@ class TestSolveBeta:
         sol = perron.solve_beta(rows, omega, precision=Fraction(1, 10**digits))
         assert (sol.beta.lo, sol.beta.hi) == (Fraction(lo), Fraction(hi))
 
+    @pytest.mark.parametrize("case", FLOAT_SOLVES, ids=lambda c: "{}-{}-{}".format(
+        c["matrix"], c["precision"], "/".join(w[:6] for w in c["omega"])))
+    def test_float_solves_match_their_recorded_brackets(self, case):
+        rows = {"GOLDEN": GOLDEN, "FULL2": FULL2, "CYCLE3": CYCLE3}[case["matrix"]]
+        omega = [float(w) for w in case["omega"]]
+        sol = perron.solve_beta(rows, omega, Fraction(case["precision"]))
+        assert sol.mode == case["mode"]
+        assert [str(sol.beta.lo), str(sol.beta.hi)] == case["beta"]
+
 
 class TestRadiusVsOne:
     """The bisection's sign test against the numpy spectral radius."""
@@ -619,6 +637,22 @@ class TestRadiusVsOne:
         sign, _ = perron._radius_vs_one(swap, self.points((1.0, 2.5)),
                                         Fraction(0), Q(1, 10**15), [1, 1])
         assert sign == 0
+
+    def test_sign_tests_form_no_interval_product(self, monkeypatch):
+        # the entry bounds come from exp_neg_grid on integer numerators and
+        # denominators, so no sign test forms beta * omega_i as an Interval
+        calls = []
+        inner = Interval.__mul__
+
+        def counting(self, other):
+            calls.append(other)
+            return inner(self, other)
+
+        monkeypatch.setattr(Interval, "__mul__", counting)
+        monkeypatch.setattr(Interval, "__rmul__", counting)
+        for matrix, omega in ((GOLDEN, (1.3, 0.7)), (CYCLE3, (1.3, 0.7, 2.1))):
+            assert perron.solve_beta(matrix, omega).mode == "heuristic"
+        assert calls == []
 
 
 class TestCollatzWielandt:
