@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import decimal
 import json
+import os
 import sys
 import traceback
 from contextlib import contextmanager
@@ -602,8 +603,7 @@ def main(argv=None) -> int:
             "residual": None,
             "warnings": [],
         }
-        _emit(doc, args)
-        return 1
+        return _emit(doc, args, 1)
     except CkkmsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -618,8 +618,7 @@ def main(argv=None) -> int:
         "residual": residual,
         "warnings": warnings,
     }
-    _emit(doc, args)
-    return code
+    return _emit(doc, args, code)
 
 
 def _inputs_of(args) -> dict:
@@ -629,15 +628,29 @@ def _inputs_of(args) -> dict:
             if k not in skip and v is not None}
 
 
-def _emit(doc: dict, args) -> None:
+def _emit(doc: dict, args, code: int) -> int:
+    """Write the envelope to --out, then print it, and return `code`: 2
+    when --out cannot be written (nothing is printed), 141 (128 + SIGPIPE)
+    when stdout is closed."""
     text = json.dumps(doc, sort_keys=True, indent=2)
     if getattr(args, "format", "json") == "table":
         text = "\n".join(_as_table(doc))
-    print(text)
     out = getattr(args, "out", None)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+    try:
+        if out:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+    except OSError as exc:
+        print(f"error: cannot write --out: {exc}", file=sys.stderr)
+        return 2
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the text left in the buffer goes to devnull, so that the flush at
+        # exit does not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
+    return code
 
 
 if __name__ == "__main__":

@@ -105,14 +105,13 @@ class BetaSolution:
 
 @dataclass(frozen=True)
 class TensorFrequencyVector(FrequencyVector):
-    """The frequencies beta_1 omega_i + beta_2 omega_j of the tensor of two
-    rescaled gauge actions, kept with the gauge data they come from: two
-    exact BetaSolutions whose rational omegas they match, the dimension m
-    of the second factor (composite letter u = m(i-1) + j), and the
-    Kronecker product of the two solutions' parameter entries, for which
-    a_u = t_1^e_i t_2^f_j = e^{-Omega_u} holds exactly."""
-    solutions: tuple  # (BetaSolution, BetaSolution)
-    m: int
+    """The frequencies of a tensor of rescaled gauge actions at inverse
+    temperature 1, kept with an exact gauge: bases t_k, one exponent row
+    per composite letter u, and the Kronecker product of the factors'
+    parameter entries, for which e^{-Omega_u} = prod_k t_k^rows[u][k] =
+    kronecker[u] holds exactly."""
+    bases: tuple  # tuple[Scalar, ...]
+    rows: tuple  # tuple[tuple[int, ...], ...], one per entry
     kronecker: tuple  # tuple[Scalar, ...]
 
 

@@ -126,17 +126,12 @@ def letter_data(spec: StateSpec) -> tuple:
 
 def eval_state(spec: StateSpec, x) -> Scalar:
     """Linear extension of eval_monomial to normal forms."""
-    nf = ckwords.as_normal_form(spec.matrix, x)
-    if nf.is_zero:
-        return scalars.ZERO
     terms = []
-    for mono, coeff in nf.terms:
+    for mono, coeff in ckwords.as_normal_form(spec.matrix, x).terms:
         value = eval_monomial(spec, mono)
         if isinstance(value, Rat) and value.value == 0:
             continue
         terms.append(scalars.mul(coeff, value))
-    if not terms:
-        return scalars.ZERO
     return scalars.add(*terms)
 
 
@@ -174,53 +169,48 @@ def _beta_scalar(beta) -> Scalar:
     return scalars._as_scalar(beta)
 
 
-def _matches_solution(omega: FrequencyVector, solution: BetaSolution) -> bool:
-    """True when `solution` is exact and omega_i = exponents[i] / scale, so
-    that its parameter entries are exactly e^{-beta omega_i}."""
-    if solution.base is None or solution.exponents is None:
-        return False
-    if not omega.is_rational() or len(omega.entries) != len(solution.exponents):
-        return False
-    scale = solution.scale
-    return all(w.value == Q(e, 1) / scale
-               for w, e in zip(omega.entries, solution.exponents))
-
-
-def _tensor_at_one(omega: FrequencyVector, beta) -> bool:
-    """True for the frequencies of a pair of exact gauge actions
-    (tensorops.combined_frequencies) at inverse temperature exactly 1."""
-    return isinstance(omega, TensorFrequencyVector) and _beta_scalar(beta) == scalars.ONE
+def _exact_gauge(omega: FrequencyVector, beta):
+    """(bases, rows, entries) with e^{-beta omega_u} = prod_k
+    bases[k]^rows[u][k] = entries[u] exactly, or None.  That holds by
+    representation for an exact BetaSolution whose exponents over its scale
+    are the rational omega, with the solution's base and parameter entries,
+    and for a TensorFrequencyVector at beta exactly 1, with its stored
+    gauge."""
+    if isinstance(omega, TensorFrequencyVector):
+        if _beta_scalar(beta) == scalars.ONE:
+            return omega.bases, omega.rows, omega.kronecker
+        return None
+    if (not isinstance(beta, BetaSolution) or beta.base is None
+            or beta.exponents is None):
+        return None
+    if not omega.is_rational() or len(omega.entries) != len(beta.exponents):
+        return None
+    if any(w.value != Q(e, 1) / beta.scale
+           for w, e in zip(omega.entries, beta.exponents)):
+        return None
+    return (beta.base,), tuple((e,) for e in beta.exponents), beta.param.entries
 
 
 def gauge_factor(omega, beta, mono: Monomial, precision=DEFAULT_PRECISION) -> Scalar:
     """The factor e^{-beta (omega(J) - omega(K))} by which the analytically
     continued gauge action scales s_J s_K*.
 
-    Exact beta solutions with matching rational frequencies give an exact
-    power of the solution's base.  The frequencies of a pair of exact gauge
-    actions (a TensorFrequencyVector) at beta exactly 1 give the exact
-    product t_1^(delta e) t_2^(delta f) of powers of the two bases, the
-    exponent sums of J minus those of K over the split letters.  Everything
-    else is an enclosure.
+    Where omega and beta carry an exact gauge (_exact_gauge: a matching
+    exact beta solution, or the frequencies of a tensor of exact gauge
+    actions at beta exactly 1) the factor is the exact product of the
+    powers t_k^(sum over J - sum over K of the exponent rows' k-th entries)
+    of its bases.  Everything else is an enclosure.
     """
     precision = Q(precision)
     if not isinstance(omega, FrequencyVector):
         omega = FrequencyVector(tuple(omega))
-    if isinstance(beta, BetaSolution) and _matches_solution(omega, beta):
-        exp_total = (sum(beta.exponents[j - 1] for j in mono.J)
-                     - sum(beta.exponents[k - 1] for k in mono.K))
-        if exp_total == 0:
-            return scalars.ONE
-        return scalars.make_power(beta.base, exp_total)
-    if _tensor_at_one(omega, beta):
-        (first, second), m = omega.solutions, omega.m
-        e, f = first.exponents, second.exponents
-        de = (sum(e[(u - 1) // m] for u in mono.J)
-              - sum(e[(u - 1) // m] for u in mono.K))
-        df = (sum(f[(u - 1) % m] for u in mono.J)
-              - sum(f[(u - 1) % m] for u in mono.K))
-        return scalars.mul(scalars.make_power(first.base, de),
-                           scalars.make_power(second.base, df))
+    gauge = _exact_gauge(omega, beta)
+    if gauge is not None:
+        bases, rows, _ = gauge
+        return scalars.mul(*(
+            scalars.make_power(t, sum(rows[j - 1][k] for j in mono.J)
+                               - sum(rows[j - 1][k] for j in mono.K))
+            for k, t in enumerate(bases)))
     count = max(1, len(mono.J) + len(mono.K))
     work = precision / (4 * count)
     delta_iv = Interval.point(0)
@@ -270,13 +260,10 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
     Precondition: the spec's parameter satisfies a_i = e^{-beta omega_i}
     within the tolerance; violating that is a usage error
     (PreconditionError), not a failed check.  The precondition holds
-    exactly, by representation, in two cases: beta is an exact BetaSolution
-    matching rational omega and the spec's entries are the solution's; or
-    omega is a TensorFrequencyVector (tensorops.combined_frequencies of two
-    exact solutions), beta is exactly 1 and the spec's entries equal its
-    stored Kronecker vector, since equal representations are equal values.
-    Any other input has it proved on enclosures, one exp_interval per
-    parameter entry.
+    exactly, by representation, when omega and beta carry an exact gauge
+    (_exact_gauge) whose entries are the spec's, since equal
+    representations are equal values.  Any other input has it proved on
+    enclosures, one exp_interval per parameter entry.
 
     `residual` bounds the distance of the two sides as evaluated.  The
     returned `lhs` and `rhs` are those sides, with an enclosure rounded
@@ -291,11 +278,8 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
         raise DimensionError("frequency vector length must match the matrix size")
     matrix = spec.matrix
 
-    if isinstance(beta, BetaSolution) and _matches_solution(omega, beta):
-        structural = spec.param.entries == beta.param.entries
-    else:
-        structural = _tensor_at_one(omega, beta) and spec.param.entries == omega.kronecker
-    if not structural:
+    gauge = _exact_gauge(omega, beta)
+    if gauge is None or spec.param.entries != gauge[2]:
         biv = scalars.refine(_beta_scalar(beta), precision)
         for a_i, w in zip(spec.param.entries, omega.entries):
             wiv = scalars.refine(w, precision)
@@ -315,7 +299,7 @@ def kms_check(spec: StateSpec, omega, beta, x, y,
         if isinstance(value, Rat) and value.value == 0:
             continue
         lhs_terms.append(scalars.mul(coeff, factor, value))
-    lhs = scalars.add(*lhs_terms) if lhs_terms else scalars.ZERO
+    lhs = scalars.add(*lhs_terms)
     rhs = eval_state(spec, ckwords.multiply(matrix, xf, yf))
     gap = residual_bound(lhs, rhs, min(precision, tolerance / 16))
     return KmsCheckResult(gap <= tolerance, _on_grid(lhs), _on_grid(rhs), gap, tolerance)

@@ -31,8 +31,8 @@ from .ckwords import Monomial
 from .errors import DimensionError, DomainError, ResourceLimitError
 from .intervals import Q
 from .matrix01 import kronecker_matrix
-from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, BetaSolution,
-                     FrequencyVector, ParamVector, TensorFrequencyVector)
+from .perron import (DEFAULT_PRECISION, DEFAULT_TOLERANCE, FrequencyVector,
+                     ParamVector, TensorFrequencyVector)
 from .scalars import Rat, Scalar
 from .states import StateSpec, state_spec
 
@@ -100,11 +100,8 @@ def tensor_state_eval(spec_a: StateSpec, spec_b: StateSpec, x) -> Scalar:
     A term with J != K vanishes (module docstring) and is skipped before
     either factor is evaluated."""
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
-    nf = ckwords.as_normal_form(composite, x)
-    if nf.is_zero:
-        return scalars.ZERO
     terms = []
-    for mono, coeff in nf.terms:
+    for mono, coeff in ckwords.as_normal_form(composite, x).terms:
         _check_composite(composite.n, mono)
         if mono.J != mono.K:
             continue
@@ -116,8 +113,6 @@ def tensor_state_eval(spec_a: StateSpec, spec_b: StateSpec, x) -> Scalar:
         if isinstance(vb, Rat) and vb.value == 0:
             continue
         terms.append(scalars.mul(coeff, va, vb))
-    if not terms:
-        return scalars.ZERO
     return scalars.add(*terms)
 
 
@@ -236,12 +231,15 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
     is KMS for this action at inverse temperature 1.
 
     The entries are these sums as scalars (enclosures for a BetaSolution).
-    When both betas are exact BetaSolutions matching their rational omegas,
-    the result is a TensorFrequencyVector that also keeps the two
-    solutions, m, and the Kronecker vector of their parameter entries:
-    states.kms_check at beta = 1 on a spec with exactly those entries then
-    takes its precondition as proved by representation, and
-    states.gauge_factor returns exact products of powers of the two bases.
+    When both factors carry an exact gauge (states._exact_gauge: an exact
+    BetaSolution matching its rational omega, or a TensorFrequencyVector at
+    beta exactly 1), the result is a TensorFrequencyVector whose gauge
+    composes theirs: the bases concatenated, the exponent rows of letters i
+    and j concatenated for letter m(i-1) + j, and the Kronecker vector of
+    the two entry tuples.  states.kms_check at beta = 1 on a spec with
+    exactly those entries then takes its precondition as proved by
+    representation, and states.gauge_factor returns exact products of
+    powers of the bases, for nested tensor products too.
     """
     if not isinstance(omega1, FrequencyVector):
         omega1 = FrequencyVector(tuple(omega1))
@@ -256,12 +254,14 @@ def combined_frequencies(split: IndexSplit, omega1, beta1, omega2,
             raise DomainError("inverse temperatures must be positive")
     entries = tuple(scalars.add(scalars.mul(b1, wi), scalars.mul(b2, wj))
                     for wi in omega1.entries for wj in omega2.entries)
-    if (isinstance(beta1, BetaSolution) and isinstance(beta2, BetaSolution)
-            and states._matches_solution(omega1, beta1)
-            and states._matches_solution(omega2, beta2)):
-        kronecker = kronecker_vector(beta1.param.entries, beta2.param.entries)
-        return TensorFrequencyVector(entries, (beta1, beta2), split.m, kronecker)
-    return FrequencyVector(entries)
+    gauge1 = states._exact_gauge(omega1, beta1)
+    gauge2 = states._exact_gauge(omega2, beta2)
+    if gauge1 is None or gauge2 is None:
+        return FrequencyVector(entries)
+    (bases1, rows1, a1), (bases2, rows2, a2) = gauge1, gauge2
+    return TensorFrequencyVector(entries, bases1 + bases2,
+                                 tuple(r + s for r in rows1 for s in rows2),
+                                 kronecker_vector(a1, a2))
 
 
 # ---------------------------------------------------------------------------

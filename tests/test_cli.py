@@ -365,6 +365,33 @@ class TestOutputOptions:
         assert code == 0
         assert path.read_text().strip() == out.strip()
 
+    # a successful envelope and a rejection envelope take the same output path
+    EMITTING = [("classify", "--vector", HALF_VECTOR),
+                ("state-eval", "--matrix", "F2", "--vector", '["1/2","1/3"]',
+                 "--word", "s1 s1*")]
+
+    @pytest.mark.parametrize("args", EMITTING)
+    def test_unwritable_out_file(self, args, tmp_path):
+        # --out is written first: when that fails, nothing is printed
+        code, out, err = run_cli(*args, "--out", str(tmp_path / "missing" / "r.json"))
+        assert code == 2
+        assert not out
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", EMITTING)
+    def test_closed_stdout(self, args):
+        # a reader that is gone: exit 128 + SIGPIPE, and no traceback
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = subprocess.run([sys.executable, "-m", "ckkms.cli", *args],
+                                  stdout=write_end, stderr=subprocess.PIPE,
+                                  text=True, timeout=300, env=cli_env())
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 141
+        assert proc.stderr == ""
+
     def test_determinism(self):
         args = ("verify-homomorphism", "--matrix-a", "F2", "--vector-a",
                 '["1/3","2/3"]', "--matrix-b", "F2", "--vector-b",

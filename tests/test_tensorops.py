@@ -740,6 +740,41 @@ class TestStructuralPrecondition:
                 assert got.ok == ref.ok, mono
 
 
+    def test_nested_tensor_products_stay_exact(self, exp_calls):
+        # (a kron b) kron c and a kron (b kron c) compose the same exact
+        # gauge, and the Kronecker state of the triple is KMS at beta = 1
+        # for either with no exp enclosure
+        one = Rat(Q(1))
+        sol_a = perron.solve_beta(FULL2, (1, 2))
+        sol_b = perron.solve_beta(GOLDEN, (1, 1))
+        sol_c = perron.solve_beta(FULL2, (1, 1))
+        omega_ab = tensorops.combined_frequencies(IndexSplit(2, 2), (1, 2), sol_a,
+                                                  (1, 1), sol_b)
+        omega_bc = tensorops.combined_frequencies(IndexSplit(2, 2), (1, 1), sol_b,
+                                                  (1, 1), sol_c)
+        left = tensorops.combined_frequencies(IndexSplit(4, 2), omega_ab, one,
+                                              (1, 1), sol_c)
+        right = tensorops.combined_frequencies(IndexSplit(2, 4), (1, 2), sol_a,
+                                               omega_bc, one)
+        for omega in (left, right):
+            assert isinstance(omega, perron.TensorFrequencyVector)
+            assert len(omega.bases) == 3
+        assert (left.bases, left.rows, left.kronecker) == (
+            right.bases, right.rows, right.kronecker)
+        matrix = kronecker_matrix(kronecker_matrix(FULL2, GOLDEN), FULL2)
+        spec = states.state_spec(perron.in_lambda(matrix, left.kronecker))
+        monos = nonzero_monomials(matrix, 1)
+        assert len(monos) == 81
+        for omega in (left, right):
+            plain = perron.FrequencyVector(omega.entries)
+            for mono in monos:
+                exp_calls.clear()
+                got = states.kms_check(spec, omega, one, mono, mono.adjoint())
+                assert got.ok and not exp_calls, mono
+                ref = states.kms_check(spec, plain, one, mono, mono.adjoint())
+                assert got.ok == ref.ok, mono
+
+
 class TestCoassociativity:
     def test_triples(self):
         assert tensorops.check_coassociativity(2, 2, 2)
