@@ -23,8 +23,8 @@ from .errors import DomainError, PreconditionError, ResourceLimitError
 from .intervals import Q, exp_interval
 from .matrix01 import DEFAULT_DIMENSION_CAP
 from .perron import DEFAULT_PRECISION, DEFAULT_TOLERANCE, solve_beta
-from .scalars import (Alg, BaseDecomposition, Enc, Flt, Rat, Scalar,
-                      log_ratio_rational)
+from .scalars import (EXACT, HEURISTIC, Alg, BaseDecomposition, Enc, Flt, Rat,
+                      Scalar, log_ratio_rational)
 from .tensorops import kronecker_vector
 
 FLOAT_EXPONENT_CAP = 64
@@ -60,12 +60,12 @@ class PowerForm:
 @dataclass(frozen=True)
 class TypeLabel:
     lam: Scalar  # in (0,1]
-    mode: str  # "exact" | "heuristic"
+    mode: str  # a mode of scalars.MODES
     decomposition: BaseDecomposition | None = None  # present iff lam < 1
     warnings: tuple = ()
 
     def __post_init__(self):
-        if self.mode not in ("exact", "heuristic"):
+        if self.mode not in scalars.MODES:
             raise DomainError(f"unknown mode {self.mode!r}")
 
     @property
@@ -73,7 +73,7 @@ class TypeLabel:
         return isinstance(self.lam, Rat) and self.lam.value == 1
 
 
-LABEL_ONE = TypeLabel(scalars.ONE, "exact")
+LABEL_ONE = TypeLabel(scalars.ONE, EXACT)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +147,7 @@ def _classify_lattice(entries) -> TypeLabel | None:
     g = math.gcd(*multipliers)
     if g > 1:
         lam = scalars.make_power(lam, g)
-    return TypeLabel(lam, "exact",
+    return TypeLabel(lam, EXACT,
                      BaseDecomposition(lam, tuple(m // g for m in multipliers)))
 
 
@@ -172,7 +172,7 @@ def _classify_floats(values) -> TypeLabel:
             warnings.append(
                 "a log ratio shows no small rational dependence; treating the "
                 "entries as multiplicatively independent")
-            return TypeLabel(scalars.ONE, "heuristic", None, tuple(warnings))
+            return TypeLabel(scalars.ONE, HEURISTIC, None, tuple(warnings))
         ratios.append(verdict.ratio)
     denom_lcm = math.lcm(*(r.denominator for r in ratios))
     exps = [int(r * denom_lcm) for r in ratios]
@@ -182,9 +182,9 @@ def _classify_floats(values) -> TypeLabel:
         warnings.append(
             "inferred exponents are implausibly large for float evidence; "
             "treating the entries as multiplicatively independent")
-        return TypeLabel(scalars.ONE, "heuristic", None, tuple(warnings))
+        return TypeLabel(scalars.ONE, HEURISTIC, None, tuple(warnings))
     lam = Flt(math.exp(math.log(values[0]) * g / denom_lcm))
-    return TypeLabel(lam, "heuristic",
+    return TypeLabel(lam, HEURISTIC,
                      BaseDecomposition(lam, tuple(exps)), tuple(warnings))
 
 
@@ -196,7 +196,7 @@ def detect_lambda(a) -> TypeLabel:
         g = math.gcd(*a.exponents)
         lam = scalars.make_power(a.base, g)
         exps = tuple(e // g for e in a.exponents)
-        return TypeLabel(lam, "exact", BaseDecomposition(lam, exps))
+        return TypeLabel(lam, EXACT, BaseDecomposition(lam, exps))
     entries = tuple(scalars._as_scalar(v) for v in a)
     if not entries:
         raise DomainError("empty vector")
@@ -209,7 +209,7 @@ def detect_lambda(a) -> TypeLabel:
         return label
     values = [scalars.to_float(s) for s in entries]
     label = _classify_floats(values)
-    return TypeLabel(label.lam, "heuristic", label.decomposition,
+    return TypeLabel(label.lam, HEURISTIC, label.decomposition,
                      label.warnings + (
                          "entries mix algebraic bases that the exact lattice "
                          "cannot certify; falling back to float heuristics",))
@@ -373,7 +373,7 @@ def oka_crosscheck(matrix, omega) -> OkaReport:
     compares that enclosure with the classified label's enclosure.
     """
     solution = solve_beta(matrix, omega)
-    if solution.mode != "exact":
+    if solution.mode != EXACT:
         raise PreconditionError("the cross-check needs rational frequencies")
     label = detect_lambda(PowerForm(solution.base, solution.exponents))
     r_iv = solution.beta * (1 / solution.scale)

@@ -129,7 +129,12 @@ def _bounds(iv: Interval) -> list[str]:
             for x, r in zip(ends, (decimal.ROUND_FLOOR, decimal.ROUND_CEILING))]
 
 
-def render_scalar(s: scalars.Scalar, precision=Q(1, 10**15)) -> dict:
+# the width of a printed scalar's enclosure, unless a command prints at
+# --precision
+PRINT_WIDTH = Q(1, 10**15)
+
+
+def render_scalar(s: scalars.Scalar, precision=PRINT_WIDTH) -> dict:
     iv = scalars.refine(s, precision)
     out = {
         "float": fmt15(scalars.to_float(s)),
@@ -169,21 +174,87 @@ def render_lambda(label: classify.TypeLabel) -> dict:
     return out
 
 
+@dataclass(frozen=True)
+class LabelValue:
+    """The value of a type label, printed as a scalar: a guessed label may
+    be an exact scalar, but only a proved one is printed as exact."""
+    label: classify.TypeLabel
+
+
+def render(value, precision=PRINT_WIDTH) -> tuple:
+    """(JSON, mode) of a reported value: dicts and lists entry by entry, a
+    type label spread into its dict, and the mode the weakest of the parts.
+
+    A scalar has the mode of its shape; an interval of nonzero width and a
+    nonzero bound (a Fraction: a residual, gap or width) are certified; a
+    parameter vector prints its certificate, its mode.  A BetaSolution
+    prints its beta enclosure with the mode of its parameters, since a check
+    on an exact one takes its exact gauge, not the enclosure.  Other JSON
+    passes through as exact.
+    """
+    if isinstance(value, dict):
+        out, modes = {}, []
+        for key, item in value.items():
+            text, mode = render(item, precision)
+            if isinstance(item, classify.TypeLabel):
+                out.update(text)
+            else:
+                out[key] = text
+            modes.append(mode)
+        return out, scalars.weakest(*modes)
+    if isinstance(value, (list, tuple)):
+        pairs = [render(item, precision) for item in value]
+        return [text for text, _ in pairs], scalars.weakest(*(m for _, m in pairs))
+    if isinstance(value, classify.TypeLabel):
+        return render_lambda(value), value.mode
+    if isinstance(value, LabelValue):
+        label = value.label
+        return (dict(render_scalar(label.lam, precision), exact=label.mode == scalars.EXACT),
+                label.mode)
+    if isinstance(value, scalars.Scalar):
+        return render_scalar(value, precision), scalars.mode_of(value)
+    if isinstance(value, perron.BetaSolution):
+        return render_interval(value.beta), value.mode
+    if isinstance(value, perron.ParamVector):
+        return value.certificate, value.certificate
+    if isinstance(value, Interval):
+        return render_interval(value), scalars.CERTIFIED if value.width else scalars.EXACT
+    if isinstance(value, Fraction):
+        return fmt15(float(value)), scalars.CERTIFIED if value else scalars.EXACT
+    return value, scalars.EXACT
+
+
+RESIDUAL_WARNING = "residual is a certified enclosure bound, not a float estimate"
+
+
+@dataclass(frozen=True)
+class Report:
+    """What a command reports, as raw values for `render`: the `result`, the
+    `residual` bound of a verdict, and `rests_on`, the values the result
+    depends on without printing them (the parameters of a state).  Scalars
+    of the result render at `precision`."""
+    result: dict
+    code: int = 0
+    residual: Fraction | None = None
+    warnings: tuple = ()
+    rests_on: tuple = ()
+    precision: Fraction = PRINT_WIDTH
+
+
 # ---------------------------------------------------------------------------
-# command handlers: each returns (result, mode, residual, warnings, exit_code)
+# command handlers: each returns a Report
 
 
 def _cmd_classify(args, config: RunConfig):
-    vec = parse_vector_or_power_form(args.vector)
-    label = classify.detect_lambda(vec)
-    return render_lambda(label), label.mode, None, list(label.warnings), 0
+    label = classify.detect_lambda(parse_vector_or_power_form(args.vector))
+    return Report({"label": label}, warnings=label.warnings)
 
 
 def _cmd_tensor_type(args, config: RunConfig):
     a = parse_vector_or_power_form(args.a)
     b = parse_vector_or_power_form(args.b)
     label = classify.tensor_type(a, b)
-    return render_lambda(label), label.mode, None, list(label.warnings), 0
+    return Report({"label": label}, warnings=label.warnings)
 
 
 def _cmd_power_type(args, config: RunConfig):
@@ -191,11 +262,10 @@ def _cmd_power_type(args, config: RunConfig):
         raise UsageError("--p and --q must be given together")
     a = parse_vector_or_power_form(args.a)
     label = classify.power_type_direct(a, args.k, config.dimension_cap)
-    result = render_lambda(label)
+    result = {"label": label}
     if args.p is not None:
-        r = classify.power_type_ck2(args.p, args.q, args.k)
-        result["exponent_rule"] = r
-    return result, label.mode, None, list(label.warnings), 0
+        result["exponent_rule"] = classify.power_type_ck2(args.p, args.q, args.k)
+    return Report(result, warnings=label.warnings)
 
 
 def _parse_scalar_arg(text: str) -> scalars.Scalar:
@@ -211,43 +281,32 @@ def _cmd_afd_rule(args, config: RunConfig):
     lam = _parse_scalar_arg(args.lam)
     mu = _parse_scalar_arg(args.mu)
     label = classify.afd_tensor_label(lam, mu)
-    # a guessed label may be an exact scalar, but only a proved one is exact
-    rendered = dict(render_scalar(label.lam), exact=label.mode == "exact")
-    return {"label": rendered}, label.mode, None, list(label.warnings), 0
+    return Report({"label": LabelValue(label)}, warnings=label.warnings)
 
 
 def _cmd_iii1_family(args, config: RunConfig):
     entries = classify.iii1_family(args.n, config.dimension_cap)
     label = classify.detect_lambda([Rat(e) for e in entries])
-    return ({"vector": [str(e) for e in entries], **render_lambda(label)},
-            label.mode, None, [], 0)
+    return Report({"vector": [str(e) for e in entries], "label": label})
 
 
 def _cmd_pf(args, config: RunConfig):
-    matrix = parse_matrix(args.matrix)
-    data = perron.pf_data(matrix, precision=config.precision)
-    result = {
-        "eigenvalue": render_interval(data.eigenvalue),
-        "eigenvector": [render_interval(iv) for iv in data.eigenvector],
-        "iterations": data.iterations,
-    }
-    return result, "exact", None, [], 0
+    data = perron.pf_data(parse_matrix(args.matrix), precision=config.precision)
+    return Report({"eigenvalue": data.eigenvalue, "eigenvector": data.eigenvector,
+                   "iterations": data.iterations})
 
 
 def _cmd_solve_beta(args, config: RunConfig):
     matrix = parse_matrix(args.matrix)
     omega = parse_omega(args.omega)
     solution = perron.solve_beta(matrix, omega, precision=config.precision)
-    result = {
-        "beta": render_interval(solution.beta),
-        "parameters": [render_scalar(s) for s in solution.param.entries],
-        "certificate": solution.param.certificate,
-    }
+    result = {"beta": solution.beta, "parameters": solution.param.entries,
+              "certificate": solution.param}
     if solution.base is not None:
-        result["base"] = render_scalar(solution.base)
-        result["exponents"] = list(solution.exponents)
+        result["base"] = solution.base
+        result["exponents"] = solution.exponents
         result["scale"] = str(solution.scale)
-    return result, solution.mode, None, [], 0
+    return Report(result)
 
 
 def _cmd_membership(args, config: RunConfig):
@@ -258,11 +317,9 @@ def _cmd_membership(args, config: RunConfig):
     except MembershipRejected as exc:
         result = {"member": False, "reason": str(exc)}
         if exc.enclosure is not None:
-            result["spectral_radius"] = render_interval(exc.enclosure)
-        return result, "exact", None, [], 1
-    return ({"member": True, "certificate": param.certificate},
-            "exact" if param.certificate == "exact" else "heuristic",
-            None, [], 0)
+            result["spectral_radius"] = exc.enclosure
+        return Report(result, code=1)
+    return Report({"member": True, "certificate": param})
 
 
 def _state_spec_from_args(matrix_text: str, vector_text: str, config: RunConfig):
@@ -276,13 +333,12 @@ def _cmd_state_eval(args, config: RunConfig):
     spec = _state_spec_from_args(args.matrix, args.vector, config)
     nf = ckwords.normalize(spec.matrix, ckwords.parse_word(args.word))
     value = states.eval_state(spec, nf)
-    iv = scalars.refine(value, config.precision)
     result = {
-        "value": render_scalar(value, config.precision),
-        "enclosure_width": fmt15(float(iv.width)),
+        "value": value,
+        "enclosure_width": scalars.refine(value, config.precision).width,
         "normal_form": ckwords.normal_form_to_json(nf),
     }
-    return result, "exact" if scalars.is_exact(value) else "heuristic", None, [], 0
+    return Report(result, rests_on=(spec.param,), precision=config.precision)
 
 
 def _cmd_kms_check(args, config: RunConfig):
@@ -295,17 +351,8 @@ def _cmd_kms_check(args, config: RunConfig):
     check = states.kms_check(spec, omega, solution, x, y,
                              tolerance=config.tolerance,
                              precision=config.precision)
-    result = {
-        "ok": check.ok,
-        "lhs": render_scalar(check.lhs),
-        "rhs": render_scalar(check.rhs),
-        "beta": render_interval(solution.beta),
-    }
-    mode = "exact" if check.residual == 0 else "heuristic"
-    warnings = [] if mode == "exact" else [
-        "residual is a certified enclosure bound, not a float estimate"]
-    return (result, mode, fmt15(float(check.residual)), warnings,
-            0 if check.ok else 1)
+    result = {"ok": check.ok, "lhs": check.lhs, "rhs": check.rhs, "beta": solution}
+    return Report(result, code=0 if check.ok else 1, residual=check.residual)
 
 
 def _cmd_tensor_state(args, config: RunConfig):
@@ -315,11 +362,8 @@ def _cmd_tensor_state(args, config: RunConfig):
                                  config.dimension_cap)
     nf = ckwords.normalize(composite, ckwords.parse_word(args.word))
     value = tensorops.tensor_state_eval(spec_a, spec_b, nf)
-    result = {
-        "value": render_scalar(value, config.precision),
-        "composite_dimension": composite.n,
-    }
-    return result, "exact" if scalars.is_exact(value) else "heuristic", None, [], 0
+    return Report({"value": value, "composite_dimension": composite.n},
+                  rests_on=(spec_a.param, spec_b.param), precision=config.precision)
 
 
 def _cmd_verify_homomorphism(args, config: RunConfig):
@@ -330,15 +374,12 @@ def _cmd_verify_homomorphism(args, config: RunConfig):
         tolerance=config.tolerance)
     result = {
         "passed": report.passed,
-        "max_residual": fmt15(float(report.max_residual)),
+        "max_residual": report.max_residual,
         "diagonal_monomials": report.diagonal_count,
         "max_word_len": report.max_len,
     }
-    mode = "exact" if report.max_residual == 0 else "heuristic"
-    warnings = [] if mode == "exact" else [
-        "residual is a certified enclosure bound, not a float estimate"]
-    return (result, mode, fmt15(float(report.max_residual)), warnings,
-            0 if report.passed else 1)
+    return Report(result, code=0 if report.passed else 1,
+                  residual=report.max_residual, rests_on=(spec_a.param, spec_b.param))
 
 
 def _cmd_coassoc(args, config: RunConfig):
@@ -347,41 +388,32 @@ def _cmd_coassoc(args, config: RunConfig):
     if len(dims) != 3:
         raise UsageError("--dims needs three comma-separated integers")
     ok = tensorops.check_coassociativity(*dims)
-    return {"passed": ok, "dims": dims}, "exact", None, [], 0 if ok else 1
+    return Report({"passed": ok, "dims": dims}, code=0 if ok else 1)
 
 
 def _cmd_normalize(args, config: RunConfig):
     matrix = parse_matrix(args.matrix)
     word = ckwords.parse_word(args.word)
     nf = ckwords.normalize(matrix, word, strategy=args.strategy)
-    return ({"normal_form": ckwords.normal_form_to_json(nf),
-             "is_zero": nf.is_zero}, "exact", None, [], 0)
+    return Report({"normal_form": ckwords.normal_form_to_json(nf),
+                   "is_zero": nf.is_zero})
 
 
 # ---------------------------------------------------------------------------
 # reproduction report
 
 
-def render_check(check_id: str, passed: bool, detail: dict) -> dict:
-    """One `reproduce-paper` row: a type label is spread into the row, and
-    scalars, intervals and residual bounds are rendered; JSON passes through."""
-    row = {"id": check_id, "passed": bool(passed)}
-    for key, value in detail.items():
-        if isinstance(value, classify.TypeLabel):
-            row.update(render_lambda(value))
-        elif isinstance(value, scalars.Scalar):
-            row[key] = render_scalar(value)
-        elif isinstance(value, Interval):
-            row[key] = render_interval(value)
-        elif isinstance(value, Fraction):
-            row[key] = fmt15(float(value))
-        else:
-            row[key] = value
-    return row
+def check_row(check_id: str, passed: bool, detail: dict) -> dict:
+    """One `reproduce-paper` row, as raw values for `render`."""
+    return {"id": check_id, "passed": bool(passed), **detail}
+
+
+def render_check(*row) -> dict:
+    return render(check_row(*row))[0]
 
 
 def _cmd_reproduce(args, config: RunConfig):
-    checks = [render_check(check_id, *check(config.precision, config.tolerance))
+    checks = [check_row(check_id, *check(config.precision, config.tolerance))
               for check_id, check in paper.CHECKS]
     passed = all(c["passed"] for c in checks)
     result = {
@@ -390,30 +422,39 @@ def _cmd_reproduce(args, config: RunConfig):
         "failed": [c["id"] for c in checks if not c["passed"]],
         "checks": checks,
     }
-    return result, "exact", None, [], 0 if passed else 1
+    return Report(result, code=0 if passed else 1)
 
 
 # ---------------------------------------------------------------------------
 # driver
 
 
-_HANDLERS = {
-    "classify": _cmd_classify,
-    "tensor-type": _cmd_tensor_type,
-    "power-type": _cmd_power_type,
-    "afd-rule": _cmd_afd_rule,
-    "iii1-family": _cmd_iii1_family,
-    "pf": _cmd_pf,
-    "solve-beta": _cmd_solve_beta,
-    "membership": _cmd_membership,
-    "state-eval": _cmd_state_eval,
-    "kms-check": _cmd_kms_check,
-    "tensor-state": _cmd_tensor_state,
-    "verify-homomorphism": _cmd_verify_homomorphism,
-    "coassoc": _cmd_coassoc,
-    "normalize": _cmd_normalize,
-    "reproduce-paper": _cmd_reproduce,
+# name: (handler, help, required string flags); build_parser adds the rest
+_COMMANDS = {
+    "classify": (_cmd_classify, "type label of a parameter vector", "vector"),
+    "tensor-type": (_cmd_tensor_type, "type label of a Kronecker product", "a b"),
+    "power-type": (_cmd_power_type, "type label of a Kronecker power", "a"),
+    "afd-rule": (_cmd_afd_rule, "tensor rule for two type labels", "lam mu"),
+    "iii1-family": (_cmd_iii1_family, "rational vectors with label 1", ""),
+    "pf": (_cmd_pf, "certified spectral data of a 0-1 matrix", "matrix"),
+    "solve-beta": (_cmd_solve_beta, "inverse temperature for frequencies",
+                   "matrix omega"),
+    "membership": (_cmd_membership, "is the vector on the KMS manifold",
+                   "matrix vector"),
+    "state-eval": (_cmd_state_eval, "evaluate a state on a word",
+                   "matrix vector word"),
+    "kms-check": (_cmd_kms_check, "check the KMS identity on words",
+                  "matrix omega x y"),
+    "tensor-state": (_cmd_tensor_state, "tensor state on a composite word",
+                     "matrix-a vector-a matrix-b vector-b word"),
+    "verify-homomorphism": (_cmd_verify_homomorphism,
+                            "compare tensor evaluation with the product state",
+                            "matrix-a vector-a matrix-b vector-b"),
+    "coassoc": (_cmd_coassoc, "index-splitting coassociativity", ""),
+    "normalize": (_cmd_normalize, "normal form of a word", "matrix word"),
+    "reproduce-paper": (_cmd_reproduce, "run the worked-example suite", ""),
 }
+_HANDLERS = {name: handler for name, (handler, _, _) in _COMMANDS.items()}
 
 
 def _add_global_flags(parser: argparse.ArgumentParser, *, suppress: bool) -> None:
@@ -445,87 +486,19 @@ def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     _add_global_flags(common, suppress=True)
     sub = parser.add_subparsers(dest="command")
-
-    p = sub.add_parser("classify", parents=[common],
-                       help="type label of a parameter vector")
-    p.add_argument("--vector", required=True)
-
-    p = sub.add_parser("tensor-type", parents=[common],
-                       help="type label of a Kronecker product")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-
-    p = sub.add_parser("power-type", parents=[common],
-                       help="type label of a Kronecker power")
-    p.add_argument("--a", required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--p", type=int, default=None)
-    p.add_argument("--q", type=int, default=None)
-
-    p = sub.add_parser("afd-rule", parents=[common],
-                       help="tensor rule for two type labels")
-    p.add_argument("--lam", required=True)
-    p.add_argument("--mu", required=True)
-
-    p = sub.add_parser("iii1-family", parents=[common],
-                       help="rational vectors with label 1")
-    p.add_argument("--n", type=int, required=True)
-
-    p = sub.add_parser("pf", parents=[common],
-                       help="certified spectral data of a 0-1 matrix")
-    p.add_argument("--matrix", required=True)
-
-    p = sub.add_parser("solve-beta", parents=[common],
-                       help="inverse temperature for frequencies")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--omega", required=True)
-
-    p = sub.add_parser("membership", parents=[common],
-                       help="is the vector on the KMS manifold")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--vector", required=True)
-
-    p = sub.add_parser("state-eval", parents=[common],
-                       help="evaluate a state on a word")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--vector", required=True)
-    p.add_argument("--word", required=True)
-
-    p = sub.add_parser("kms-check", parents=[common],
-                       help="check the KMS identity on words")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--omega", required=True)
-    p.add_argument("--x", required=True)
-    p.add_argument("--y", required=True)
-
-    p = sub.add_parser("tensor-state", parents=[common],
-                       help="tensor state on a composite word")
-    p.add_argument("--matrix-a", required=True)
-    p.add_argument("--vector-a", required=True)
-    p.add_argument("--matrix-b", required=True)
-    p.add_argument("--vector-b", required=True)
-    p.add_argument("--word", required=True)
-
-    p = sub.add_parser("verify-homomorphism", parents=[common],
-                       help="compare tensor evaluation with the product state")
-    p.add_argument("--matrix-a", required=True)
-    p.add_argument("--vector-a", required=True)
-    p.add_argument("--matrix-b", required=True)
-    p.add_argument("--vector-b", required=True)
-
-    p = sub.add_parser("coassoc", parents=[common],
-                       help="index-splitting coassociativity")
-    p.add_argument("--dims", required=True, help="three dims, e.g. 2,3,2")
-
-    p = sub.add_parser("normalize", parents=[common],
-                       help="normal form of a word")
-    p.add_argument("--matrix", required=True)
-    p.add_argument("--word", required=True)
-    p.add_argument("--strategy", choices=("leftmost", "rightmost"),
-                   default="leftmost")
-
-    sub.add_parser("reproduce-paper", parents=[common],
-                   help="run the worked-example suite")
+    commands = {}
+    for name, (_, help_text, flags) in _COMMANDS.items():
+        commands[name] = sub.add_parser(name, parents=[common], help=help_text)
+        for flag in flags.split():
+            commands[name].add_argument(f"--{flag}", required=True)
+    commands["power-type"].add_argument("--k", type=int, required=True)
+    commands["power-type"].add_argument("--p", type=int, default=None)
+    commands["power-type"].add_argument("--q", type=int, default=None)
+    commands["iii1-family"].add_argument("--n", type=int, required=True)
+    commands["coassoc"].add_argument("--dims", required=True,
+                                     help="three dims, e.g. 2,3,2")
+    commands["normalize"].add_argument("--strategy", choices=("leftmost", "rightmost"),
+                                       default="leftmost")
     return parser
 
 
@@ -588,23 +561,15 @@ def main(argv=None) -> int:
     except (ValueError, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    handler = _HANDLERS[args.command]
     try:
-        result, mode, residual, warnings, code = handler(args, config)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except MembershipRejected as exc:
-        doc = {
-            "command": args.command,
-            "inputs": _inputs_of(args),
-            "result": {"rejected": True, "reason": str(exc)},
-            "mode": "exact",
-            "residual": None,
-            "warnings": [],
-        }
-        return _emit(doc, args, 1)
-    except CkkmsError as exc:
+        try:
+            report = _HANDLERS[args.command](args, config)
+        except MembershipRejected as exc:
+            report = Report({"rejected": True, "reason": str(exc)}, code=1)
+        # the mode is the weakest among result, residual and what it rests on
+        (result, residual, _), mode = render(
+            (report.result, report.residual, report.rests_on), report.precision)
+    except (UsageError, CkkmsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
@@ -616,9 +581,9 @@ def main(argv=None) -> int:
         "result": result,
         "mode": mode,
         "residual": residual,
-        "warnings": warnings,
+        "warnings": list(report.warnings) + [RESIDUAL_WARNING] * bool(report.residual),
     }
-    return _emit(doc, args, code)
+    return _emit(doc, args, report.code)
 
 
 def _inputs_of(args) -> dict:

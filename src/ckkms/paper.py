@@ -16,9 +16,9 @@ import math
 from . import ckwords, classify, perron, scalars, states, tensorops
 from .ckwords import Monomial
 from .errors import MembershipRejected
-from .intervals import Interval, Q
+from .intervals import Interval, Q, log_interval_point
 from .matrix01 import ZeroOneMatrix, kronecker_matrix
-from .scalars import Rat, fmt15
+from .scalars import EXACT, Enc, Rat, fmt15
 
 F2 = ZeroOneMatrix.full(2)
 F3 = ZeroOneMatrix.full(3)
@@ -91,7 +91,7 @@ def kron_vector_golden(precision, tolerance):
 
 def label_rational_pair_a(precision, tolerance):
     label = classify.detect_lambda([Q(1, 3), Q(2, 3)])
-    return label.is_one and label.mode == "exact", {}
+    return label.is_one and label.mode == EXACT, {}
 
 
 def label_rational_pair_b(precision, tolerance):
@@ -102,19 +102,19 @@ def label_rational_pair_b(precision, tolerance):
 def label_golden_powers(precision, tolerance):
     golden = _golden_base()
     label = classify.detect_lambda(classify.PowerForm(golden, (1, 2)))
-    return (scalars.same_value(label.lam, golden) and label.mode == "exact",
+    return (scalars.same_value(label.lam, golden) and label.mode == EXACT,
             {"label": label})
 
 
 def label_tensor_ab(precision, tolerance):
     label = classify.tensor_type([Q(1, 3), Q(2, 3)], [Q(1, 2), Q(1, 2)])
-    return label.is_one and label.mode == "exact", {}
+    return label.is_one and label.mode == EXACT, {}
 
 
 def label_tensor_bc(precision, tolerance):
     label = classify.tensor_type([Q(1, 2), Q(1, 2)],
                                  classify.PowerForm(_golden_base(), (1, 2)))
-    return label.is_one and label.mode == "exact", {}
+    return label.is_one and label.mode == EXACT, {}
 
 
 def label_canonical_tensor(precision, tolerance):
@@ -199,7 +199,7 @@ def afd_rule_values(precision, tolerance):
 
 def beta_golden_spec(precision, tolerance):
     solution = perron.solve_beta(FIB, [Q(1), Q(1)], precision=precision)
-    return (solution.mode == "exact"
+    return (solution.mode == EXACT
             and abs(float(solution.beta.mid) - math.log((1 + ROOT5) / 2)) < 1e-9
             and scalars.same_value(solution.base, _golden_base()),
             {"beta": solution.beta})
@@ -249,7 +249,7 @@ def pfe_multiplicative(precision, tolerance):
 
 def kms_product_transport(precision, tolerance):
     split = tensorops.IndexSplit(2, 2)
-    log2 = scalars.Flt(math.log(2.0))  # a=(1/2,1/2) matches e^{-beta omega} at beta=log 2
+    log2 = Enc(log_interval_point(2))  # a=(1/2,1/2) matches e^{-beta omega} at beta=log 2
     omega = tensorops.combined_frequencies(
         split, [Q(1), Q(1)], log2, [Q(1), Q(1)], log2)
     ab = tensorops.kronecker_vector([Q(1, 2)] * 2, [Q(1, 2)] * 2)

@@ -64,13 +64,13 @@ class PFData:
 class ParamVector:
     matrix: ZeroOneMatrix
     entries: tuple  # tuple[Scalar, ...], each in (0,1)
-    certificate: str  # "exact" | "verified"
+    certificate: str  # a mode of scalars.MODES
     tolerance: Fraction | None = None
 
     def __post_init__(self):
         if len(self.entries) != self.matrix.n:
             raise DomainError("parameter vector length must match the matrix size")
-        if self.certificate not in ("exact", "verified"):
+        if self.certificate not in scalars.MODES:
             raise DomainError(f"unknown certificate {self.certificate!r}")
 
 
@@ -97,10 +97,13 @@ class FrequencyVector:
 class BetaSolution:
     beta: Interval
     param: ParamVector
-    mode: str  # "exact" | "heuristic"
     base: Scalar | None = None  # a_i = base^exponents[i] in exact mode
     exponents: tuple | None = None
     scale: Fraction | None = None  # beta = -scale * ln(base)
+
+    @property
+    def mode(self) -> str:
+        return self.param.certificate
 
 
 @dataclass(frozen=True)
@@ -398,14 +401,15 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=DEFAULT_TOLERANCE) -> 
     if not matrix.is_full():
         data = pf_data(matrix, entries, min(DEFAULT_PRECISION, tolerance / 4))
         _require_radius_one(data.eigenvalue, tolerance)
-        return ParamVector(matrix, entries, "verified", tolerance)
+        return ParamVector(matrix, entries, scalars.CERTIFIED, tolerance)
     radius = sum(scalars.refine(s, tolerance / (32 * matrix.n)) for s in entries)
     if radius.width > tolerance / 4:
         raise NumericalFailureError(
             "eigenvalue bracket is limited by fixed-width enclosure entries")
     _require_radius_one(radius, tolerance)
     exact = radius == Interval.point(1) and all(isinstance(s, Rat) for s in entries)
-    return ParamVector(matrix, entries, "exact" if exact else "verified", tolerance)
+    return ParamVector(matrix, entries,
+                       scalars.EXACT if exact else scalars.CERTIFIED, tolerance)
 
 
 def canonical_point(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> ParamVector:
@@ -481,8 +485,8 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
 
     Rational frequencies take the exact branch (power-form parameters over
     the smallest (0,1) root of the determinant polynomial); anything else
-    falls back to certified bisection with float parameters, flagged
-    heuristic.  Either way beta is at most `precision` wide.
+    falls back to certified bisection with float parameters, whose mode
+    is heuristic.  Either way beta is at most `precision` wide.
     """
     precision = Q(precision)
     if not isinstance(omega, FrequencyVector):
@@ -518,9 +522,8 @@ def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
     biv = scalars.refine(base, w * scalars.refine(base, Q(1, 2 * matrix.n)).lo)
     beta = Interval(-scale * log_interval_point(biv.hi, w).hi,
                     -scale * log_interval_point(biv.lo, w).lo)
-    param = ParamVector(matrix, entries, "exact")
-    return BetaSolution(beta, param, "exact", base=base,
-                        exponents=tuple(reduced), scale=scale)
+    param = ParamVector(matrix, entries, scalars.EXACT)
+    return BetaSolution(beta, param, base=base, exponents=tuple(reduced), scale=scale)
 
 
 def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
@@ -600,5 +603,6 @@ def _solve_beta_numeric(matrix: ZeroOneMatrix, omega: FrequencyVector,
     entries = tuple(
         Flt(math.exp(-float(mid) * scalars.to_float(w))) for w in omega.entries
     )
-    param = ParamVector(matrix, entries, "verified", tolerance=precision)
-    return BetaSolution(beta, param, "heuristic")
+    # no membership test checks the float parameters
+    param = ParamVector(matrix, entries, scalars.HEURISTIC, tolerance=precision)
+    return BetaSolution(beta, param)

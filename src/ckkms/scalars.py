@@ -9,6 +9,11 @@ a single-base power x^k is Product(1, ((x, k),)).  Flt is a float, always
 treated as heuristic.  Enc is a value known only through a rigorous
 rational-endpoint enclosure.
 
+The shapes decide how far a value can be trusted, its mode: `exact` for
+Rat, Alg and Product, `certified` for Enc, `heuristic` for Flt.  A result
+resting on several values takes the weakest of their modes, as an interval
+result takes the weakest decoration of its inputs in IEEE Std 1788-2015.
+
 Construction goes through make_algebraic / make_power / mul, which normalize:
 rational roots collapse to Rat, x^k that is congruent to a constant modulo
 the defining polynomial collapses to a rational power, empty products unwrap
@@ -86,8 +91,23 @@ ZERO = Rat(Fraction(0))
 ENCLOSURE_WIDTH = Q(1, 10**18)
 
 
+# the modes of a value, strongest first
+MODES = EXACT, CERTIFIED, HEURISTIC = ("exact", "certified", "heuristic")
+
+
 def is_exact(s: Scalar) -> bool:
     return isinstance(s, (Rat, Alg, Product))
+
+
+def mode_of(s: Scalar) -> str:
+    if isinstance(s, Flt):
+        return HEURISTIC
+    return CERTIFIED if isinstance(s, Enc) else EXACT
+
+
+def weakest(*modes: str) -> str:
+    """The weakest of `modes`, EXACT when there are none."""
+    return max(modes, key=MODES.index, default=EXACT)
 
 
 # ---------------------------------------------------------------------------

@@ -174,7 +174,7 @@ def verify_tensor_identity(spec_a: StateSpec, spec_b: StateSpec, max_len: int,
         raise DomainError(f"tolerance must be positive, not {tolerance}")
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
     ab = kronecker_vector(spec_a.param.entries, spec_b.param.entries)
-    spec_ab = state_spec(ParamVector(composite, ab, "verified", tolerance),
+    spec_ab = state_spec(ParamVector(composite, ab, scalars.CERTIFIED, tolerance),
                          precision=min(spec_a.precision, spec_b.precision,
                                        tolerance / 64),
                          independent_pf=True)

@@ -160,3 +160,15 @@ def test_the_word_layer_does_no_scalar_arithmetic():
         elif isinstance(node, ast.ImportFrom) and (node.module or "").endswith("scalars"):
             used.update(alias.name for alias in node.names)
     assert not used & banned
+
+
+def test_no_command_handler_names_a_mode():
+    # cli.render derives the envelope's mode from the reported values; no
+    # command handler, and not main, picks one by a literal
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    literals = [f"{node.name}: {const.value!r}" for node in tree.body
+                if isinstance(node, ast.FunctionDef)
+                and (node.name.startswith("_cmd_") or node.name == "main")
+                for const in ast.walk(node) if isinstance(const, ast.Constant)
+                and const.value in ("exact", "certified", "heuristic")]
+    assert literals == []

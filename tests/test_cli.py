@@ -57,6 +57,38 @@ def run_json(*args):
     return code, json.loads(out)
 
 
+MODES = ("exact", "certified", "heuristic")
+BOUND_KEYS = {"residual", "max_residual", "gap", "enclosure_width"}
+
+
+def shown_mode(node) -> str:
+    """The weakest mode that a rendered envelope body shows: the mode of a
+    type label and a certificate; exact for an exact scalar, certified for
+    an enclosure and heuristic for a float or an unproved guess; certified
+    for an interval or a bound that is not 0.  A kms-check's beta is
+    skipped: it has the mode of the solve the check rests on, which only the
+    envelope's mode shows."""
+    if isinstance(node, list):
+        return max(map(shown_mode, node), key=MODES.index, default="exact")
+    if not isinstance(node, dict):
+        return "exact"
+    if {"enclosure", "exact"} <= node.keys():
+        if node["exact"]:
+            return "exact"
+        return "heuristic" if {"rational", "form"} & node.keys() else "certified"
+    if {"lo", "hi", "width"} <= node.keys():
+        return "exact" if node["width"] == "0" else "certified"
+    modes = ["exact"]
+    for key, value in node.items():
+        if key in ("mode", "certificate"):
+            modes.append(value)
+        elif key in BOUND_KEYS:
+            modes.append("exact" if value in ("0", None) else "certified")
+        elif not (key == "beta" and "ok" in node):
+            modes.append(shown_mode(value))
+    return max(modes, key=MODES.index)
+
+
 class TestEnvelope:
     def test_classify_half(self):
         code, doc = run_json("classify", "--vector", HALF_VECTOR)
@@ -264,7 +296,7 @@ class TestStateCommands:
                              "--omega", '["1","1"]', "--x", "s1", "--y", "s1*")
         assert code == 0
         assert doc["result"]["ok"] is True
-        assert doc["mode"] == "heuristic"
+        assert doc["mode"] == "certified"
         assert any("certified" in w for w in doc["warnings"])
         # the sides are rounded outward onto the grid 2^-60; their floats
         # are those of the unrounded sides
@@ -301,7 +333,7 @@ class TestStateCommands:
         code, doc = run_json("solve-beta", "--matrix", "F2",
                              "--omega", '["1","2"]')
         assert code == 0
-        assert doc["mode"] == "exact"
+        assert doc["mode"] == "certified"
         assert abs(float(doc["result"]["beta"]["float"]) - math.log(PHI)) < 1e-9
         assert doc["result"]["exponents"] == [1, 2]
         assert doc["result"]["scale"] == "1"
@@ -439,6 +471,8 @@ class TestOutputOptions:
             assert cli.main(shlex.split(line)[1:]) == 0, line
             doc = json.loads(capsys.readouterr().out)
             assert set(doc) == ENVELOPE_KEYS, line
+            body = {"result": doc["result"], "residual": doc["residual"]}
+            assert doc["mode"] == shown_mode(body), line
 
     def test_readme_library_quick_start(self, tmp_path):
         # the README's Python block runs as written against src/
@@ -568,6 +602,53 @@ class TestOtherCommands:
         assert doc["result"]["lambda"] == "1/6"
 
 
+CYCLE3 = "[[1,1,0],[1,0,1],[1,0,0]]"
+FLOAT_OMEGA = '[{"type":"float","value":1.4142135623730951},"1"]'
+GOLDEN_ROOT = '{"type":"algebraic","poly":[-1,1,1],"interval":["0","1"]}'
+# (g, g^2) for the golden root g: exact values on F2, whose membership is
+# proved on enclosures
+GOLDEN_VECTOR = f'[{GOLDEN_ROOT},{{"type":"power","base":{GOLDEN_ROOT},"exp":2}}]'
+
+
+class TestModes:
+    # the envelope's mode is the weakest among the values a command reports:
+    # exact scalars, certified enclosures and bounds, heuristic floats
+    @pytest.mark.parametrize("args, mode", [
+        (("state-eval", "--matrix", GOLDEN_MATRIX, "--vector", "canonical",
+          "--word", "s1 s1*"), "certified"),
+        (("pf", "--matrix", CYCLE3), "certified"),
+        (("kms-check", "--matrix", GOLDEN_MATRIX, "--omega", '["1","1"]',
+          "--x", "s1", "--y", "s1*"), "certified"),
+        (("kms-check", "--matrix", GOLDEN_MATRIX, "--omega", FLOAT_OMEGA,
+          "--x", "s1", "--y", "s1*"), "heuristic"),
+        (("membership", "--matrix", CYCLE3, "--vector", "canonical"), "certified"),
+        (("state-eval", "--matrix", "F2", "--vector", GOLDEN_VECTOR,
+          "--word", "s1 s1*"), "certified"),
+        (("solve-beta", "--matrix", GOLDEN_MATRIX, "--omega", FLOAT_OMEGA),
+         "heuristic"),
+        (("classify", "--vector", '["1/2","1/2"]'), "exact"),
+        (("kms-check", "--matrix", "F2", "--omega", '["1","1"]',
+          "--x", "s1", "--y", "s1*"), "exact"),
+        (("tensor-state", "--matrix-a", "F2", "--vector-a", "canonical",
+          "--matrix-b", "F3", "--vector-b", "canonical", "--word", "s1 s1*"),
+         "exact"),
+        (("membership", "--matrix", "F2", "--vector", '["1/2","1/2"]'), "exact"),
+    ], ids=["state-eval-golden", "pf-3x3", "kms-golden", "kms-float-omega",
+            "membership-3x3", "state-eval-golden-vector", "solve-beta-float-omega", "classify-half",
+            "kms-f2", "tensor-state-f2-f3", "membership-f2"])
+    def test_probe_modes(self, args, mode, capsys):
+        from ckkms import cli
+
+        assert cli.main(list(args)) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["mode"] == mode
+        if "certificate" in doc["result"]:
+            assert doc["result"]["certificate"] == mode
+        if doc["residual"] not in (None, "0"):
+            assert doc["warnings"] == [
+                "residual is a certified enclosure bound, not a float estimate"]
+
+
 class TestReproduceSuite:
     def test_all_checks_pass(self):
         code, out, err = run_cli("reproduce-paper")
@@ -580,9 +661,31 @@ class TestReproduceSuite:
         ids = [c["id"] for c in doc["result"]["checks"]]
         assert len(ids) == len(set(ids)) == 29
         assert all(c["passed"] for c in doc["result"]["checks"])
+        assert doc["mode"] == shown_mode(doc["result"]) == "certified"
         # the whole envelope is pinned byte for byte: a refactor that keeps
         # the verdicts but moves a printed bound or digit still fails here
         assert out == REPRODUCE_ENVELOPE.read_text(encoding="utf-8")
+
+    def test_transport_row_rests_on_no_float(self, monkeypatch):
+        # kms-product-transport takes beta = log 2 as a certified enclosure,
+        # through a plain FrequencyVector and so the enclosure precondition,
+        # and its row keeps the residual 2^-44
+        from ckkms import cli, paper, perron, scalars, tensorops
+
+        calls, inner = [], tensorops.combined_frequencies
+
+        def recording(*args):
+            calls.append((args, inner(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(tensorops, "combined_frequencies", recording)
+        row = cli.render_check("kms-product-transport", *paper.kms_product_transport(
+            perron.DEFAULT_PRECISION, perron.DEFAULT_TOLERANCE))
+        [(args, omega)] = calls
+        assert isinstance(args[2], scalars.Enc) and isinstance(args[4], scalars.Enc)
+        assert type(omega) is perron.FrequencyVector
+        assert row == {"id": "kms-product-transport", "passed": True,
+                       "residual": "5.6843418860808e-14"}
 
     # The rows of the registry, rendered in a fresh process: reversed, or in
     # order after refining a golden ratio to 1e-300.  Each printed enclosure

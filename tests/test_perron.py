@@ -244,7 +244,7 @@ class TestMembership:
     def test_canonical_point_accepted_on_golden(self):
         param = perron.canonical_point(GOLDEN)
         verified = perron.in_lambda(GOLDEN, param.entries)
-        assert verified.certificate in ("exact", "verified")
+        assert verified.certificate in ("exact", "certified")
 
     def test_every_pool_canonical_point_accepted(self):
         for m in POOL:

@@ -207,7 +207,7 @@ class TestStateSpecInvariants:
 
     def test_rejects_off_manifold_parameter(self):
         param = perron.ParamVector(GOLDEN, (Rat(Q(1, 3)), Rat(Q(1, 3))),
-                                   "verified", Q(1, 10**9))
+                                   "certified", Q(1, 10**9))
         with pytest.raises(PreconditionError):
             states.state_spec(param)
 
@@ -215,7 +215,7 @@ class TestStateSpecInvariants:
         # (diag a) A for the golden-mean A and a = (1/3, 1/3) has spectral
         # radius (1 + sqrt 5)/6, the positive root of 9x^2 - 3x - 1
         param = perron.ParamVector(GOLDEN, (Rat(Q(1, 3)), Rat(Q(1, 3))),
-                                   "verified", Q(1, 10**9))
+                                   "certified", Q(1, 10**9))
         with pytest.raises(MembershipRejected) as info:
             states.state_spec(param)
         assert isinstance(info.value, PreconditionError)
@@ -261,7 +261,7 @@ class TestMembershipCertificate:
         reused = states.state_spec(param)
         perron._pf_memo.cache_clear()
         fresh = states.state_spec(
-            perron.ParamVector(GOLDEN, entries, "verified", tolerance))
+            perron.ParamVector(GOLDEN, entries, "certified", tolerance))
         for field in dataclasses.fields(states.StateSpec):
             assert getattr(reused, field.name) == getattr(fresh, field.name), field.name
         calls = self.pf_data_calls(monkeypatch)

@@ -249,7 +249,7 @@ def composite_spec(spec_a, spec_b, tolerance=Q(1, 10**9)):
     composite = kronecker_matrix(spec_a.matrix, spec_b.matrix)
     ab = tensorops.kronecker_vector(spec_a.param.entries, spec_b.param.entries)
     return states.state_spec(
-        perron.ParamVector(composite, ab, "verified", tolerance),
+        perron.ParamVector(composite, ab, "certified", tolerance),
         precision=min(spec_a.precision, spec_b.precision, tolerance / 64),
         independent_pf=True)
 
@@ -705,7 +705,7 @@ class TestStructuralPrecondition:
             # a loose membership tolerance admits the state, whose radius
             # moves by about the offset
             near = states.state_spec(perron.ParamVector(
-                spec.matrix, tuple(entries), "verified", Q(1, 10**4)))
+                spec.matrix, tuple(entries), "certified", Q(1, 10**4)))
             for x, y in (("s1", "s1*"), ("s1 s2", "s2*")):
                 if not passes:
                     with pytest.raises(PreconditionError):
