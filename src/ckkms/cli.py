@@ -188,8 +188,9 @@ def render(value, precision=PRINT_WIDTH) -> tuple:
     A scalar has the mode of its shape; an interval of nonzero width and a
     nonzero bound (a Fraction: a residual, gap or width) are certified; a
     parameter vector prints its certificate, its mode.  A BetaSolution
-    prints its beta enclosure with the mode of its parameters, since a check
-    on an exact one takes its exact gauge, not the enclosure.  Other JSON
+    prints its beta enclosure and adds no mode: a check on an exact solve
+    takes its exact gauge, not the enclosure, so the command that prints
+    one lists the solve's parameters in `Report.rests_on`.  Other JSON
     passes through as exact.
     """
     if isinstance(value, dict):
@@ -214,7 +215,7 @@ def render(value, precision=PRINT_WIDTH) -> tuple:
     if isinstance(value, scalars.Scalar):
         return render_scalar(value, precision), scalars.mode_of(value)
     if isinstance(value, perron.BetaSolution):
-        return render_interval(value.beta), value.mode
+        return render_interval(value.beta), scalars.EXACT
     if isinstance(value, perron.ParamVector):
         return value.certificate, value.certificate
     if isinstance(value, Interval):
@@ -225,14 +226,20 @@ def render(value, precision=PRINT_WIDTH) -> tuple:
 
 
 RESIDUAL_WARNING = "residual is a certified enclosure bound, not a float estimate"
+# for an envelope whose mode comes from what its result rests on, not from
+# the printed values, whose weakest mode is `shown`
+RESTS_ON_WARNING = ("mode is {mode} because the result rests on parameters whose "
+                    "certificate is {mode}; the printed values alone are {shown}")
 
 
 @dataclass(frozen=True)
 class Report:
     """What a command reports, as raw values for `render`: the `result`, the
     `residual` bound of a verdict, and `rests_on`, the values the result
-    depends on without printing them (the parameters of a state).  Scalars
-    of the result render at `precision`."""
+    depends on without printing them (the parameters of a state or of a
+    solve).  Scalars of the result render at `precision`.  When what it
+    rests on is weaker than every printed value, the envelope's mode comes
+    from there, and a warning says so."""
     result: dict
     code: int = 0
     residual: Fraction | None = None
@@ -335,7 +342,8 @@ def _cmd_state_eval(args, config: RunConfig):
     value = states.eval_state(spec, nf)
     result = {
         "value": value,
-        "enclosure_width": scalars.refine(value, config.precision).width,
+        # the width of the printed enclosure, exact whatever the value's mode
+        "enclosure_width": fmt15(float(scalars.refine(value, config.precision).width)),
         "normal_form": ckwords.normal_form_to_json(nf),
     }
     return Report(result, rests_on=(spec.param,), precision=config.precision)
@@ -352,7 +360,8 @@ def _cmd_kms_check(args, config: RunConfig):
                              tolerance=config.tolerance,
                              precision=config.precision)
     result = {"ok": check.ok, "lhs": check.lhs, "rhs": check.rhs, "beta": solution}
-    return Report(result, code=0 if check.ok else 1, residual=check.residual)
+    return Report(result, code=0 if check.ok else 1, residual=check.residual,
+                  rests_on=(solution.param,))
 
 
 def _cmd_tensor_state(args, config: RunConfig):
@@ -566,22 +575,27 @@ def main(argv=None) -> int:
             report = _HANDLERS[args.command](args, config)
         except MembershipRejected as exc:
             report = Report({"rejected": True, "reason": str(exc)}, code=1)
-        # the mode is the weakest among result, residual and what it rests on
-        (result, residual, _), mode = render(
-            (report.result, report.residual, report.rests_on), report.precision)
+        (result, residual), shown = render((report.result, report.residual),
+                                           report.precision)
+        basis = render(report.rests_on)[1]
     except (UsageError, CkkmsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception:
         traceback.print_exc()
         return 70  # EX_SOFTWARE in sysexits.h
+    # the mode is the weakest among result, residual and what it rests on
+    mode = scalars.weakest(shown, basis)
+    warnings = list(report.warnings) + [RESIDUAL_WARNING] * bool(report.residual)
+    if mode != shown:
+        warnings.append(RESTS_ON_WARNING.format(mode=mode, shown=shown))
     doc = {
         "command": args.command,
         "inputs": _inputs_of(args),
         "result": result,
         "mode": mode,
         "residual": residual,
-        "warnings": list(report.warnings) + [RESIDUAL_WARNING] * bool(report.residual),
+        "warnings": warnings,
     }
     return _emit(doc, args, report.code)
 

@@ -19,11 +19,12 @@ a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
 no eigenvalue can reach 1 earlier.  The polynomial is read off one integer
 determinant at t = 2^k (Kronecker substitution), large enough that its
-base-2^k digits are the coefficients.  Other frequency vectors take a bisection
-whose sign test runs the same integer Collatz-Wielandt loop as pf_data, on
-entry bounds from exp_neg_grid.  Consecutive sign tests differ only slightly
-in beta, so each starts from the iterate the previous one ended on, which
-is as sound as any positive start vector.  The canonical point
+base-2^k digits are the coefficients.  Other frequency vectors take a
+bisection on beta = n/2^e, held as integers, whose sign test runs the same
+integer Collatz-Wielandt loop as pf_data, on entry bounds from exp_neg_grid.
+Consecutive sign tests differ only slightly in beta, so each starts from the
+iterate the previous one ended on, which is as sound as any positive start
+vector.  The canonical point
 (1/c_A, ..., 1/c_A) is the exact parameter for unit frequencies: its entry
 is the smallest root of det(tA - I) in (0,1), and beta = log c_A.
 """
@@ -526,35 +527,53 @@ def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
     return BetaSolution(beta, param, base=base, exponents=tuple(reduced), scale=scale)
 
 
-def _radius_vs_one(matrix: ZeroOneMatrix, freqs, beta: Fraction,
-                   work: Fraction, x: list) -> tuple:
-    """(sign, x): the sign of PFE(diag(e^{-beta omega}) A) - 1, 0 when
-    undecided at this working precision, and the iterate that gave the last
-    bracket.  `freqs` holds the enclosures of the omega_i refined to width
-    `work`, and `x` is a positive integer start vector.
+def _frequency_grid(entries, work: Fraction) -> tuple:
+    """(ends, bits, target): what every sign test at working width `work`
+    shares.  Each omega_i is refined to `work` once and unpacked into the
+    integers (ln, ld, hn, hd) of its endpoints ln/ld <= omega_i <= hn/hd, or
+    into (ln, ld) when its enclosure is a point; `bits` fixes the grid
+    2^-bits of the entry bounds and `target` is 4 * work in units of that
+    grid, the bracket width at which a sign test gives up."""
+    bits = max(96, work.denominator.bit_length() + 48)
+    target = (4 * work.numerator << bits) // work.denominator
+    ends = []
+    for w in entries:
+        iv = scalars.refine(w, work)
+        lo, hi = iv.lo, iv.hi
+        ends.append((lo.numerator, lo.denominator) if lo == hi else
+                    (lo.numerator, lo.denominator, hi.numerator, hi.denominator))
+    return tuple(ends), bits, target
+
+
+def _radius_vs_one(matrix: ZeroOneMatrix, grid: tuple, num: int, den: int,
+                   x: list) -> tuple:
+    """(sign, x): the sign of PFE(diag(e^{-beta omega}) A) - 1 at
+    beta = num/den (integers num >= 0 and den > 0, the ratio not
+    necessarily reduced), 0 when undecided at this working precision, and
+    the iterate that gave the last bracket.  `grid` is _frequency_grid of
+    the omega_i at the working width, and `x` is a positive integer start
+    vector.
 
     The Collatz-Wielandt loop of pf_data, from `x`: every entry bound comes
     from exp_neg_grid on the grid 2^-bits, called on the products of the
-    numerators and of the denominators of beta and an endpoint of omega_i
-    (one call per row when omega_i is a point), so no Interval or Fraction
-    is formed for beta * omega_i.  Any positive start vector gives a valid
-    bracket, so the bisection passes each test the iterate of the one before,
-    which is already close to the Perron vector.  Bisection only needs the
-    sign, so the loop stops as soon as its bracket excludes 1.
+    integer endpoints of omega_i with num and den (one call per row when
+    omega_i is a point), so no Fraction is formed for beta * omega_i.  Any
+    positive start vector gives a valid bracket, so the bisection passes
+    each test the iterate of the one before, which is already close to the
+    Perron vector.  Bisection only needs the sign, so the loop stops as
+    soon as its bracket excludes 1.
     """
-    bits = max(96, work.denominator.bit_length() + 48)
-    b_num, b_den = beta.numerator, beta.denominator
+    ends, bits, target = grid
     rows = []
-    for w in freqs:
-        at_lo = exp_neg_grid(w.lo.numerator * b_num, w.lo.denominator * b_den, bits)
-        if w.lo == w.hi:
+    for w in ends:
+        at_lo = exp_neg_grid(w[0] * num, w[1] * den, bits)
+        if len(w) == 2:
             rows.append(at_lo)
         else:
-            at_hi = exp_neg_grid(w.hi.numerator * b_num, w.hi.denominator * b_den, bits)
+            at_hi = exp_neg_grid(w[2] * num, w[3] * den, bits)
             rows.append((at_hi[0], at_lo[1]))
     lo, hi, mid = _shifted_bounds(matrix, rows, bits)
     two = 2 << bits
-    target = (4 * work.numerator << bits) // work.denominator  # 4*work in grid units
     loop = _collatz_wielandt(lo, hi, mid, x, bits)
     for b_lo, b_hi, x, stall in islice(loop, 4000):
         if b_lo > two:
@@ -572,33 +591,38 @@ def _solve_beta_numeric(matrix: ZeroOneMatrix, omega: FrequencyVector,
     drops below 1, then halve [0, hi] down to `precision`, refining the
     frequencies 16 times finer whenever a sign stays undecided.  The first
     sign test starts from the all-ones vector and each later one from the
-    iterate the previous test returned."""
+    iterate the previous test returned.
+
+    The bracket is held in integers as [lo, hi] / 2^e: the upper end
+    doubles as an integer with e = 0, each midpoint is (lo + hi) / 2^(e+1),
+    and e grows by one only when a sign is decided, so an undecided test is
+    retried at the same beta.  The frequencies are unpacked once per working
+    width, and the one Interval is formed after the loop.
+    """
     work = max(precision / 64, Q(1, 10**15))
-    freqs = [scalars.refine(w, work) for w in omega.entries]
-    hi = Q(1)
-    sign, x = _radius_vs_one(matrix, freqs, hi, work, [1] * matrix.n)
+    grid = _frequency_grid(omega.entries, work)
+    hi = 1
+    sign, x = _radius_vs_one(matrix, grid, hi, 1, [1] * matrix.n)
     doublings = 0
     while sign >= 0:
         hi *= 2
         doublings += 1
         if doublings > 80:
             raise NumericalFailureError("no bracket for the inverse temperature")
-        sign, x = _radius_vs_one(matrix, freqs, hi, work, x)
-    lo = Q(0)
-    while hi - lo > precision:
-        mid = (lo + hi) / 2
-        sign, x = _radius_vs_one(matrix, freqs, mid, work, x)
+        sign, x = _radius_vs_one(matrix, grid, hi, 1, x)
+    lo, e = 0, 0
+    p_num, p_den = precision.numerator, precision.denominator
+    while (hi - lo) * p_den > p_num << e:  # (hi - lo) / 2^e > precision
+        sign, x = _radius_vs_one(matrix, grid, lo + hi, 2 << e, x)
         if sign == 0:
             work /= 16
             if work < Q(1, 10**60):
                 raise NumericalFailureError("bisection sign undecided at working width 1e-60")
-            freqs = [scalars.refine(w, work) for w in omega.entries]
+            grid = _frequency_grid(omega.entries, work)
             continue
-        if sign > 0:
-            lo = mid
-        else:
-            hi = mid
-    beta = Interval(lo, hi)
+        lo, hi = (lo + hi, 2 * hi) if sign > 0 else (2 * lo, lo + hi)
+        e += 1
+    beta = Interval(Q(lo, 1 << e), Q(hi, 1 << e))
     mid = beta.mid
     entries = tuple(
         Flt(math.exp(-float(mid) * scalars.to_float(w))) for w in omega.entries

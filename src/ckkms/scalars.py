@@ -233,8 +233,9 @@ def refine(s: Scalar, precision) -> Interval:
     An Alg gives the cell [m, m+1]/2^k of the grid 2^-k that holds its
     root, for the least k with 2^-k <= precision.  The enclosure depends
     only on the value and the precision, never on earlier calls."""
-    precision = Q(precision)
-    if precision <= 0:
+    if not isinstance(precision, Fraction):
+        precision = Q(precision)
+    if precision.numerator <= 0:  # a Fraction's denominator is positive
         raise DomainError("precision must be positive")
     if isinstance(s, Rat):
         return Interval.point(s.value)
@@ -344,12 +345,6 @@ def to_float(s: Scalar) -> float:
         return math.copysign(0.0, s.rational)
     iv = refine(s, Q(1, 10**17))
     return float(iv.mid)
-
-
-def to_fraction(s: Scalar) -> Fraction | None:
-    if isinstance(s, Rat):
-        return s.value
-    return None
 
 
 # ---------------------------------------------------------------------------

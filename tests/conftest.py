@@ -7,7 +7,7 @@ from fractions import Fraction
 
 import pytest
 
-from ckkms import perron, states, tensorops
+from ckkms import perron, scalars, states, tensorops
 from ckkms.intervals import Interval
 from ckkms.matrix01 import (ZeroOneMatrix, is_irreducible, is_nondegenerate,
                             kronecker_matrix)
@@ -27,6 +27,11 @@ def budget(seconds):
     yield
     elapsed = time.monotonic() - start
     assert elapsed < seconds, f"wall-clock budget {seconds}s exceeded: {elapsed:.2f}s"
+
+
+def to_fraction(s) -> Fraction | None:
+    """The value of a rational scalar, None for any other scalar."""
+    return s.value if isinstance(s, scalars.Rat) else None
 
 
 @pytest.fixture(scope="session")

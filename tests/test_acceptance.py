@@ -18,7 +18,7 @@ from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
 from ckkms.scalars import Q, Rat
 from ckkms.tensorops import IndexSplit
 
-from conftest import FULL2, FULL3, POOL, budget
+from conftest import FULL2, FULL3, POOL, budget, to_fraction
 
 TOL9 = Q(1, 10**9)
 TOL10 = Q(1, 10**10)
@@ -282,7 +282,7 @@ def test_a10_quasi_free_product_law():
                 got = tensorops.tensor_state_eval(
                     spec2, spec3, Monomial(tuple(J), tuple(K)))
                 want = states.quasi_free_eval(6, tuple(J), tuple(K))
-                assert scalars.to_fraction(got) == scalars.to_fraction(want), (
+                assert to_fraction(got) == to_fraction(want), (
                     J, K)
                 pairs += 1
         assert pairs == 259 ** 2
@@ -316,7 +316,7 @@ def test_a12_finite_approximation_tensor_rule():
             den = rng.randint(3, 30)
             tau = Q(rng.randint(1, den - 1), den)
             got = classify.afd_tensor_rule(Rat(tau * tau), Rat(tau ** 3))
-            assert scalars.to_fraction(got) == tau, tau
+            assert to_fraction(got) == tau, tau
         assert classify.afd_tensor_rule(Rat(Q(1, 2)),
                                         Rat(Q(1, 3))) == scalars.ONE
         for lam in (Q(1, 2), Q(3, 7)):

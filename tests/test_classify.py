@@ -16,7 +16,7 @@ from ckkms.errors import (DomainError, PreconditionError, ResourceLimitError)
 from ckkms.intervals import Interval
 from ckkms.scalars import Flt, Q, Rat
 
-from conftest import FULL2, GOLDEN
+from conftest import FULL2, GOLDEN, to_fraction
 
 GOLDEN_FLOAT = (math.sqrt(5) - 1) / 2
 
@@ -45,7 +45,7 @@ class TestDetectLambda:
     def test_uniform_half(self):
         label = classify.detect_lambda((Q(1, 2), Q(1, 2)))
         assert label.mode == "exact"
-        assert scalars.to_fraction(label.lam) == Q(1, 2)
+        assert to_fraction(label.lam) == Q(1, 2)
         assert label.decomposition.exponents == (1, 1)
         assert_decomposition_invariants(label)
 
@@ -70,7 +70,7 @@ class TestDetectLambda:
     def test_rational_powers(self):
         label = classify.detect_lambda((Q(1, 4), Q(1, 8)))
         assert label.mode == "exact"
-        assert scalars.to_fraction(label.lam) == Q(1, 2)
+        assert to_fraction(label.lam) == Q(1, 2)
         assert label.decomposition.exponents == (2, 3)
 
     def test_float_heuristic_detects_powers(self):
@@ -180,7 +180,7 @@ class TestTensorType:
     def test_canonical_product(self):
         label = classify.tensor_type((Q(1, 2), Q(1, 2)),
                                      (Q(1, 3), Q(1, 3), Q(1, 3)))
-        assert scalars.to_fraction(label.lam) == Q(1, 6)
+        assert to_fraction(label.lam) == Q(1, 6)
         assert label.mode == "exact"
 
     def test_power_forms_same_base(self):
@@ -212,7 +212,7 @@ class TestTensorType:
 class TestPowerType:
     def test_uniform_cube(self):
         label = classify.power_type_direct((Q(1, 2), Q(1, 2)), 3)
-        assert scalars.to_fraction(label.lam) == Q(1, 8)
+        assert to_fraction(label.lam) == Q(1, 8)
         assert label.mode == "exact"
 
     def test_type_one_is_stable(self):
@@ -325,11 +325,11 @@ class TestPowerTypeCk2:
 class TestAfdRule:
     def test_common_base(self):
         got = classify.afd_tensor_rule(Rat(Q(1, 4)), Rat(Q(1, 8)))
-        assert scalars.to_fraction(got) == Q(1, 2)
+        assert to_fraction(got) == Q(1, 2)
 
     def test_independent(self):
         got = classify.afd_tensor_rule(Rat(Q(1, 2)), Rat(Q(1, 3)))
-        assert scalars.to_fraction(got) == 1
+        assert to_fraction(got) == 1
 
     def test_one_absorbs(self):
         assert classify.afd_tensor_rule(Rat(Q(1, 2)), Rat(Q(1))) == scalars.ONE
@@ -378,7 +378,7 @@ class TestOkaCrosscheck:
     def test_uniform_full2(self):
         report = classify.oka_crosscheck(FULL2, (Q(1), Q(1)))
         assert report.match
-        assert scalars.to_fraction(report.lam) == Q(1, 2)
+        assert to_fraction(report.lam) == Q(1, 2)
         lo, hi = report.modulus
         assert float(lo) <= math.log(2) <= float(hi)
 

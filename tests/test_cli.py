@@ -58,7 +58,7 @@ def run_json(*args):
 
 
 MODES = ("exact", "certified", "heuristic")
-BOUND_KEYS = {"residual", "max_residual", "gap", "enclosure_width"}
+BOUND_KEYS = {"residual", "max_residual", "gap"}
 
 
 def shown_mode(node) -> str:
@@ -67,7 +67,8 @@ def shown_mode(node) -> str:
     an enclosure and heuristic for a float or an unproved guess; certified
     for an interval or a bound that is not 0.  A kms-check's beta is
     skipped: it has the mode of the solve the check rests on, which only the
-    envelope's mode shows."""
+    envelope's mode and its rests-on warning show.  A state-eval's
+    enclosure_width, the width of the printed enclosure, is no bound."""
     if isinstance(node, list):
         return max(map(shown_mode, node), key=MODES.index, default="exact")
     if not isinstance(node, dict):
@@ -611,42 +612,50 @@ GOLDEN_VECTOR = f'[{GOLDEN_ROOT},{{"type":"power","base":{GOLDEN_ROOT},"exp":2}}
 
 
 class TestModes:
-    # the envelope's mode is the weakest among the values a command reports:
-    # exact scalars, certified enclosures and bounds, heuristic floats
-    @pytest.mark.parametrize("args, mode", [
+    # the envelope's mode is the weakest among the values a command reports
+    # (exact scalars, certified enclosures and bounds, heuristic floats) and
+    # the parameters the result rests on; when those are weaker than every
+    # printed value, one warning names them
+    @pytest.mark.parametrize("args, mode, shown", [
         (("state-eval", "--matrix", GOLDEN_MATRIX, "--vector", "canonical",
-          "--word", "s1 s1*"), "certified"),
-        (("pf", "--matrix", CYCLE3), "certified"),
+          "--word", "s1 s1*"), "certified", "certified"),
+        (("pf", "--matrix", CYCLE3), "certified", "certified"),
         (("kms-check", "--matrix", GOLDEN_MATRIX, "--omega", '["1","1"]',
-          "--x", "s1", "--y", "s1*"), "certified"),
+          "--x", "s1", "--y", "s1*"), "certified", "certified"),
         (("kms-check", "--matrix", GOLDEN_MATRIX, "--omega", FLOAT_OMEGA,
-          "--x", "s1", "--y", "s1*"), "heuristic"),
-        (("membership", "--matrix", CYCLE3, "--vector", "canonical"), "certified"),
+          "--x", "s1", "--y", "s1*"), "heuristic", "certified"),
+        (("membership", "--matrix", CYCLE3, "--vector", "canonical"),
+         "certified", "certified"),
         (("state-eval", "--matrix", "F2", "--vector", GOLDEN_VECTOR,
-          "--word", "s1 s1*"), "certified"),
+          "--word", "s1 s1*"), "certified", "exact"),
         (("solve-beta", "--matrix", GOLDEN_MATRIX, "--omega", FLOAT_OMEGA),
-         "heuristic"),
-        (("classify", "--vector", '["1/2","1/2"]'), "exact"),
+         "heuristic", "heuristic"),
+        (("classify", "--vector", '["1/2","1/2"]'), "exact", "exact"),
         (("kms-check", "--matrix", "F2", "--omega", '["1","1"]',
-          "--x", "s1", "--y", "s1*"), "exact"),
+          "--x", "s1", "--y", "s1*"), "exact", "exact"),
         (("tensor-state", "--matrix-a", "F2", "--vector-a", "canonical",
           "--matrix-b", "F3", "--vector-b", "canonical", "--word", "s1 s1*"),
-         "exact"),
-        (("membership", "--matrix", "F2", "--vector", '["1/2","1/2"]'), "exact"),
+         "exact", "exact"),
+        (("membership", "--matrix", "F2", "--vector", '["1/2","1/2"]'), "exact", "exact"),
     ], ids=["state-eval-golden", "pf-3x3", "kms-golden", "kms-float-omega",
             "membership-3x3", "state-eval-golden-vector", "solve-beta-float-omega", "classify-half",
             "kms-f2", "tensor-state-f2-f3", "membership-f2"])
-    def test_probe_modes(self, args, mode, capsys):
+    def test_probe_modes(self, args, mode, shown, capsys):
         from ckkms import cli
 
         assert cli.main(list(args)) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["mode"] == mode
+        assert shown_mode({"result": doc["result"], "residual": doc["residual"]}) == shown
         if "certificate" in doc["result"]:
             assert doc["result"]["certificate"] == mode
+        warnings = []
         if doc["residual"] not in (None, "0"):
-            assert doc["warnings"] == [
-                "residual is a certified enclosure bound, not a float estimate"]
+            warnings.append("residual is a certified enclosure bound, not a float estimate")
+        if shown != mode:
+            warnings.append(f"mode is {mode} because the result rests on parameters whose "
+                            f"certificate is {mode}; the printed values alone are {shown}")
+        assert doc["warnings"] == warnings
 
 
 class TestReproduceSuite:

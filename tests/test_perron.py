@@ -22,7 +22,7 @@ from ckkms.intervals import Interval, exp_interval
 from ckkms.scalars import Enc, Flt, Q, Rat
 
 from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget,
-                      random_irreducible)
+                      random_irreducible, to_fraction)
 
 PHI = (1 + math.sqrt(5)) / 2
 POOL_AND_PRODUCTS = POOL + tuple(kronecker_matrix(a, b) for a in POOL for b in POOL)
@@ -389,7 +389,7 @@ class TestSolveBeta:
         sol = perron.solve_beta(FULL2, (Q(1), Q(1)))
         assert sol.mode == "exact"
         assert abs(float(sol.beta.mid) - math.log(2)) < 1e-12
-        assert [scalars.to_fraction(e) for e in sol.param.entries] == [
+        assert [to_fraction(e) for e in sol.param.entries] == [
             Q(1, 2), Q(1, 2)]
 
     def test_full2_frequencies_one_two(self):
@@ -524,9 +524,9 @@ class TestRadiusVsOne:
     WORKS = (Q(1, 64 * 10**6), Q(1, 10**15))
 
     @staticmethod
-    def points(omega):
-        """The exact enclosures of float frequencies."""
-        return [scalars.refine(scalars.Flt(w), 1) for w in omega]
+    def grid(omega, work):
+        """The sign tests' grid of float frequencies at working width `work`."""
+        return perron._frequency_grid([Flt(w) for w in omega], work)
 
     @staticmethod
     def beta_grid(rng, rows, omega):
@@ -552,11 +552,12 @@ class TestRadiusVsOne:
         for m in POOL:
             for _ in range(3):
                 omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
-                freqs = self.points(omega)
                 for beta in self.beta_grid(rng, m.rows, omega):
                     gap = np_radius(m.rows, omega, float(beta)) - 1
                     for work in self.WORKS:
-                        sign, _ = perron._radius_vs_one(m, freqs, beta, work, [1] * m.n)
+                        sign, _ = perron._radius_vs_one(m, self.grid(omega, work),
+                                                        beta.numerator, beta.denominator,
+                                                        [1] * m.n)
                         decided += self.check_sign(sign, gap, (m, omega, beta, work))
         assert decided >= 250  # the grid reaches well past the 1e-6 band
 
@@ -570,21 +571,23 @@ class TestRadiusVsOne:
             other = next(p for p in POOL if p.n == m.n and p != m)
             for _ in range(2):
                 omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
-                freqs = self.points(omega)
-                other_freqs = self.points(tuple(rng.uniform(0.3, 3.0) for _ in range(m.n)))
+                other_omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
                 for beta in self.beta_grid(rng, m.rows, omega):
                     gap = np_radius(m.rows, omega, float(beta)) - 1
+                    b = (beta.numerator, beta.denominator)
                     for work in self.WORKS:
+                        grid = self.grid(omega, work)
                         elsewhere = Fraction(rng.uniform(0.05, 3.0)) * beta
                         starts = (
                             [1] * m.n,
                             [1, 2**300] + [1] * (m.n - 2),
-                            perron._radius_vs_one(m, freqs, elsewhere, work, [1] * m.n)[1],
-                            perron._radius_vs_one(other, other_freqs, beta, work,
+                            perron._radius_vs_one(m, grid, elsewhere.numerator,
+                                                  elsewhere.denominator, [1] * m.n)[1],
+                            perron._radius_vs_one(other, self.grid(other_omega, work), *b,
                                                   [1] * m.n)[1],
                         )
                         for k, start in enumerate(starts):
-                            sign, x = perron._radius_vs_one(m, freqs, beta, work, start)
+                            sign, x = perron._radius_vs_one(m, grid, *b, start)
                             assert len(x) == m.n and all(v >= 1 for v in x)
                             decided += self.check_sign(sign, gap, (m, omega, beta, work, k))
         assert decided >= 4 * 150
@@ -618,7 +621,8 @@ class TestRadiusVsOne:
             sign_test = perron._radius_vs_one
             with monkeypatch.context() as cold:
                 cold.setattr(perron, "_radius_vs_one",
-                             lambda mat, f, b, w, x: sign_test(mat, f, b, w, [1] * mat.n))
+                             lambda mat, g, num, den, x: sign_test(mat, g, num, den,
+                                                                   [1] * mat.n))
                 assert [b for b, _ in solves(m)] == [b for b, _ in warm]
 
     def test_tiny_entries_round_to_a_zero_lower_bound(self):
@@ -626,16 +630,16 @@ class TestRadiusVsOne:
         # rounds to 0, which still bounds the radius from below
         omega = (1.0, 60.0)
         assert np_radius(GOLDEN.rows, omega, 2.0) < 1
-        sign, _ = perron._radius_vs_one(GOLDEN, self.points(omega),
-                                        Fraction(2), Q(1, 10**15), [1, 1])
+        sign, _ = perron._radius_vs_one(GOLDEN, self.grid(omega, Q(1, 10**15)),
+                                        2, 1, [1, 1])
         assert sign == -1
 
     def test_radius_exactly_one_is_undecided(self):
         # at beta = 0 the swap matrix has radius exactly 1: the bracket
         # collapses onto 2 and the sign test must not pick a side
         swap = ZeroOneMatrix(((0, 1), (1, 0)))
-        sign, _ = perron._radius_vs_one(swap, self.points((1.0, 2.5)),
-                                        Fraction(0), Q(1, 10**15), [1, 1])
+        sign, _ = perron._radius_vs_one(swap, self.grid((1.0, 2.5), Q(1, 10**15)),
+                                        0, 1, [1, 1])
         assert sign == 0
 
     def test_sign_tests_form_no_interval_product(self, monkeypatch):
@@ -653,6 +657,129 @@ class TestRadiusVsOne:
         for matrix, omega in ((GOLDEN, (1.3, 0.7)), (CYCLE3, (1.3, 0.7, 2.1))):
             assert perron.solve_beta(matrix, omega).mode == "heuristic"
         assert calls == []
+
+
+def fraction_bisection(matrix, omega, precision) -> tuple:
+    """The bracket (lo, hi) of the float solve by the bisection that held
+    beta as a Fraction: the reference for the integer-endpoint one, on the
+    same sign test."""
+    entries = perron.FrequencyVector(tuple(omega)).entries
+    work = max(precision / 64, Q(1, 10**15))
+    grid = perron._frequency_grid(entries, work)
+
+    def sign_test(beta, x):
+        return perron._radius_vs_one(matrix, grid, beta.numerator, beta.denominator, x)
+
+    hi = Q(1)
+    sign, x = sign_test(hi, [1] * matrix.n)
+    while sign >= 0:
+        hi *= 2
+        sign, x = sign_test(hi, x)
+    lo = Q(0)
+    while hi - lo > precision:
+        mid = (lo + hi) / 2
+        sign, x = sign_test(mid, x)
+        if sign == 0:
+            work /= 16
+            grid = perron._frequency_grid(entries, work)
+            continue
+        if sign > 0:
+            lo = mid
+        else:
+            hi = mid
+    return lo, hi
+
+
+class TestBisection:
+    """The float solve's bisection on integer endpoints [lo, hi] / 2^e."""
+
+    @pytest.mark.parametrize("digits", [6, 9, 12])
+    @pytest.mark.parametrize("name", ["GOLDEN", "CYCLE3", "FULL2"])
+    def test_matches_the_fraction_bisection(self, name, digits):
+        matrix = {"GOLDEN": GOLDEN, "FULL2": FULL2, "CYCLE3": CYCLE3}[name]
+        precision = Fraction(1, 10**digits)
+        for seed in range(5):
+            rng = random.Random(f"bisect/{name}/{digits}/{seed}")
+            omega = tuple(rng.uniform(0.3, 3.0) for _ in range(matrix.n))
+            beta = perron.solve_beta(matrix, omega, precision).beta
+            assert (beta.lo, beta.hi) == fraction_bisection(matrix, omega, precision)
+            assert beta.width <= precision
+
+    @pytest.mark.parametrize("step", [0, 3, 12])
+    def test_undecided_sign_retries_at_the_same_beta(self, monkeypatch, step):
+        # the sign test at bisection step `step` returns 0 once: the retry
+        # takes the same beta on a grid 16 times finer, and the bracket is
+        # the one the undisturbed solve gives
+        omega, precision = (1.3, 0.7, 2.1), Fraction(1, 10**9)
+        want = perron.solve_beta(CYCLE3, omega, precision).beta
+        inner_test, inner_grid = perron._radius_vs_one, perron._frequency_grid
+        bisection, works = [], []
+
+        def undecided_once(matrix, grid, num, den, x):
+            if den > 1:  # the doubling phase tests integers over 1
+                bisection.append((num, den))
+                if len(bisection) == step + 1:
+                    return 0, x
+            return inner_test(matrix, grid, num, den, x)
+
+        def recording_grid(entries, work):
+            works.append(work)
+            return inner_grid(entries, work)
+
+        monkeypatch.setattr(perron, "_radius_vs_one", undecided_once)
+        monkeypatch.setattr(perron, "_frequency_grid", recording_grid)
+        assert perron.solve_beta(CYCLE3, omega, precision).beta == want
+        assert works == [precision / 64, precision / 64 / 16]
+        assert bisection[step] == bisection[step + 1]
+        assert len(set(bisection)) == len(bisection) - 1
+
+    def test_no_bracket_when_the_radius_never_drops_below_one(self, monkeypatch):
+        betas = []
+
+        def always_above(matrix, grid, num, den, x):
+            betas.append(Fraction(num, den))
+            return 1, x
+
+        monkeypatch.setattr(perron, "_radius_vs_one", always_above)
+        with pytest.raises(NumericalFailureError,
+                           match="no bracket for the inverse temperature"):
+            perron.solve_beta(GOLDEN, (1.3, 0.7))
+        assert betas == [Fraction(2**k) for k in range(81)]
+
+    def test_fraction_arithmetic_does_not_grow_with_the_steps(self, monkeypatch):
+        # the bisection runs on integers: going from 1e-6 to 1e-12 adds 20
+        # sign tests and no Fraction operation
+        ops, tests = [0], [0]
+        inner_test = perron._radius_vs_one
+
+        def counting_test(*args):
+            tests[0] += 1
+            return inner_test(*args)
+
+        def counting(name):
+            inner = getattr(Fraction, name)
+
+            def method(*args):
+                ops[0] += 1
+                return inner(*args)
+            return method
+
+        def solve(matrix, omega, digits):
+            ops[0] = tests[0] = 0
+            with monkeypatch.context() as patched:
+                for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__",
+                             "__rmul__", "__truediv__", "__rtruediv__", "__floordiv__",
+                             "__lt__", "__le__", "__gt__", "__ge__"):
+                    patched.setattr(Fraction, name, counting(name))
+                perron.solve_beta(matrix, omega, Fraction(1, 10**digits))
+            return ops[0], tests[0]
+
+        monkeypatch.setattr(perron, "_radius_vs_one", counting_test)
+        for matrix, omega in ((GOLDEN, (1.3, 0.7)), (CYCLE3, (1.3, 0.7, 2.1))):
+            (coarse_ops, coarse_tests), (fine_ops, fine_tests) = (
+                solve(matrix, omega, 6), solve(matrix, omega, 12))
+            assert fine_tests >= coarse_tests + 19
+            assert fine_ops == coarse_ops
 
 
 class TestCollatzWielandt:
@@ -695,7 +822,7 @@ class TestCollatzWielandt:
         for m in POOL:
             for _ in range(2):
                 omega = tuple(rng.uniform(0.3, 3.0) for _ in range(m.n))
-                freqs = TestRadiusVsOne.points(omega)
+                grid = TestRadiusVsOne.grid(omega, Q(1, 10**15))
                 for beta in TestRadiusVsOne.beta_grid(rng, m.rows, omega):
                     if abs(np_radius(m.rows, omega, float(beta)) - 1) <= 1e-6:
                         continue
@@ -703,7 +830,8 @@ class TestCollatzWielandt:
                          for w in omega]
                     bracket = perron.pf_data(m, a, Q(1, 10**9)).eigenvalue
                     assert bracket.lo > 1 or bracket.hi < 1
-                    sign, _ = perron._radius_vs_one(m, freqs, beta, Q(1, 10**15), [1] * m.n)
+                    sign, _ = perron._radius_vs_one(m, grid, beta.numerator,
+                                                    beta.denominator, [1] * m.n)
                     assert sign == (1 if bracket.lo > 1 else -1), (m, omega, beta)
                     compared += 1
         assert compared >= 80

@@ -52,6 +52,18 @@ class TestConstruction:
         iv = scalars.refine(Rat(Q(1, 2)), Q(1, 10**6))
         assert iv.lo == iv.hi == Q(1, 2)
 
+    @pytest.mark.parametrize("precision", [0, -1, Q(0), Q(-1), Q(-1, 3), -0.5])
+    @pytest.mark.parametrize("s", [Rat(Q(1, 2)), golden()], ids=["rational", "golden"])
+    def test_refine_rejects_a_nonpositive_precision(self, s, precision):
+        with pytest.raises(DomainError, match="precision must be positive"):
+            scalars.refine(s, precision)
+
+    @pytest.mark.parametrize("precision", [0.5, Q(1, 2), "1/2"])
+    def test_refine_converts_a_precision_that_is_not_a_fraction(self, precision):
+        iv = scalars.refine(golden(), precision)
+        assert iv == scalars.refine(golden(), Q(1, 2))
+        assert iv.width <= Q(1, 2) and float(iv.lo) <= GOLDEN_FLOAT <= float(iv.hi)
+
     def test_rational_root_collapses_to_rat(self):
         s = scalars.make_algebraic([-1, 2], Q(0), Q(1))  # 2x - 1
         assert isinstance(s, Rat) and s.value == Q(1, 2)

@@ -22,7 +22,7 @@ from ckkms.matrix01 import ZeroOneMatrix
 from ckkms.scalars import Enc, Flt, Q, Rat
 
 from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, prefix_table,
-                      random_positive_rationals, transported)
+                      random_positive_rationals, to_fraction, transported)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -55,7 +55,7 @@ class TestQuasiFree:
         spec = spec_for(FULL3)
         for J in ckwords.enumerate_admissible(FULL3, 3):
             got = states.eval_monomial(spec, Monomial(J, J))
-            assert scalars.to_fraction(got) == Q(1, 3 ** len(J))
+            assert to_fraction(got) == Q(1, 3 ** len(J))
             assert states.quasi_free_eval(3, J, J).value == Q(1, 3 ** len(J))
 
     def test_rejects_bad_input(self):
@@ -79,7 +79,7 @@ class TestEvalState:
         spec = spec_for(FULL2)
         assert spec.exact_vector is not None
         got = states.eval_state(spec, "s1 s1*")
-        assert scalars.to_fraction(got) == Q(1, 2)
+        assert to_fraction(got) == Q(1, 2)
 
     def test_golden_cube(self):
         spec = spec_for(GOLDEN)
@@ -121,7 +121,7 @@ class TestEvalState:
                 expected = Q(1)
                 for j in J:
                     expected *= a[j - 1]
-                assert scalars.to_fraction(got) == expected
+                assert to_fraction(got) == expected
 
     def test_golden_against_numpy(self):
         spec = spec_for(GOLDEN)
@@ -137,8 +137,8 @@ class TestEvalState:
         # complete, e.g. over full matrices
         spec = spec_for(FULL2)
         for J in ((1,), (2, 1), (1, 1, 2)):
-            parent = scalars.to_fraction(states.eval_monomial(spec, Monomial(J, J)))
-            kids = sum(scalars.to_fraction(
+            parent = to_fraction(states.eval_monomial(spec, Monomial(J, J)))
+            kids = sum(to_fraction(
                 states.eval_monomial(spec, Monomial(J + (r,), J + (r,))))
                 for r in (1, 2))
             assert kids == parent
@@ -280,7 +280,7 @@ class TestGaugeFactor:
     def test_single_letter_half(self):
         sol = perron.solve_beta(FULL2, (Q(1), Q(1)))
         got = states.gauge_factor((Q(1), Q(1)), sol, Monomial((1,), ()))
-        assert scalars.to_fraction(got) == Q(1, 2)
+        assert to_fraction(got) == Q(1, 2)
 
     def test_golden_square(self):
         sol = perron.solve_beta(FULL2, (Q(1), Q(2)))
@@ -309,8 +309,8 @@ class TestKmsCheck:
         spec = states.state_spec(sol.param)
         res = states.kms_check(spec, (Q(1), Q(1)), sol, "s1", "s1*")
         assert res.ok and res.residual == 0
-        assert scalars.to_fraction(res.lhs) == Q(1, 2)
-        assert scalars.to_fraction(res.rhs) == Q(1, 2)
+        assert to_fraction(res.lhs) == Q(1, 2)
+        assert to_fraction(res.rhs) == Q(1, 2)
 
     def test_unit_argument(self):
         sol = perron.solve_beta(FULL2, (Q(1), Q(1)))

@@ -21,7 +21,7 @@ from ckkms.tensorops import IndexSplit
 
 from conftest import (CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget, prefix_table,
                       random_irreducible, random_positive_rationals,
-                      transported)
+                      to_fraction, transported)
 
 PHI = (1 + math.sqrt(5)) / 2
 
@@ -65,7 +65,7 @@ class TestKroneckerVector:
     def test_rational_example(self):
         got = tensorops.kronecker_vector(rat_vector(Q(1, 3), Q(2, 3)),
                                          rat_vector(Q(1, 2), Q(1, 2)))
-        assert [scalars.to_fraction(s) for s in got] == [
+        assert [to_fraction(s) for s in got] == [
             Q(1, 6), Q(1, 6), Q(1, 3), Q(1, 3)]
 
     def test_golden_example(self):
@@ -79,7 +79,7 @@ class TestKroneckerVector:
     def test_scalar_unit(self):
         v = rat_vector(Q(2, 5), Q(3, 5))
         got = tensorops.kronecker_vector(v, (Rat(Q(1)),))
-        assert [scalars.to_fraction(s) for s in got] == [Q(2, 5), Q(3, 5)]
+        assert [to_fraction(s) for s in got] == [Q(2, 5), Q(3, 5)]
 
     def test_against_numpy(self):
         rng = random.Random(61)
@@ -99,8 +99,8 @@ class TestKroneckerVector:
                    for k in (2, 3, 2))
         left = tensorops.kronecker_vector(tensorops.kronecker_vector(v, w), x)
         right = tensorops.kronecker_vector(v, tensorops.kronecker_vector(w, x))
-        assert [scalars.to_fraction(s) for s in left] == \
-               [scalars.to_fraction(s) for s in right]
+        assert [to_fraction(s) for s in left] == \
+               [to_fraction(s) for s in right]
 
 
 class TestEmbedMonomial:
@@ -163,14 +163,14 @@ class TestTensorStateEval:
         for u in range(1, 7):
             got = tensorops.tensor_state_eval(spec2, spec3,
                                               Monomial((u,), (u,)))
-            assert scalars.to_fraction(got) == Q(1, 6)
+            assert to_fraction(got) == Q(1, 6)
 
     def test_quasi_free_product_depth_two(self):
         # the product of uniform states is the uniform state on the product
         spec2, spec3 = spec_for(FULL2), spec_for(FULL3)
         for J in ckwords.enumerate_admissible(ZeroOneMatrix.full(6), 2):
             got = tensorops.tensor_state_eval(spec2, spec3, Monomial(J, J))
-            assert scalars.to_fraction(got) == states.quasi_free_eval(
+            assert to_fraction(got) == states.quasi_free_eval(
                 6, J, J).value
 
     def test_off_diagonal_zero(self):
@@ -184,7 +184,7 @@ class TestTensorStateEval:
         got = tensorops.tensor_state_eval(states.state_spec(pa),
                                           states.state_spec(pb),
                                           Monomial((1,), (1,)))
-        assert scalars.to_fraction(got) == Q(1, 6)
+        assert to_fraction(got) == Q(1, 6)
 
     def test_matches_kronecker_state_exactly(self):
         # over full factors both sides are exact rationals; require equality
@@ -198,7 +198,7 @@ class TestTensorStateEval:
             mono = Monomial(J, J)
             lhs = tensorops.tensor_state_eval(spec_a, spec_b, mono)
             rhs = states.eval_state(spec_ab, mono)
-            assert scalars.to_fraction(lhs) == scalars.to_fraction(rhs)
+            assert to_fraction(lhs) == to_fraction(rhs)
 
     def test_vanishing_halves_skipped(self, monkeypatch):
         # F2 x F3 has composite letters u = 3(i - 1) + j; the terms split
@@ -214,8 +214,8 @@ class TestTensorStateEval:
         assert [(f.J == f.K, s.J == s.K) for f, s in halves] == [
             (True, False), (False, True), (True, True), (True, True)]
         expected = sum(
-            c * scalars.to_fraction(states.eval_monomial(spec_a, f))
-            * scalars.to_fraction(states.eval_monomial(spec_b, s))
+            c * to_fraction(states.eval_monomial(spec_a, f))
+            * to_fraction(states.eval_monomial(spec_b, s))
             for c, (f, s) in zip(coeffs.values(), halves))
         evaluated = []
         inner = states.eval_monomial
@@ -227,7 +227,7 @@ class TestTensorStateEval:
         monkeypatch.setattr(states, "eval_monomial", recording)
         nf = ckwords.NormalForm.from_dict(coeffs)
         got = tensorops.tensor_state_eval(spec_a, spec_b, nf)
-        assert scalars.to_fraction(got) == expected != 0
+        assert to_fraction(got) == expected != 0
         assert evaluated and all(mono.J == mono.K for mono in evaluated)
 
     def test_letter_beyond_composite_raises(self):
