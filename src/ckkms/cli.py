@@ -82,15 +82,14 @@ def _scalar_list(what: str, text: str) -> tuple:
         return tuple(scalars.scalar_from_json(v) for v in obj)
 
 
-def parse_vector(text: str, matrix: ZeroOneMatrix | None = None,
-                 precision=perron.DEFAULT_PRECISION):
+def parse_vector(text: str, matrix: ZeroOneMatrix | None = None):
     """A vector argument: JSON list of scalars, or the keyword `canonical`
     for (1/PFE, ..., 1/PFE) of the given matrix."""
     text = text.strip()
     if text == "canonical":
         if matrix is None:
             raise UsageError("`canonical` needs a matrix in the same command")
-        return perron.canonical_point(matrix, precision).entries
+        return perron.canonical_point(matrix).entries
     return _scalar_list("vector", text)
 
 
@@ -318,7 +317,7 @@ def _cmd_solve_beta(args, config: RunConfig):
 
 def _cmd_membership(args, config: RunConfig):
     matrix = parse_matrix(args.matrix)
-    vec = parse_vector(args.vector, matrix, config.precision)
+    vec = parse_vector(args.vector, matrix)
     try:
         param = perron.in_lambda(matrix, vec, tolerance=config.tolerance)
     except MembershipRejected as exc:
@@ -331,7 +330,7 @@ def _cmd_membership(args, config: RunConfig):
 
 def _state_spec_from_args(matrix_text: str, vector_text: str, config: RunConfig):
     matrix = parse_matrix(matrix_text)
-    vec = parse_vector(vector_text, matrix, config.precision)
+    vec = parse_vector(vector_text, matrix)
     param = perron.in_lambda(matrix, vec, tolerance=config.tolerance)
     return states.state_spec(param, precision=config.precision)
 

@@ -64,9 +64,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def hull(self, other: "Interval") -> "Interval":
-        return Interval(min(self.lo, other.lo), max(self.hi, other.hi))
-
     def __add__(self, other) -> "Interval":
         other = other if isinstance(other, Interval) else Interval.point(other)
         return Interval(self.lo + other.lo, self.hi + other.hi)

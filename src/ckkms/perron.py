@@ -413,15 +413,16 @@ def in_lambda(matrix: ZeroOneMatrix, a_entries, tolerance=DEFAULT_TOLERANCE) -> 
                        scalars.EXACT if exact else scalars.CERTIFIED, tolerance)
 
 
-def canonical_point(matrix: ZeroOneMatrix, precision=DEFAULT_PRECISION) -> ParamVector:
+def canonical_point(matrix: ZeroOneMatrix) -> ParamVector:
     """The constant vector (1/c_A, ..., 1/c_A), c_A the spectral radius of
     `matrix`: the exact parameter solve_beta gives for unit frequencies,
-    whose inverse temperature is log c_A.  Its isolating interval is no
-    wider than `precision`."""
+    whose inverse temperature is log c_A.  An irrational entry is stored
+    with the coarsest dyadic cell that isolates it, so the entry is the same
+    whatever precision the solve was asked for."""
     if matrix.n > SOLVE_BETA_DEGREE_CAP:
         raise ResourceLimitError(
             f"an exact canonical point needs n <= {SOLVE_BETA_DEGREE_CAP}")
-    return solve_beta(matrix, (1,) * matrix.n, precision).param
+    return solve_beta(matrix, (1,) * matrix.n).param
 
 
 # ---------------------------------------------------------------------------
@@ -439,10 +440,8 @@ def solve_power_equation(exponents) -> Scalar:
     coeffs[0] = -1
     for p in exps:
         coeffs[p] += 1
-    lo, hi = polys.refine_root(coeffs, Q(0), Q(1), DEFAULT_PRECISION)
-    if lo == hi:
-        return Rat(lo)
-    return scalars.make_algebraic(coeffs, lo, hi)
+    # -1 at 0 and len(exps) - 1 > 0 at 1, increasing in between
+    return scalars.make_algebraic(coeffs, Q(0), Q(1))
 
 
 def _det_poly(matrix: ZeroOneMatrix, exps) -> list:
@@ -490,6 +489,8 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
     is heuristic.  Either way beta is at most `precision` wide.
     """
     precision = Q(precision)
+    if precision <= 0:
+        raise DomainError("precision must be positive")
     if not isinstance(omega, FrequencyVector):
         omega = FrequencyVector(tuple(omega))
     if len(omega.entries) != matrix.n:
@@ -510,12 +511,11 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
 
 def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
                       precision: Fraction) -> BetaSolution:
-    # one squarefree part and one Sturm chain serve the isolation, the
-    # bisection and the algebraic number
+    # one squarefree part and one Sturm chain serve the isolation and the
+    # algebraic number
     chain = polys.sturm_chain(polys.squarefree_part(_det_poly(matrix, reduced)))
-    lo, hi = polys.isolate_smallest_root(chain, Q(0), Q(1))
-    lo, hi = polys.refine_root(chain[0], lo, hi, precision)
-    base = Rat(lo) if lo == hi else scalars.algebraic_from_chain(chain, lo, hi)
+    base = scalars.algebraic_from_chain(
+        chain, *polys.isolate_smallest_root(chain, Q(0), Q(1)))
     entries = tuple(scalars.make_power(base, e) for e in reduced)
     # t >= 1/n, as 1 = PFE(diag(t^m) A) <= t n: an enclosure of width 1/(2n)
     # has lo > 0, and one of width w lo inside it has ln hi - ln lo <= w

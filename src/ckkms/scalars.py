@@ -1,13 +1,13 @@
 """Exact scalar values: rationals, algebraic numbers, their powers and products.
 
-The tower has five shapes.  Rat wraps a Fraction.  Alg is a real algebraic
-number given by an integer polynomial (constant-first) together with an
-isolating interval containing exactly one root, across which the squarefree
-part changes sign.  Product is an exact multiplicative combination: a
-rational coefficient times algebraic factors with nonzero integer exponents;
-a single-base power x^k is Product(1, ((x, k),)).  Flt is a float, always
-treated as heuristic.  Enc is a value known only through a rigorous
-rational-endpoint enclosure.
+The tower has five shapes.  Rat wraps a Fraction.  Alg is a real irrational
+algebraic number given by its squarefree integer polynomial (constant-first)
+and the coarsest dyadic cell [m, m+1]/2^k, k >= 0, that isolates the root,
+so that one root of one polynomial has one form.  Product is an exact
+multiplicative combination: a rational coefficient times algebraic factors
+with nonzero integer exponents; a single-base power x^k is
+Product(1, ((x, k),)).  Flt is a float, always treated as heuristic.  Enc
+is a value known only through a rigorous rational-endpoint enclosure.
 
 The shapes decide how far a value can be trusted, its mode: `exact` for
 Rat, Alg and Product, `certified` for Enc, `heuristic` for Flt.  A result
@@ -17,7 +17,9 @@ result takes the weakest decoration of its inputs in IEEE Std 1788-2015.
 Construction goes through make_algebraic / make_power / mul, which normalize:
 rational roots collapse to Rat, x^k that is congruent to a constant modulo
 the defining polynomial collapses to a rational power, empty products unwrap
-and x^1 unwraps to x.
+and x^1 unwraps to x.  As an Alg has one form per root, mul combines the
+exponents of one root however it was isolated; same_value decides equality
+of two Algs over different polynomials exactly, from their cells.
 
 refine encloses an Alg in the cell of a dyadic grid that holds its root.
 The root of an Alg is irrational, so the cell is a function of the value and
@@ -59,8 +61,8 @@ class Rat(Scalar):
 @dataclass(frozen=True, slots=True)
 class Alg(Scalar):
     poly: tuple  # int coefficients, constant-first, squarefree primitive
-    lo: Fraction
-    hi: Fraction
+    lo: Fraction  # [lo, hi]: the coarsest cell [m, m+1]/2^k, k >= 0,
+    hi: Fraction  # on which poly is nonzero at both ends and has one root
 
 
 @dataclass(frozen=True, slots=True)
@@ -135,6 +137,14 @@ def algebraic_from_chain(chain, lo, hi) -> Scalar:
     so it is a multiple of 1/a_n.  A copy of the interval refined to width
     1/(2 a_n) holds at most one such multiple, and an exact sign test there
     decides rationality without factoring any coefficient.
+
+    An irrational root is stored with the coarsest cell [m, m+1]/2^k,
+    k >= 0, that isolates it: chain[0] is nonzero at both ends and has one
+    root inside.  The cells of the root at k + 1, k + 2, ... lie in the
+    cell at k, so once one isolates the root, all later ones do; the scan
+    k = 0, 1, ... narrows one bracket from each cell to the next and stops
+    at the first.  The cell depends only on the polynomial and the root, so
+    two isolations of one root give one Alg.
     """
     lo, hi = Q(lo), Q(hi)
     sf = chain[0]
@@ -153,7 +163,36 @@ def algebraic_from_chain(chain, lo, hi) -> Scalar:
     r = Q(math.ceil(a * lead), lead)
     if r <= b and polys.sign_at(sf, r.numerator, r.denominator) == 0:
         return Rat(r)
-    return Alg(tuple(sf), lo, hi)
+    k = 0
+    while True:
+        c_lo, c_hi = _root_cell(sf, a, b, k)
+        # a cell inside [lo, hi] isolates the root; one reaching out of it
+        # takes the sign and Sturm tests
+        if (lo <= c_lo and c_hi <= hi) or (
+                polys.sign_at(sf, c_lo.numerator, c_lo.denominator)
+                and polys.sign_at(sf, c_hi.numerator, c_hi.denominator)
+                and polys.count_roots(chain, c_lo, c_hi) == 1):
+            return Alg(tuple(sf), c_lo, c_hi)
+        a, b = max(a, c_lo), min(b, c_hi)
+        k += 1
+
+
+def _root_cell(poly, lo: Fraction, hi: Fraction, k: int) -> tuple:
+    """The ends of the cell [m, m+1]/2^k of the grid 2^-k that holds the one
+    root of `poly` in the sign-change bracket (lo, hi), an irrational root.
+
+    Exactly one cell holds it.  The bracket refined to width at most 2^-k
+    has at most one grid point inside, and the sign there, against the
+    sign at its lower end, picks the cell.
+    """
+    step = Q(2) ** -k
+    a, b = polys.refine_root(poly, lo, hi, step)
+    m = math.floor(a / step)
+    cut = (m + 1) * step
+    if cut < b and (polys.sign_at(poly, cut.numerator, cut.denominator)
+                    == polys.sign_at(poly, a.numerator, a.denominator)):
+        m += 1
+    return m * step, (m + 1) * step
 
 
 def _alg_power_collapse(base: Alg, k: int) -> Fraction | None:
@@ -198,20 +237,8 @@ def make_power(base: Scalar, exp: int) -> Scalar:
 
 @lru_cache(maxsize=4096)
 def _alg_cell(a: Alg, k: int) -> Interval:
-    """The cell [m, m+1]/2^k of the grid 2^-k that holds the root of `a`.
-
-    The root is irrational, so exactly one cell holds it.  A sign-change
-    bracket of width at most 2^-k has at most one grid point inside, and
-    the sign there, against the sign at a.lo, picks the cell.
-    """
-    step = Q(2) ** -k
-    lo, hi = polys.refine_root(a.poly, a.lo, a.hi, step)
-    m = math.floor(lo / step)
-    cut = (m + 1) * step
-    if cut < hi and (polys.sign_at(a.poly, cut.numerator, cut.denominator)
-                     == polys.sign_at(a.poly, a.lo.numerator, a.lo.denominator)):
-        m += 1
-    return Interval(m * step, (m + 1) * step)
+    """The cell [m, m+1]/2^k of the grid 2^-k that holds the root of `a`."""
+    return Interval(*_root_cell(a.poly, a.lo, a.hi, k))
 
 
 def grid_bits(width: Fraction) -> int:
@@ -465,7 +492,7 @@ def add(*values) -> Scalar:
 
 def _doubling_widths(first: int, last: int):
     """2^-k for k = first, 2 first, 4 first, ... up to last: each refine of an
-    Alg bisects from its isolating interval, so a loop over these is O(last)."""
+    Alg bisects from its cell, so a loop over these is O(last)."""
     k = first
     while k < last:
         yield Q(1, 2**k)
@@ -494,33 +521,9 @@ def in_open_unit_interval(s: Scalar) -> bool:
         return False
 
 
-def _merge_shared_roots(s: Scalar) -> Scalar:
-    """s with the Product bases that are one root under two isolations
-    merged.  Each base isolates one root of its polynomial, so two bases
-    with the same polynomial are the same number exactly when the hull of
-    their intervals holds one root of it, by an integer Sturm count."""
-    if not isinstance(s, Product):
-        return s
-    merged: list = []  # [base, exponent, merged with another base]
-    for b, e in s.factors:
-        for entry in merged:
-            o = entry[0]
-            if o.poly == b.poly and polys.count_roots(
-                    polys.sturm_chain(list(b.poly)), min(o.lo, b.lo), max(o.hi, b.hi)) == 1:
-                entry[1] += e
-                entry[2] = True
-                break
-        else:
-            merged.append([b, e, False])
-    if len(merged) == len(s.factors):
-        return s
-    return _build_product(s.rational, (tuple(entry) for entry in merged))
-
-
 def same_value(a: Scalar, b: Scalar) -> bool:
-    """Exact value equality where decidable, else a deep-enclosure criterion.
-    A product's bases that isolate one root twice are merged first."""
-    a, b = _merge_shared_roots(_as_scalar(a)), _merge_shared_roots(_as_scalar(b))
+    """Exact value equality where decidable, else a deep-enclosure criterion."""
+    a, b = _as_scalar(a), _as_scalar(b)
     if a == b:
         return True
     if isinstance(a, Rat) and isinstance(b, Rat):
@@ -533,21 +536,19 @@ def same_value(a: Scalar, b: Scalar) -> bool:
             except InvalidScalarError:
                 return False
     if isinstance(a, Alg) and isinstance(b, Alg):
-        g = polys.poly_gcd(list(a.poly), list(b.poly))
-        if polys.degree(g) < 1:
+        # two dyadic cells are nested or disjoint; the finer one, a's, holds
+        # one root of each polynomial when nested, and these are one number
+        # exactly when it holds a root of their gcd
+        if a.hi - a.lo > b.hi - b.lo:
+            a, b = b, a
+        if a.lo < b.lo or a.hi > b.hi:
             return False
-        chains = [polys.sturm_chain(p) for p in (g, list(a.poly), list(b.poly))]
-        for width in _doubling_widths(1, 237):
-            ia, ib = refine(a, width), refine(b, width)
-            if not ia.intersects(ib):
-                return False
-            hull = ia.hull(ib)
-            if all(polys.count_roots(c, hull.lo, hull.hi) == 1 for c in chains):
-                return True
-        return False
+        g = polys.poly_gcd(list(a.poly), list(b.poly))
+        return polys.degree(g) >= 1 and polys.count_roots(
+            polys.sturm_chain(g), a.lo, a.hi) == 1
     if is_exact(a) and is_exact(b):
         # when every base cancels, the ratio is an exact rational
-        q = _merge_shared_roots(mul(a, inv(b)))
+        q = mul(a, inv(b))
         if isinstance(q, Rat):
             return q.value == 1
     # other powers/products: compare by deep refinement

@@ -316,13 +316,15 @@ class TestCanonicalPoint:
         for entry in param.entries:
             assert scalars.is_exact(entry)
             assert abs(scalars.to_float(entry) * radius - 1) < 1e-12
-            if not isinstance(entry, Rat):
-                assert entry.hi - entry.lo <= perron.DEFAULT_PRECISION
 
     def test_tribonacci_entry_meets_a_finer_precision(self):
-        entry = perron.canonical_point(TRIBONACCI, Q(1, 10**30)).entries[0]
-        assert entry.poly == (-1, 1, 1, 1)
-        assert entry.hi - entry.lo <= Q(1, 10**30)
+        # the entry does not depend on the precision of the solve; refine
+        # meets the finer one
+        entry = perron.canonical_point(TRIBONACCI).entries[0]
+        fine = perron.solve_beta(TRIBONACCI, (1, 1, 1), Q(1, 10**30)).param.entries[0]
+        assert fine == entry and entry.poly == (-1, 1, 1, 1)
+        iv = scalars.refine(entry, Q(1, 10**30))
+        assert iv.width <= Q(1, 10**30) and abs(float(iv.lo) - 0.5436890126920764) < 1e-15
 
     def test_permutation_matrix_rejected(self):
         swap = ZeroOneMatrix(((0, 1), (1, 0)))
@@ -391,6 +393,12 @@ class TestSolveBeta:
         assert abs(float(sol.beta.mid) - math.log(2)) < 1e-12
         assert [to_fraction(e) for e in sol.param.entries] == [
             Q(1, 2), Q(1, 2)]
+
+    @pytest.mark.parametrize("precision", [0, -1, Q(-1, 3)])
+    @pytest.mark.parametrize("omega", [(1, 2), (1.3, 0.7)], ids=["exact", "float"])
+    def test_nonpositive_precision_is_a_domain_error(self, omega, precision):
+        with pytest.raises(DomainError, match="precision must be positive"):
+            perron.solve_beta(GOLDEN, omega, precision)
 
     def test_full2_frequencies_one_two(self):
         # independent oracle: e^-b + e^-2b = 1

@@ -82,12 +82,13 @@ class TestConstruction:
         assert isinstance(sqrt2, Alg) and (sqrt2.lo, sqrt2.hi) == (Q(1), Q(2))
 
     def test_large_leading_coefficient_is_fast(self):
-        # 10^40 x^2 - 2 isolates sqrt(2)/10^20 in [1e-20, 2e-20]; factoring
-        # 10^40 by trial division would not finish
+        # 10^40 x^2 - 2 isolates sqrt(2)/10^20 in [1e-20, 2e-20], and already
+        # in the cell [0, 1]; factoring 10^40 by trial division would not
+        # finish
         start = time.monotonic()
         s = scalars.make_algebraic([-2, 0, 10**40], Q(1, 10**20), Q(2, 10**20))
         assert time.monotonic() - start < 1.0
-        assert isinstance(s, Alg) and (s.lo, s.hi) == (Q(1, 10**20), Q(2, 10**20))
+        assert isinstance(s, Alg) and (s.lo, s.hi) == (Q(0), Q(1))
 
     def test_interval_must_isolate(self):
         with pytest.raises(InvalidScalarError):
@@ -140,6 +141,38 @@ class TestEnclosureCells:
         assert isinstance(other, Alg) and other.poly == a.poly
         scalars.refine(other, width / 2**deeper)
         assert scalars.refine(a, width) == iv == scalars.refine(other, width)
+
+    @given(irrational_roots(), st.lists(st.tuples(
+        st.integers(0, 80), st.fractions(0, 1, max_denominator=1000),
+        st.fractions(0, 1, max_denominator=1000)), min_size=2, max_size=2))
+    @settings(max_examples=150, deadline=None)
+    def test_one_root_has_one_form(self, a, brackets):
+        # a sub-bracket (lo, hi) of the cell around a narrower bracket of the
+        # root isolates it too; every such isolation gives the same Alg
+        forms = []
+        for bits, s, t in brackets:
+            c, d = polys.refine_root(list(a.poly), a.lo, a.hi, Q(1, 2**bits))
+            lo, hi = c - s * (c - a.lo), d + t * (a.hi - d)
+            forms.append(scalars.make_algebraic(a.poly, lo, hi))
+        for b in forms:
+            assert b == a and hash(b) == hash(a)
+            assert scalars.scalar_to_json(b) == scalars.scalar_to_json(a)
+        assert scalars.scalar_from_json(scalars.scalar_to_json(a)) == a
+        # the cell [m, m+1]/2^k isolates the root, and for k > 0 the cell at
+        # k - 1 that holds it does not
+        step = a.hi - a.lo
+        k = step.denominator.bit_length() - 1
+        assert step == Q(1, 2**k) and (a.lo / step).denominator == 1
+
+        def isolates(lo, hi):
+            ends = (polys.sign_at(a.poly, x.numerator, x.denominator) for x in (lo, hi))
+            return all(ends) and polys.count_roots(
+                polys.sturm_chain(list(a.poly)), lo, hi) == 1
+
+        assert isolates(a.lo, a.hi)
+        if k > 0:
+            lo = math.floor(a.lo / (2 * step)) * 2 * step
+            assert not isolates(lo, lo + 2 * step)
 
 
 class TestArithmetic:
@@ -333,18 +366,32 @@ class TestSameValue:
         assert not scalars.same_value(p, scalars.mul(Rat(1 + Q(1, 10**45)), p))
 
     def test_one_root_under_two_isolations_is_compared_fast(self):
-        # mul keeps both bases of the ratio, as their intervals differ;
-        # same_value merges them, since the hull [0, 1] of the two intervals
-        # holds one root of x^2 + x - 1, and reads the ratio as exactly 1
+        # both isolations give the cell [0, 1], so the ratio is exactly 1
         g = scalars.make_algebraic([-1, 1, 1], Q(1, 2), Q(1))
         ratio = scalars.mul(g, scalars.inv(golden()))
-        assert isinstance(ratio, Product) and len(ratio.factors) == 2
+        assert ratio == Rat(1)
         start = time.monotonic()
         assert scalars.same_value(ratio, Rat(1))
         assert scalars.same_value(Rat(1), ratio)
         assert scalars.same_value(scalars.make_power(g, 3),
                                   scalars.make_power(golden(), 3))
         assert time.monotonic() - start < 1.0
+
+    def test_roots_2_to_the_minus_299_apart(self):
+        # g has the roots 1/3 +- 2^-300 sqrt 2; equality of its upper root
+        # with the one of g (x - 5) is decided past 2^-237
+        g = [2**599 - 9, -6 * 2**599, 9 * 2**599]
+        upper = scalars.make_algebraic(g, Q(1, 3), Q(1))
+        other = scalars.make_algebraic(polys.mul(g, [-5, 1]), Q(1, 3), Q(1))
+        assert other != upper
+        assert scalars.same_value(upper, other) and scalars.same_value(other, upper)
+        # one root isolated twice is one object
+        c = scalars.make_algebraic(g, Q(1, 3), Q(1, 2))
+        assert c == upper and hash(c) == hash(upper)
+        assert scalars.mul(upper, scalars.inv(c)) == Rat(1)
+        lower = scalars.make_algebraic(g, Q(0), Q(1, 3))
+        assert not scalars.same_value(upper, lower)
+        assert not scalars.same_value(lower, other)
 
     def test_two_roots_of_one_polynomial_are_not_merged(self):
         # g and h are the two roots of x^2 + x - 1, so g h = -1 while
