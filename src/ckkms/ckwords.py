@@ -255,6 +255,9 @@ def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
 
     Returns a dict Monomial -> Fraction.  When `trace` is a list, the
     measure of every term picked for a step is appended before rewriting it.
+    Raises ResourceLimitError past `term_cap` pending terms or `term_cap`
+    steps, one per child term: the depth-first walk keeps few terms
+    pending, so only the step count bounds the total work.
     """
     if strategy not in ("leftmost", "rightmost"):
         raise DomainError(f"unknown strategy {strategy!r}")
@@ -265,9 +268,10 @@ def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
     if _term_is_dead(masks, start):
         return result
     stack = [(Q(1), start)]
+    steps = 0
     while stack:
-        if len(stack) > term_cap:
-            raise ResourceLimitError(f"rewrite exceeded {term_cap} pending terms")
+        if len(stack) > term_cap or steps > term_cap:
+            raise ResourceLimitError(f"rewrite exceeded {term_cap} pending terms or steps")
         coeff, letters = stack.pop()
         t = _find_redex(letters, strategy)
         if t is None:
@@ -284,11 +288,13 @@ def rewrite(matrix: ZeroOneMatrix, word, strategy: str = "leftmost",
         if i != j:
             continue  # orthogonal ranges: the term is 0
         before = _measure(letters) if trace is not None else 0
+        steps += len(matrix.follower_sets[i])
         for k in matrix.follower_sets[i]:
             child = letters[:t] + [(k, False), (k, True)] + letters[t + 2:]
             if trace is not None:
                 trace.append((before, _measure(child)))
-            if not _term_is_dead(masks, child):
+            # the parent is alive, so only the pairs at the new letters can kill
+            if not _term_is_dead(masks, child[max(t - 1, 0):t + 3]):
                 stack.append((coeff, child))
     return result
 

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import scalars
-from .errors import DomainError, PreconditionError, ResourceLimitError
+from .errors import (DomainError, InvalidScalarError, PreconditionError,
+                     ResourceLimitError)
 from .intervals import Q, exp_interval
 from .matrix01 import DEFAULT_DIMENSION_CAP
 from .perron import DEFAULT_PRECISION, DEFAULT_TOLERANCE, solve_beta
@@ -224,11 +225,16 @@ def _kron_exponents(e1, e2) -> tuple:
 
 
 def tensor_type(a, b) -> TypeLabel:
-    """lambda of the Kronecker product vector."""
-    if isinstance(a, PowerForm) and isinstance(b, PowerForm) \
-            and scalars.same_value(a.base, b.base):
-        return detect_lambda(PowerForm(a.base, _kron_exponents(a.exponents,
-                                                               b.exponents)))
+    """lambda of the Kronecker product vector; two power forms over one
+    base keep it, and bases not proved equal take the Kronecker entries."""
+    if isinstance(a, PowerForm) and isinstance(b, PowerForm):
+        try:
+            one_base = scalars.same_value(a.base, b.base)
+        except InvalidScalarError:
+            one_base = False
+        if one_base:
+            return detect_lambda(PowerForm(a.base, _kron_exponents(a.exponents,
+                                                                   b.exponents)))
     ea = a.entries() if isinstance(a, PowerForm) else tuple(
         scalars._as_scalar(v) for v in a)
     eb = b.entries() if isinstance(b, PowerForm) else tuple(

@@ -19,9 +19,11 @@ a root t of det(diag(t^{m_i}) A - I), and t is the smallest root of that
 polynomial in (0,1) because below it the spectral radius stays under 1, so
 no eigenvalue can reach 1 earlier.  The polynomial is read off one integer
 determinant at t = 2^k (Kronecker substitution), large enough that its
-base-2^k digits are the coefficients.  Other frequency vectors take a
-bisection on beta = n/2^e, held as integers, whose sign test runs the same
-integer Collatz-Wielandt loop as pf_data, on entry bounds from exp_neg_grid.
+base-2^k digits are the coefficients, and scalars.least_root finds t on
+(0,1) from the Sturm chain of its squarefree part.  Other frequency
+vectors take a bisection on beta = n/2^e, held as integers, whose sign test
+runs the same integer Collatz-Wielandt loop as pf_data, on entry bounds
+from exp_neg_grid.
 Consecutive sign tests differ only slightly in beta, so each starts from the
 iterate the previous one ended on, which is as sound as any positive start
 vector.  The canonical point
@@ -511,11 +513,8 @@ def solve_beta(matrix: ZeroOneMatrix, omega, precision=DEFAULT_PRECISION) -> Bet
 
 def _solve_beta_exact(matrix: ZeroOneMatrix, reduced, scale: Fraction,
                       precision: Fraction) -> BetaSolution:
-    # one squarefree part and one Sturm chain serve the isolation and the
-    # algebraic number
     chain = polys.sturm_chain(polys.squarefree_part(_det_poly(matrix, reduced)))
-    base = scalars.algebraic_from_chain(
-        chain, *polys.isolate_smallest_root(chain, Q(0), Q(1)))
+    base = scalars.least_root(chain, Q(0), Q(1))
     entries = tuple(scalars.make_power(base, e) for e in reduced)
     # t >= 1/n, as 1 = PFE(diag(t^m) A) <= t n: an enclosure of width 1/(2n)
     # has lo > 0, and one of width w lo inside it has ln hi - ln lo <= w

@@ -2,8 +2,8 @@
 
 Coefficient lists are constant-first: coeffs[k] is the coefficient of x^k.
 The zero polynomial is the empty list.  These routines back the algebraic
-scalar type and the exact spectral solver (root isolation via Sturm chains),
-and run fraction-free:
+scalar type and the exact spectral solver (root counting via Sturm chains,
+on which scalars.least_root isolates roots), and run fraction-free:
 
 - poly_gcd and squarefree_part take gcds by primitive pseudo-remainder
   sequences, and squarefree_part divides out the gcd by integer long
@@ -208,53 +208,6 @@ def count_roots(chain: list[Poly], lo: Fraction, hi: Fraction) -> int:
     whose ends are not roots of it, and for a squarefree p (the form its
     callers pass) also when they are."""
     return sign_variations(chain, lo) - sign_variations(chain, hi)
-
-
-def isolate_smallest_root(chain: list[Poly], lo: Fraction,
-                          hi: Fraction) -> tuple[Fraction, Fraction]:
-    """Isolating interval (a, b) for the smallest root in (lo, hi) of the
-    squarefree polynomial chain[0], given its Sturm chain.
-
-    Returns endpoints with p(a) != 0, p(b) != 0, exactly one distinct root
-    inside.  Raises if p has no root there.  A cut that lands on a rational
-    root moves by 1/1024 of the bracket.
-    """
-    p = chain[0]
-
-    def sign(x):
-        return sign_at(p, x.numerator, x.denominator)
-
-    lo, hi = Q(lo), Q(hi)
-    # nudge endpoints off roots
-    while sign(lo) == 0:
-        lo += (hi - lo) / 1024
-    while sign(hi) == 0:
-        hi -= (hi - lo) / 1024
-    vlo = sign_variations(chain, lo)
-    if vlo - sign_variations(chain, hi) <= 0:
-        raise ArithmeticError("no root in the requested interval")
-    while True:
-        mid = (lo + hi) / 2
-        if sign(mid) == 0:
-            mid += (hi - lo) / 1024
-        vmid = sign_variations(chain, mid)
-        if vlo - vmid >= 1:
-            hi = mid
-            if vlo - vmid == 1:
-                break
-        else:
-            lo, vlo = mid, vmid
-    # now exactly one root in (lo, hi]; shrink until the sign changes strictly
-    while sign(lo) * sign(hi) > 0 or (hi - lo) > Q(1, 4):
-        mid = (lo + hi) / 2
-        if sign(mid) == 0:
-            mid += (hi - lo) / 1024
-        vmid = sign_variations(chain, mid)
-        if vlo - vmid >= 1:
-            hi = mid
-        else:
-            lo, vlo = mid, vmid
-    return lo, hi
 
 
 def refine_root(p: Poly, lo: Fraction, hi: Fraction, width: Fraction) -> tuple[Fraction, Fraction]:

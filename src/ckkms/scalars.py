@@ -17,9 +17,12 @@ result takes the weakest decoration of its inputs in IEEE Std 1788-2015.
 Construction goes through make_algebraic / make_power / mul, which normalize:
 rational roots collapse to Rat, x^k that is congruent to a constant modulo
 the defining polynomial collapses to a rational power, empty products unwrap
-and x^1 unwraps to x.  As an Alg has one form per root, mul combines the
-exponents of one root however it was isolated; same_value decides equality
-of two Algs over different polynomials exactly, from their cells.
+and x^1 unwraps to x.  One routine, least_root, finds every algebraic root:
+a dyadic descent on Sturm counts from the integer cells down to the first
+cell that isolates the root.  As an Alg has one form per root, mul combines
+the exponents of one root however it was isolated; same_value decides
+equality of two Algs over different polynomials exactly, from their cells,
+and of other exact values from their ratio, or raises.
 
 refine encloses an Alg in the cell of a dyadic grid that holds its root.
 The root of an Alg is irrational, so the cell is a function of the value and
@@ -121,33 +124,13 @@ def make_algebraic(poly, lo, hi) -> Scalar:
 
     Collapses to Rat when the isolated root is rational.  Raises
     InvalidScalarError unless the interval isolates exactly one root with a
-    sign change of the squarefree part.
+    sign change of the squarefree part; a root at an end is that end.
     """
     sf = polys.squarefree_part(list(poly))
     if polys.degree(sf) < 1:
         raise InvalidScalarError("polynomial has no roots to isolate")
-    return algebraic_from_chain(polys.sturm_chain(sf), lo, hi)
-
-
-def algebraic_from_chain(chain, lo, hi) -> Scalar:
-    """make_algebraic for the primitive squarefree part chain[0], of degree
-    at least 1, given with its Sturm chain.
-
-    A rational root p/q of chain[0] has q | a_n, its leading coefficient,
-    so it is a multiple of 1/a_n.  A copy of the interval refined to width
-    1/(2 a_n) holds at most one such multiple, and an exact sign test there
-    decides rationality without factoring any coefficient.
-
-    An irrational root is stored with the coarsest cell [m, m+1]/2^k,
-    k >= 0, that isolates it: chain[0] is nonzero at both ends and has one
-    root inside.  The cells of the root at k + 1, k + 2, ... lie in the
-    cell at k, so once one isolates the root, all later ones do; the scan
-    k = 0, 1, ... narrows one bracket from each cell to the next and stops
-    at the first.  The cell depends only on the polynomial and the root, so
-    two isolations of one root give one Alg.
-    """
+    chain = polys.sturm_chain(sf)
     lo, hi = Q(lo), Q(hi)
-    sf = chain[0]
     slo = polys.sign_at(sf, lo.numerator, lo.denominator)
     shi = polys.sign_at(sf, hi.numerator, hi.denominator)
     if lo <= hi and (slo == 0 or shi == 0):
@@ -158,41 +141,59 @@ def algebraic_from_chain(chain, lo, hi) -> Scalar:
         raise InvalidScalarError("interval endpoints must straddle a sign change")
     if polys.count_roots(chain, lo, hi) != 1:
         raise InvalidScalarError("interval does not isolate a single root")
-    lead = sf[-1]
-    a, b = polys.refine_root(sf, lo, hi, Q(1, 2 * lead))
-    r = Q(math.ceil(a * lead), lead)
-    if r <= b and polys.sign_at(sf, r.numerator, r.denominator) == 0:
-        return Rat(r)
-    k = 0
-    while True:
-        c_lo, c_hi = _root_cell(sf, a, b, k)
-        # a cell inside [lo, hi] isolates the root; one reaching out of it
-        # takes the sign and Sturm tests
-        if (lo <= c_lo and c_hi <= hi) or (
-                polys.sign_at(sf, c_lo.numerator, c_lo.denominator)
-                and polys.sign_at(sf, c_hi.numerator, c_hi.denominator)
-                and polys.count_roots(chain, c_lo, c_hi) == 1):
-            return Alg(tuple(sf), c_lo, c_hi)
-        a, b = max(a, c_lo), min(b, c_hi)
-        k += 1
+    return least_root(chain, lo, hi)
 
 
-def _root_cell(poly, lo: Fraction, hi: Fraction, k: int) -> tuple:
-    """The ends of the cell [m, m+1]/2^k of the grid 2^-k that holds the one
-    root of `poly` in the sign-change bracket (lo, hi), an irrational root.
+def least_root(chain, lo, hi) -> Scalar:
+    """The least root r in the open interval (lo, hi) of the primitive
+    squarefree polynomial chain[0], of degree at least 1, given with its
+    Sturm chain: Rat when r is rational, else the Alg on the coarsest cell
+    [m, m+1]/2^k, k >= 0, that isolates r (chain[0] nonzero at both ends,
+    one root inside).  Raises ArithmeticError when (lo, hi) holds no root.
 
-    Exactly one cell holds it.  The bracket refined to width at most 2^-k
-    has at most one grid point inside, and the sign there, against the
-    sign at its lower end, picks the cell.
+    The descent keeps a cell (a, b] that holds r, from the integers
+    floor(lo) and ceil(hi), and cuts it in two: at an integer while it is
+    wider than 1, then at its midpoint, one level of the dyadic grid per
+    cut.  No root lies in (lo, a], so r <= c exactly when (max(a, lo), c]
+    holds a root, one Sturm count; a dyadic r is met as a cut c where that
+    count is 1 and chain[0](c) = 0.  The cells of r at k = 0, 1, ... are
+    nested, so the first one that isolates r is the coarsest.  A rational
+    r = p/q has q | a_n, the leading coefficient, so it is the one multiple
+    of 1/a_n in that cell refined to width 1/(2 a_n), if any, at which
+    chain[0] vanishes.
     """
-    step = Q(2) ** -k
-    a, b = polys.refine_root(poly, lo, hi, step)
-    m = math.floor(a / step)
-    cut = (m + 1) * step
-    if cut < b and (polys.sign_at(poly, cut.numerator, cut.denominator)
-                    == polys.sign_at(poly, a.numerator, a.denominator)):
-        m += 1
-    return m * step, (m + 1) * step
+    sf = chain[0]
+    lo, hi = Q(lo), Q(hi)
+
+    def sign(x):
+        return polys.sign_at(sf, x.numerator, x.denominator)
+
+    def variations(x):
+        return polys.sign_variations(chain, x)
+
+    vlo, vhi = variations(lo), variations(hi)
+    if lo >= hi or vlo - vhi - (sign(hi) == 0) < 1:
+        raise ArithmeticError("no root in the requested interval")
+    a, b = Q(math.floor(lo)), Q(math.ceil(hi))
+    va = vlo if a == lo else variations(a)
+    vb = vhi if b == hi else variations(b)
+    sa, sb = sign(a), sign(b)
+    while not (b - a <= 1 and sa and sb and va - vb == 1):
+        c = Q((a + b) // 2) if b - a > 1 else (a + b) / 2
+        vc, sc = variations(c), sign(c)
+        n = (vlo if a <= lo else va) - vc  # roots in (max(a, lo), c]
+        if lo < c < hi and n == 1 and sc == 0:
+            return Rat(c)
+        if c >= hi or (c > lo and n >= 1):
+            b, vb, sb = c, vc, sc
+        else:
+            a, va, sa = c, vc, sc
+    lead = sf[-1]
+    x, y = polys.refine_root(sf, a, b, Q(1, 2 * lead))
+    r = Q(math.ceil(x * lead), lead)
+    if r <= y and sign(r) == 0:
+        return Rat(r)
+    return Alg(tuple(sf), a, b)
 
 
 def _alg_power_collapse(base: Alg, k: int) -> Fraction | None:
@@ -237,8 +238,15 @@ def make_power(base: Scalar, exp: int) -> Scalar:
 
 @lru_cache(maxsize=4096)
 def _alg_cell(a: Alg, k: int) -> Interval:
-    """The cell [m, m+1]/2^k of the grid 2^-k that holds the root of `a`."""
-    return Interval(*_root_cell(a.poly, a.lo, a.hi, k))
+    """The cell [m, m+1]/2^k of the grid 2^-k that holds the root of `a`: a
+    coarser grid's cell contains the stored cell, and a finer one is the
+    stored cell bisected down to width 2^-k, whose every half is a grid
+    cell, as no midpoint is the irrational root."""
+    step = Q(2) ** -k
+    if step >= a.hi - a.lo:
+        m = math.floor(a.lo / step)
+        return Interval(m * step, (m + 1) * step)
+    return Interval(*polys.refine_root(a.poly, a.lo, a.hi, step))
 
 
 def grid_bits(width: Fraction) -> int:
@@ -522,19 +530,22 @@ def in_open_unit_interval(s: Scalar) -> bool:
 
 
 def same_value(a: Scalar, b: Scalar) -> bool:
-    """Exact value equality where decidable, else a deep-enclosure criterion."""
+    """Value equality, decided or refused.
+
+    Two exact values are equal when their ratio is Rat(1) and unequal when
+    compare_rational separates it from 1; two Algs are compared exactly
+    from their cells.  Any other pair of exact values raises
+    InvalidScalarError.  A Flt or Enc operand is equal to the other only
+    when both refine to the same point.
+    """
     a, b = _as_scalar(a), _as_scalar(b)
+    if not (is_exact(a) and is_exact(b)):
+        iv = refine(a, ENCLOSURE_WIDTH)
+        return iv.lo == iv.hi and refine(b, ENCLOSURE_WIDTH) == iv
     if a == b:
         return True
     if isinstance(a, Rat) and isinstance(b, Rat):
-        return a.value == b.value
-    if isinstance(a, Rat) or isinstance(b, Rat):
-        r, other = (a, b) if isinstance(a, Rat) else (b, a)
-        if is_exact(other):
-            try:
-                return compare_rational(other, r.value) == 0
-            except InvalidScalarError:
-                return False
+        return False
     if isinstance(a, Alg) and isinstance(b, Alg):
         # two dyadic cells are nested or disjoint; the finer one, a's, holds
         # one root of each polynomial when nested, and these are one number
@@ -546,15 +557,9 @@ def same_value(a: Scalar, b: Scalar) -> bool:
         g = polys.poly_gcd(list(a.poly), list(b.poly))
         return polys.degree(g) >= 1 and polys.count_roots(
             polys.sturm_chain(g), a.lo, a.hi) == 1
-    if is_exact(a) and is_exact(b):
-        # when every base cancels, the ratio is an exact rational
-        q = mul(a, inv(b))
-        if isinstance(q, Rat):
-            return q.value == 1
-    # other powers/products: compare by deep refinement
-    width = Q(1, 10**40)
-    ia, ib = refine(a, width), refine(b, width)
-    return ia.intersects(ib) and max(ia.width, ib.width) <= width
+    if isinstance(b, Rat):  # only a Rat is zero
+        a, b = b, a
+    return compare_rational(mul(a, inv(b)), Q(1)) == 0
 
 
 # ---------------------------------------------------------------------------

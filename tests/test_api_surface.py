@@ -172,3 +172,20 @@ def test_no_command_handler_names_a_mode():
                 for const in ast.walk(node) if isinstance(const, ast.Constant)
                 and const.value in ("exact", "certified", "heuristic")]
     assert literals == []
+
+
+def test_every_traced_name_is_a_module_level_def():
+    # perfbench/tracer.py wraps these functions by name, so deleting one
+    # breaks `perfbench/run.py --trace 1` and perfbench/tests, which Tier-1
+    # does not run; TRACED is read without importing the harness
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text(encoding="utf-8"))
+    traced = next(ast.literal_eval(node.value) for node in tree.body
+                  if isinstance(node, ast.Assign)
+                  and [_terminal(t) for t in node.targets] == ["TRACED"])
+    missing = []
+    for module, names in traced.items():
+        module_tree = ast.parse((PACKAGE / f"{module}.py").read_text(encoding="utf-8"))
+        defined = {node.name for node in module_tree.body
+                   if isinstance(node, ast.FunctionDef)}
+        missing += [f"{module}.{name}" for name in names if name not in defined]
+    assert traced and missing == []

@@ -24,7 +24,7 @@ from ckkms.errors import DimensionError, DomainError, ResourceLimitError
 from ckkms.matrix01 import ZeroOneMatrix, kronecker_matrix
 from ckkms.scalars import Q, Rat
 
-from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL
+from conftest import CYCLE3, FULL2, FULL3, GOLDEN, POOL, budget
 
 PERM2 = ZeroOneMatrix(((0, 1), (1, 0)))
 
@@ -475,6 +475,13 @@ class TestRewriteEngine:
         word = ckwords.parse_word("s1* s1 s2* s2 s3* s3")
         with pytest.raises(ResourceLimitError):
             ckwords.rewrite(FULL3, word, term_cap=4)
+
+    def test_steps_count_against_the_cap(self):
+        # s1*^n s1^n keeps few terms pending, but its steps grow about 3x per
+        # extra pair of letters: 1,245 at n = 8, 345,774 at n = 18
+        word = ckwords.parse_word(" ".join(["s1*"] * 40 + ["s1"] * 40))
+        with budget(1.0), pytest.raises(ResourceLimitError):
+            ckwords.normalize(GOLDEN, word)
 
 
 class TestEnumeration:

@@ -1,7 +1,7 @@
 """Polynomial layer: root counting and isolation against a numpy oracle,
-the integer Sturm chain, isolation and exact division against their
-Fraction forms, and the determinant polynomial of the exact beta solver
-against Fraction elimination and the Leibniz formula.
+the integer Sturm chain, exact division and scalars.least_root against
+their Fraction forms, and the determinant polynomial of the exact beta
+solver against Fraction elimination and the Leibniz formula.
 
 Coefficient lists are constant-first throughout.
 """
@@ -15,8 +15,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from ckkms import perron, polys
+from ckkms import perron, polys, scalars
 from ckkms.matrix01 import ZeroOneMatrix
+from ckkms.scalars import Rat
 
 # ---------------------------------------------------------------------------
 # independent oracles
@@ -66,9 +67,8 @@ def count(p, lo, hi):
 
 
 def isolate(p, lo, hi):
-    """isolate_smallest_root on the squarefree part of p and its chain."""
-    return polys.isolate_smallest_root(
-        polys.sturm_chain(polys.squarefree_part(p)), lo, hi)
+    """scalars.least_root on the squarefree part of p and its chain."""
+    return scalars.least_root(polys.sturm_chain(polys.squarefree_part(p)), lo, hi)
 
 
 # ---------------------------------------------------------------------------
@@ -148,16 +148,41 @@ def fraction_isolate_smallest_root(p, lo, hi):
     return lo, hi
 
 
-def isolate_both(p, lo, hi):
-    """(integer result, Fraction result), each an interval or the exception
-    type it raised."""
-    out = []
-    for iso in (isolate, fraction_isolate_smallest_root):
-        try:
-            out.append(iso(p, lo, hi))
-        except ArithmeticError as exc:
-            out.append(type(exc))
-    return out
+def nudge_passes_a_root(p, lo, hi):
+    """Whether the oracle, moving an end of (lo, hi) that is a root of p
+    inward by 1/1024 of the interval, may pass over another root, so that
+    its bracket need not hold the least root in (lo, hi)."""
+    sf = fraction_squarefree_part(p)
+    chain = fraction_sturm_chain(sf)
+    step = (hi - lo) / 1024
+
+    def roots_in(a, b):  # [a, b]
+        return (fraction_variations(chain, a) - fraction_variations(chain, b)
+                + (eval_at(sf, a) == 0))
+
+    return ((eval_at(sf, lo) == 0 and roots_in(lo, lo + step) > 1)
+            or (eval_at(sf, hi) == 0 and roots_in(hi - step, hi) > 1))
+
+
+def assert_isolation_matches(p, lo, hi):
+    """least_root against fraction_isolate_smallest_root on (lo, hi): both
+    raise ArithmeticError, or a returned Rat is the one root in the oracle's
+    bracket, or a returned cell shares exactly one root with that bracket."""
+    try:
+        a, b = fraction_isolate_smallest_root(p, lo, hi)
+    except ArithmeticError:
+        with pytest.raises(ArithmeticError):
+            isolate(p, lo, hi)
+        return
+    got = isolate(p, lo, hi)
+    sf = fraction_squarefree_part(p)
+    if isinstance(got, Rat):
+        assert a < got.value < b and eval_at(sf, got.value) == 0
+        return
+    assert got.poly == tuple(sf)
+    a, b = max(a, got.lo), min(b, got.hi)
+    chain = fraction_sturm_chain(sf)
+    assert a < b and fraction_variations(chain, a) - fraction_variations(chain, b) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -246,10 +271,47 @@ class TestIsolation:
     def test_smallest_root_in_unit_interval(self, coeffs, expected):
         oracle = bisect_root(lambda x: eval_at(coeffs, x), 0.0, 1.0)
         assert abs(oracle - expected) < 1e-12
-        iv = isolate(coeffs, Fraction(0), Fraction(1))
-        lo, hi = polys.refine_root(coeffs, iv[0], iv[1], Fraction(1, 10**12))
+        a = isolate(coeffs, Fraction(0), Fraction(1))
+        lo, hi = polys.refine_root(coeffs, a.lo, a.hi, Fraction(1, 10**12))
         assert float(lo) <= expected <= float(hi)
         assert hi - lo <= Fraction(1, 10**12)
+
+
+# x^2 - 2, x^2 + x - 1, 2x^2 - 1, 3x^2 - 7x + 1, x^2 + 1, x^3 - 2,
+# x^3 - 3x + 1 and x^3 + x - 1: no rational root, so irreducible over Q
+IRREDUCIBLE = ([-2, 0, 1], [-1, 1, 1], [-1, 0, 2], [1, -7, 3], [1, 0, 1],
+               [-2, 0, 0, 1], [1, -3, 0, 1], [-1, 1, 0, 1])
+RATIONAL_ROOTS = st.builds(Fraction, st.integers(-16, 16),
+                           st.sampled_from([1, 2, 4, 8, 3, 5, 6]))
+
+
+@st.composite
+def least_root_inputs(draw):
+    """(p, lo, hi): linear factors with dyadic and other rational roots
+    times an irreducible quadratic or cubic shifted by an integer, on an
+    interval whose ends are often roots of p or 0 and 1 (with the root 1/2
+    at the first cut)."""
+    roots = draw(st.lists(RATIONAL_ROOTS, max_size=3))
+    q, shift = draw(st.sampled_from(IRREDUCIBLE)), draw(st.integers(-2, 2))
+    p = []
+    for c in reversed(q):  # q(x - shift) by Horner's rule
+        p = polys.mul(p, [-shift, 1]) or [0]
+        p[0] += c
+    for r in roots:
+        p = polys.mul(p, [-r.numerator, r.denominator])
+    ends = st.sampled_from(roots + [Fraction(0), Fraction(1)]) | st.fractions(
+        -4, 4, max_denominator=8)
+    lo, hi = draw(ends), draw(ends)
+    assume(lo < hi)
+    return p, lo, hi
+
+
+class TestLeastRoot:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(least_root_inputs())
+    def test_matches_the_fraction_isolation(self, case):
+        assume(not nudge_passes_a_root(*case))
+        assert_isolation_matches(*case)
 
 
 def fraction_refine_root(p, lo, hi, width):
@@ -353,8 +415,8 @@ POINTS = st.fractions(min_value=-4, max_value=4, max_denominator=16)
 
 
 class TestIntegerKernel:
-    """The integer chain, squarefree part and isolation against the Fraction
-    remainder sequence they replace."""
+    """The integer chain, squarefree part and least_root against the
+    Fraction remainder sequence and isolation they replace."""
 
     @settings(max_examples=200, deadline=None, derandomize=True)
     @given(kernel_polynomials(), st.lists(POINTS, min_size=1, max_size=6))
@@ -373,8 +435,9 @@ class TestIntegerKernel:
     def test_squarefree_part_and_isolation_match(self, p, a, b):
         assume(a != b)
         assert polys.squarefree_part(p) == fraction_squarefree_part(p)
-        new, old = isolate_both(p, min(a, b), max(a, b))
-        assert new == old
+        lo, hi = min(a, b), max(a, b)
+        assume(not nudge_passes_a_root(p, lo, hi))
+        assert_isolation_matches(p, lo, hi)
 
     def test_degree_gap_under_a_negative_leading_coefficient(self):
         # x^5 + x^2 - 2: the chain drops two degrees below a divisor with a
@@ -386,14 +449,11 @@ class TestIntegerKernel:
         for x in (Fraction(-2), Fraction(0), Fraction(1), Fraction(3, 2)):
             assert polys.sign_variations(chain, x) == fraction_variations(oracle, x)
 
-    def test_rational_root_at_a_midpoint_takes_the_nudge(self):
+    def test_rational_root_at_the_first_cut(self):
         # (2x - 1)(x^2 + x - 1): the first cut of (0, 1) is the root 1/2
         p = polys.mul([-1, 2], [-1, 1, 1])
-        new, old = isolate_both(p, Fraction(0), Fraction(1))
-        assert new == old
-        lo, hi = new
-        assert lo < Fraction(1, 2) < hi and hi - lo <= Fraction(1, 4)
-        assert count(p, lo, hi) == 1
+        assert isolate(p, Fraction(0), Fraction(1)) == Rat(Fraction(1, 2))
+        assert_isolation_matches(p, Fraction(0), Fraction(1))
 
     def test_inexact_division_raises(self):
         assert polys.div_exact([-1, 0, 1], [-1, 1]) == [1, 1]

@@ -110,11 +110,10 @@ def irrational_roots(draw) -> Alg:
     coeffs = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
     poly = coeffs + [draw(st.integers(1, 9))]
     try:
-        lo, hi = polys.isolate_smallest_root(
+        a = scalars.least_root(
             polys.sturm_chain(polys.squarefree_part(poly)), Q(-10), Q(10))
     except ArithmeticError:
         assume(False)
-    a = scalars.make_algebraic(poly, lo, hi)
     assume(isinstance(a, Alg))
     return a
 
@@ -403,6 +402,32 @@ class TestSameValue:
         assert not scalars.same_value(p, scalars.make_power(g, 2))
         assert not scalars.same_value(scalars.mul(g, scalars.inv(h)), Rat(1))
         assert abs(scalars.to_float(p) + 1) < 1e-15
+
+    def test_distinct_roots_of_one_polynomial_under_one_factor(self):
+        # u > w are the roots 1/3 +- 2^-300 sqrt 2 of g: 3u and 3w, and u^2
+        # and w^2, have no common base, and their ratios separate from 1
+        g = [2**599 - 9, -6 * 2**599, 9 * 2**599]
+        u = scalars.make_algebraic(g, Q(1, 3), Q(1))
+        w = scalars.make_algebraic(g, Q(0), Q(1, 3))
+        assert not scalars.same_value(scalars.mul(u, 3), scalars.mul(w, 3))
+        assert not scalars.same_value(scalars.make_power(u, 2),
+                                      scalars.make_power(w, 2))
+
+    def test_an_undecided_equality_raises(self):
+        # sqrt 2 as a root of (x^2 - 2)(x + 1): its square is exactly 2, but
+        # x^2 is not constant modulo the reducible polynomial
+        s = scalars.make_algebraic([-2, -2, 1, 1], Q(1), Q(2))
+        with pytest.raises(InvalidScalarError):
+            scalars.same_value(scalars.make_power(s, 2), 2)
+
+    def test_floats_and_enclosures_are_equal_only_as_one_point(self):
+        half = Enc(Interval.point(Q(1, 2)))
+        assert scalars.same_value(Flt(0.5), Rat(Q(1, 2)))
+        assert scalars.same_value(half, Flt(0.5))
+        assert not scalars.same_value(Flt(0.5), Flt(0.25))
+        unit = Enc(Interval(Q(0), Q(1)))
+        assert not scalars.same_value(unit, unit)
+        assert not scalars.same_value(Flt(GOLDEN_FLOAT), golden())
 
     def test_compare_rational_keeps_its_full_depth(self):
         # a dyadic within 2^-2300 below the root still separates from it
