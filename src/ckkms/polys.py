@@ -14,7 +14,10 @@ on which scalars.least_root isolates roots), and run fraction-free:
   the rational chain's;
 - every sign is that of an integer homogeneous form at a rational point
   n/d (sign_at), and refine_root bisects on numerators over one
-  power-of-two denominator.
+  power-of-two denominator;
+- content_primitive, which all of these call on integer lists, takes the
+  content of an all-integer list by gcds alone, with no Fraction per
+  coefficient.
 
 mul and divmod_exact, long division over the rationals, remain for reducing
 powers modulo a defining polynomial.
@@ -103,13 +106,18 @@ def derivative(p: Poly) -> Poly:
 
 
 def content_primitive(p: Poly) -> tuple[Fraction, Poly]:
-    """Write p = c * q with q primitive integer coefficients, positive leading."""
+    """Write p = c * q with q primitive integer coefficients, positive leading.
+    An all-int p is its own numerator list over the denominator 1; only other
+    entries go through one Fraction each and their common denominator."""
     p = trim(p)
     if not p:
         return Q(0), []
-    fracs = [Q(c) for c in p]
-    den = lcm(*(c.denominator for c in fracs))
-    ints = [int(c * den) for c in fracs]
+    if all(type(c) is int for c in p):
+        ints, den = p, 1
+    else:
+        fracs = [Q(c) for c in p]
+        den = lcm(*(c.denominator for c in fracs))
+        ints = [int(c * den) for c in fracs]
     g = gcd(*ints)
     ints = [c // g for c in ints]
     sign = 1

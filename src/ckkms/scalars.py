@@ -17,12 +17,17 @@ result takes the weakest decoration of its inputs in IEEE Std 1788-2015.
 Construction goes through make_algebraic / make_power / mul, which normalize:
 rational roots collapse to Rat, x^k that is congruent to a constant modulo
 the defining polynomial collapses to a rational power, empty products unwrap
-and x^1 unwraps to x.  One routine, least_root, finds every algebraic root:
-a dyadic descent on Sturm counts from the integer cells down to the first
-cell that isolates the root.  As an Alg has one form per root, mul combines
-the exponents of one root however it was isolated; same_value decides
-equality of two Algs over different polynomials exactly, from their cells,
-and of other exact values from their ratio, or raises.
+and x^1 unwraps to x.  The collapse test needs no arithmetic for
+0 < k < deg, where x^k is its own remainder and so not a constant (the
+degree rule); only k >= deg is reduced.  Alg and Product hash once, at
+construction, on integers: the polynomial, the numerators and denominators
+of the cell ends or of the rational, and the factors.  One routine,
+least_root, finds every algebraic root: a dyadic descent on Sturm counts
+from the integer cells down to the first cell that isolates the root.  As
+an Alg has one form per root, mul combines the exponents of one root
+however it was isolated; same_value decides equality of two Algs over
+different polynomials exactly, from their cells, and of other exact values
+from their ratio, or raises.
 
 refine encloses an Alg in the cell of a dyadic grid that holds its root.
 The root of an Alg is irrational, so the cell is a function of the value and
@@ -35,7 +40,7 @@ Interval per result, with the values of the Interval operations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
@@ -66,12 +71,29 @@ class Alg(Scalar):
     poly: tuple  # int coefficients, constant-first, squarefree primitive
     lo: Fraction  # [lo, hi]: the coarsest cell [m, m+1]/2^k, k >= 0,
     hi: Fraction  # on which poly is nonzero at both ends and has one root
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lo, hi = self.lo, self.hi
+        object.__setattr__(self, "_hash", hash((
+            self.poly, lo.numerator, lo.denominator, hi.numerator, hi.denominator)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
 class Product(Scalar):
     rational: Fraction
     factors: tuple  # tuple[(Alg, int)], exponents nonzero, bases distinct
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        r = self.rational
+        object.__setattr__(self, "_hash", hash((r.numerator, r.denominator, self.factors)))
+
+    def __hash__(self):
+        return self._hash
 
 
 @dataclass(frozen=True, slots=True)
@@ -198,7 +220,13 @@ def least_root(chain, lo, hi) -> Scalar:
 
 def _alg_power_collapse(base: Alg, k: int) -> Fraction | None:
     """If x^k is a constant c modulo the defining polynomial, every root of
-    the polynomial satisfies x^k = c; return c, else None."""
+    the polynomial satisfies x^k = c; return c, else None.
+
+    Degree rule: for 0 < k < deg, x^k is its own remainder and not a
+    constant, so the answer is None with no polynomial arithmetic; only
+    k >= deg reduces x^k by square-and-multiply."""
+    if 0 < k < len(base.poly) - 1:
+        return None
     p = [Q(c) for c in base.poly]
     rem = [Q(0), Q(1)]  # x
     out = [Q(1)]

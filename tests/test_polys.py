@@ -7,6 +7,7 @@ Coefficient lists are constant-first throughout.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -462,6 +463,57 @@ class TestIntegerKernel:
                      ([3], [0, 1])):        # divisor of higher degree
             with pytest.raises(ArithmeticError):
                 polys.div_exact(p, q)
+
+
+def fraction_content_primitive(p):
+    """content_primitive by way of one Fraction per coefficient, the path an
+    all-integer list no longer takes, kept as its oracle."""
+    p = polys.trim(p)
+    if not p:
+        return Fraction(0), []
+    fracs = [Fraction(c) for c in p]
+    den = math.lcm(*(c.denominator for c in fracs))
+    ints = [int(c * den) for c in fracs]
+    g = math.gcd(*ints)
+    ints = [c // g for c in ints]
+    sign = 1
+    if ints[-1] < 0:
+        ints = [-c for c in ints]
+        sign = -1
+    return Fraction(sign * g, den), ints
+
+
+# small coefficients, zeros, and coefficients of up to 200 bits
+INTEGER_COEFFICIENTS = st.lists(
+    st.integers(-9, 9) | st.just(0) | st.integers(-2**200, 2**200), min_size=1, max_size=8)
+
+
+class TestContentPrimitive:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(INTEGER_COEFFICIENTS, st.integers(1, 2**64))
+    def test_integers_match_the_fraction_path(self, p, scale):
+        for q in (p, [scale * c for c in p]):
+            c, prim = polys.content_primitive(q)
+            assert (c, prim) == fraction_content_primitive(q)
+            assert type(c) is Fraction and all(type(a) is int for a in prim)
+
+    @pytest.mark.parametrize("p", [
+        [6, -4, -2],                # negative leading coefficient
+        [4, 0, 0, 0, 8],            # interior zeros
+        [0, 0, -5],                 # a single term
+        [7],                        # a constant
+        [3 * 2**200, 0, -9 * 2**201, 0, 0],  # large, with trailing zeros
+        [0, 0],                     # the zero polynomial
+    ])
+    def test_edge_cases_match_the_fraction_path(self, p):
+        assert polys.content_primitive(p) == fraction_content_primitive(p)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+                    | st.integers(-9, 9), min_size=1, max_size=6))
+    def test_fraction_entries_keep_the_fraction_path(self, p):
+        assume(any(isinstance(c, Fraction) for c in p))
+        assert polys.content_primitive(p) == fraction_content_primitive(p)
 
 
 def fraction_det(mat):

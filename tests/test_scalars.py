@@ -350,6 +350,129 @@ class TestCollapse:
         assert scalars.inv(p).factors == tuple((b, -e) for b, e in p.factors)
 
 
+def fraction_power_collapse(base: Alg, k: int) -> Fraction | None:
+    """_alg_power_collapse without its degree rule: x^k reduced modulo the
+    defining polynomial by Fraction square-and-multiply, kept as its oracle."""
+    p = [Q(c) for c in base.poly]
+    rem = [Q(0), Q(1)]  # x
+    out = [Q(1)]
+    e = k
+    while e:
+        if e & 1:
+            out = polys.divmod_exact(polys.mul(out, rem), p)[1]
+        rem = polys.divmod_exact(polys.mul(rem, rem), p)[1]
+        e >>= 1
+    if polys.degree(out) <= 0:
+        return out[0] if out else Q(0)
+    return None
+
+
+@st.composite
+def power_bases(draw) -> Alg:
+    """The least real root, when irrational, of a squarefree integer
+    polynomial of degree 2 to 6: a binomial a x^n - c, whose powers collapse
+    at multiples of n, or a random polynomial.  The coefficients bound every
+    root inside (-10, 10)."""
+    degree = draw(st.integers(2, 6))
+    if draw(st.booleans()):
+        poly = [-draw(st.integers(1, 9))] + [0] * (degree - 1) + [draw(st.integers(1, 3))]
+    else:
+        poly = draw(st.lists(st.integers(-9, 9), min_size=degree, max_size=degree))
+        poly.append(draw(st.integers(1, 9)))
+    sf = polys.squarefree_part(poly)
+    assume(polys.degree(sf) >= 2)
+    try:
+        a = scalars.least_root(polys.sturm_chain(sf), Q(-10), Q(10))
+    except ArithmeticError:
+        assume(False)
+    assume(isinstance(a, Alg))
+    return a
+
+
+class TestPowerCollapse:
+    """The degree rule: for 0 < k < deg, x^k is its own remainder, so
+    _alg_power_collapse answers None with no polynomial division; from
+    k = deg on it reduces as before."""
+
+    @given(power_bases())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_matches_the_fraction_square_and_multiply(self, a):
+        deg = len(a.poly) - 1
+        divisions = [0]
+        real = polys.divmod_exact
+
+        def counted(p, q):
+            divisions[0] += 1
+            return real(p, q)
+
+        for k in range(1, 3 * deg + 1):
+            divisions[0] = 0
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(polys, "divmod_exact", counted)
+                got = scalars._alg_power_collapse(a, k)
+            assert got == fraction_power_collapse(a, k)
+            assert k >= deg or divisions[0] == 0
+
+    def test_known_collapses(self):
+        sqrt2 = scalars.make_algebraic([-2, 0, 1], Q(1), Q(2))
+        cbrt5 = scalars.make_algebraic([-5, 0, 0, 1], Q(1), Q(2))
+        # sqrt(2) isolated as a root of the reducible x^4 - 4 = (x^2 - 2)(x^2 + 2)
+        quartic = scalars.make_algebraic([-4, 0, 0, 0, 1], Q(1), Q(2))
+        for a, k, expected in [(sqrt2, 1, None), (sqrt2, 2, 2), (sqrt2, 3, None),
+                               (sqrt2, 4, 4), (cbrt5, 1, None), (cbrt5, 2, None),
+                               (cbrt5, 3, 5), (cbrt5, 6, 25), (quartic, 2, None),
+                               (quartic, 3, None), (quartic, 4, 4)]:
+            assert scalars._alg_power_collapse(a, k) == expected
+            assert fraction_power_collapse(a, k) == expected
+
+
+class TestHash:
+    """Alg and Product hash once, at construction, from integers."""
+
+    def test_one_root_under_two_intervals_shares_one_cell(self, monkeypatch):
+        a = scalars.make_algebraic([-1, 1, 1], 0, 1)
+        b = scalars.make_algebraic([-1, 1, 1], Q(1, 2), 1)
+        assert a is not b and a == b and hash(a) == hash(b)
+        scalars._alg_cell(a, 97)
+        info = scalars._alg_cell.cache_info()
+        fraction_hashes = [0]
+        fraction_hash = Fraction.__hash__
+
+        def counted(self):
+            fraction_hashes[0] += 1
+            return fraction_hash(self)
+
+        monkeypatch.setattr(Fraction, "__hash__", counted)
+        cell = scalars._alg_cell(b, 97)
+        monkeypatch.undo()
+        after = scalars._alg_cell.cache_info()
+        assert (after.hits, after.misses) == (info.hits + 1, info.misses)
+        assert cell == scalars._alg_cell(a, 97) and fraction_hashes[0] == 0
+
+    @given(products())
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_equal_products_hash_equal(self, s):
+        copy = Product(Q(s.rational.numerator, s.rational.denominator),
+                       tuple((Alg(tuple(b.poly), Q(b.lo), Q(b.hi)), e) for b, e in s.factors))
+        assert copy == s and hash(copy) == hash(s)
+        assert {s: 1}[copy] == 1
+
+    def test_one_power_built_two_ways_hashes_equal(self):
+        g3 = scalars.make_power(golden(), 3)
+        cubed = scalars.mul(golden(), golden(), golden())
+        assert cubed == g3 and hash(cubed) == hash(g3)
+
+    def test_repr_is_unchanged(self):
+        g = golden()
+        assert repr(g) == "Alg(poly=(-1, 1, 1), lo=Fraction(0, 1), hi=Fraction(1, 1))"
+        s = scalars.mul(Rat(Q(-2, 7)), scalars.make_power(g, -3),
+                        scalars.make_algebraic([-2, 0, 1], 1, 2))
+        assert repr(s) == (
+            "Product(rational=Fraction(-2, 7), factors=("
+            "(Alg(poly=(-2, 0, 1), lo=Fraction(1, 1), hi=Fraction(2, 1)), 1), "
+            "(Alg(poly=(-1, 1, 1), lo=Fraction(0, 1), hi=Fraction(1, 1)), -3)))")
+
+
 class TestSameValue:
     def test_products_a_hair_apart_differ(self):
         g3 = scalars.make_power(golden(), 3)
